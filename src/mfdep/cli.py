@@ -20,8 +20,8 @@ def _build_parser():
     p = argparse.ArgumentParser(prog="mfdep", description="Second-order graph-based dependency parser")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--variant", choices=VARIANTS, default="local2o")
+    def common(sp, variant="local2o"):
+        sp.add_argument("--variant", choices=VARIANTS, default=variant)
         sp.add_argument("--iterations", type=int, default=None, help="MFVI iterations T")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--single-root", choices=("on", "off"), default="on")
@@ -38,7 +38,7 @@ def _build_parser():
     tr.add_argument("--history", metavar="FILE", help="write training history JSON")
 
     pa = sub.add_parser("parse", help="parse a CoNLL-U file with a trained model")
-    common(pa)
+    common(pa, variant=None)  # default: the checkpoint's variant
     pa.add_argument("--model", required=True, metavar="FILE")
     pa.add_argument("--input", required=True, metavar="FILE")
     pa.add_argument("--output", required=True, metavar="FILE")
@@ -107,6 +107,11 @@ def _cmd_parse(args):
     from .trainer import load_model
 
     params = load_model(args.model)
+    variant, iterations = args.variant, args.iterations
+    if variant is None:
+        variant = params.config.variant
+    if iterations is None and variant == params.config.variant:
+        iterations = params.config.iterations
     sentences = read_conllu_file(args.input)
     cfg = DecodeConfig(single_root=args.single_root == "on")
     stats = DecodeStats()
@@ -114,7 +119,7 @@ def _cmd_parse(args):
     for sent in sentences:
         tape = ad.Tape()
         scores = score_sentence(sent, params, tape)
-        post = mfvi(scores, args.variant, args.iterations)
+        post = mfvi(scores, variant, iterations)
         p_label = label_distribution(scores.s_label)
         t = decode(post, p_label, cfg, stats)
         predicted.append((t.heads.tolist(), [params.labels[i] for i in t.labels]))

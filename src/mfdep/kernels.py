@@ -19,6 +19,7 @@ has no head). ``sib[i, j, k]`` scores the edge pair {i->j, i->k} and
 """
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -44,19 +45,17 @@ def backend_name():
 # numpy backend
 # ---------------------------------------------------------------------------
 
-_mask_cache = {}
+_MASK_CACHE_SIZE = 8  # masks are 2*(n+1)^3 floats; a sentence reuses one size
 
 
+@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
 def _masks(n1):
-    """Per-size constant masks, cached.
+    """Per-size constant masks, cached for the most recent sizes.
 
     pair[i,j]: candidate edge i->j (dependent j >= 1, i != j).
     k3[i,j,k]: third index differs from the first two.
     k1[k,i,j]: first index differs from the last two.
     """
-    got = _mask_cache.get(n1)
-    if got is not None:
-        return got
     idx = np.arange(n1)
     pair = (idx[None, :] >= 1) & (idx[:, None] != idx[None, :])
     a0 = idx[:, None, None]
@@ -64,9 +63,7 @@ def _masks(n1):
     a2 = idx[None, None, :]
     k3 = ((a2 != a0) & (a2 != a1)).astype(np.float64)
     k1 = ((a0 != a1) & (a0 != a2)).astype(np.float64)
-    got = (pair.astype(np.float64), k3, k1)
-    _mask_cache[n1] = got
-    return got
+    return pair.astype(np.float64), k3, k1
 
 
 def _messages_forward_numpy(q, sib, gp):

@@ -2,9 +2,10 @@
 
 Argmax head selection first; the Chu-Liu/Edmonds maximum spanning
 arborescence on log-posteriors is only run when the argmax graph is not
-a tree (or violates the single-root constraint when enabled). All tie
-breaking is toward the smallest head index, so results are
-bit-reproducible.
+a tree (or violates the single-root constraint when enabled). Argmax
+and label ties go to the smallest index. Among MST trees of exactly
+equal weight the choice is fixed by the input but not always the
+lexicographically smallest; results are deterministic either way.
 """
 from __future__ import annotations
 
@@ -66,16 +67,30 @@ def is_tree(heads):
     return True
 
 
-def _greedy_heads(w):
+_NO_TREE = {
+    True: "no feasible single-root arborescence",
+    False: "no feasible arborescence",
+}
+
+
+def _greedy_heads(w, single_root):
+    """Best head of every word (index 0 is the root's own slot).
+
+    With ``single_root`` each word takes its best non-root head and falls
+    back to the root only when it has no finite non-root head. ``w`` must
+    already be -inf on the diagonal and in column 0. Ties go to the
+    smallest head index.
+    """
     n1 = w.shape[0]
-    heads = np.zeros(n1, dtype=np.intp)
-    for j in range(1, n1):
-        col = w[:, j].copy()
-        col[j] = -np.inf
-        if not np.any(np.isfinite(col)):
-            raise ValueError(f"no feasible head for node {j}")
-        heads[j] = int(col.argmax())  # argmax takes the first (smallest) max
-    return heads
+    deps = np.arange(1, n1)
+    if single_root:
+        heads = w[1:, 1:].argmax(axis=0) + 1
+        heads[~np.isfinite(w[heads, deps])] = 0
+    else:
+        heads = w[:, 1:].argmax(axis=0)
+    if not np.isfinite(w[heads, deps]).all():
+        raise ValueError(_NO_TREE[single_root])
+    return np.concatenate(([0], heads)).astype(np.intp)
 
 
 def _find_cycle(heads):
@@ -101,67 +116,40 @@ def _find_cycle(heads):
     return None
 
 
-def _cle(w):
-    """Maximum spanning arborescence rooted at node 0 on a dense matrix."""
+def _cle(w, single_root):
+    """Maximum spanning arborescence rooted at node 0 on a dense matrix
+    that is -inf on the diagonal and in column 0."""
     n1 = w.shape[0]
-    heads = _greedy_heads(w)
+    heads = _greedy_heads(w, single_root)
     cycle = _find_cycle(heads)
     if cycle is None:
+        if single_root and np.count_nonzero(heads[1:] == 0) != 1:
+            raise ValueError(_NO_TREE[True])
         return heads
-    cyc_set = set(cycle)
-    outside = [u for u in range(n1) if u not in cyc_set]
-    cyc_id = len(outside)  # contracted node gets the last index
-    old2new = {u: k for k, u in enumerate(outside)}
+    cycle = np.sort(cycle)  # argmax over cycle nodes then favours the smallest
+    in_cycle = np.zeros(n1, dtype=bool)
+    in_cycle[cycle] = True
+    outside = np.flatnonzero(~in_cycle)  # outside[0] == 0, the root
+    cyc_id = len(outside)  # the contracted node gets the last index
 
-    m = cyc_id + 1
-    wc = np.full((m, m), -np.inf)
-    enter_arg = {}  # new head index -> (orig head, orig cycle node)
-    leave_arg = {}  # new dep index  -> (orig cycle node, orig dep)
-    for u in outside:
-        for v in outside:
-            if u != v:
-                wc[old2new[u], old2new[v]] = w[u, v]
-    for u in outside:
-        best = -np.inf
-        best_pair = None
-        for c in cycle:
-            s = w[u, c] - w[heads[c], c]
-            if s > best or (s == best and best_pair is not None and (u, c) < best_pair):
-                best = s
-                best_pair = (u, c)
-        wc[old2new[u], cyc_id] = best
-        enter_arg[old2new[u]] = best_pair
-    for v in outside:
-        if v == 0:
-            continue
-        best = -np.inf
-        best_pair = None
-        for c in cycle:
-            s = w[c, v]
-            if s > best or (s == best and best_pair is not None and (c, v) < best_pair):
-                best = s
-                best_pair = (c, v)
-        wc[cyc_id, old2new[v]] = best
-        leave_arg[old2new[v]] = best_pair
+    # u -> c replaces the cycle edge into c; v's best head inside the cycle
+    enter = w[np.ix_(outside, cycle)] - w[heads[cycle], cycle]
+    leave = w[np.ix_(cycle, outside)]
+    wc = np.full((cyc_id + 1, cyc_id + 1), -np.inf)
+    wc[:cyc_id, :cyc_id] = w[np.ix_(outside, outside)]
+    wc[:cyc_id, cyc_id] = enter.max(axis=1)
+    wc[cyc_id, :cyc_id] = leave.max(axis=0)
 
-    sub = _cle(wc)
+    sub = _cle(wc, single_root)
 
-    heads_out = np.zeros(n1, dtype=np.intp)
-    for v_new in range(1, m):
-        h_new = int(sub[v_new])
-        if v_new == cyc_id:
-            u, c_broken = enter_arg[h_new]
-            # edge u -> c_broken replaces the cycle edge into c_broken
-            for c in cycle:
-                heads_out[c] = heads[c]
-            heads_out[c_broken] = u
-        else:
-            v = outside[v_new]
-            if h_new == cyc_id:
-                c, _v = leave_arg[v_new]
-                heads_out[v] = c
-            else:
-                heads_out[v] = outside[h_new]
+    heads_out = np.empty(n1, dtype=np.intp)
+    heads_out[cycle] = heads[cycle]
+    u = sub[cyc_id]
+    heads_out[cycle[enter[u].argmax()]] = outside[u]
+    expand = np.append(outside, -1)[sub[:cyc_id]]  # -1: head is the cycle
+    from_cycle = expand < 0
+    expand[from_cycle] = cycle[leave.argmax(axis=0)][from_cycle]
+    heads_out[outside] = expand
     return heads_out
 
 
@@ -170,41 +158,31 @@ def tree_weight(weights, heads):
 
 
 def chu_liu_edmonds(weights, single_root=True):
-    """Maximum-weight spanning arborescence; returns heads (length n)."""
+    """Maximum-weight spanning arborescence; returns heads (length n).
+
+    ``weights[i, j]`` scores the edge i -> j, with node 0 the root; -inf
+    marks a missing edge. Raises ``ValueError`` when no arborescence of
+    finite weight exists.
+
+    With ``single_root`` the root gets exactly one child, in the same
+    single contraction pass as the unconstrained problem (Zmigrod, Vieira
+    & Cotterell, "Please Mind the Root", EMNLP 2020, after Gabow & Tarjan
+    1984): the greedy step takes every word's best non-root head, so root
+    edges enter only through a contracted cycle's adjusted entering
+    weights, or for a word that has no other head. An acyclic greedy
+    graph with more than one root child then has no single-root tree.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     n1 = weights.shape[0]
-    n = n1 - 1
-    if n < 1:
+    if n1 < 2:
         raise ValueError("need at least one non-root node")
     w = weights.copy()
     w[:, 0] = -np.inf  # root has no head
     np.fill_diagonal(w, -np.inf)
-    for j in range(1, n1):
-        if not np.any(np.isfinite(w[:, j])):
-            raise ValueError(f"no feasible head for node {j}")
-
-    if not single_root:
-        return _cle(w)[1:].copy()
-
-    best_heads = None
-    best_total = -np.inf
-    for r in range(1, n1):
-        if not np.isfinite(w[0, r]):
-            continue
-        wr = w.copy()
-        wr[0, :] = -np.inf
-        wr[0, r] = w[0, r]
-        try:
-            h = _cle(wr)
-        except ValueError:
-            continue
-        total = tree_weight(w, h[1:])
-        if total > best_total:
-            best_total = total
-            best_heads = h[1:].copy()
-    if best_heads is None:
-        raise ValueError("no feasible single-root arborescence")
-    return best_heads
+    missing = np.flatnonzero(~np.isfinite(w[:, 1:]).any(axis=0))
+    if missing.size:
+        raise ValueError(f"no feasible head for node {missing[0] + 1}")
+    return _cle(w, single_root)[1:].copy()
 
 
 def assign_labels(p_label, heads):
@@ -230,6 +208,10 @@ def decode(posterior, p_label, config=None, stats=None):
         with np.errstate(divide="ignore"):
             logq = np.log(hp.T)  # (n+1) x n -> pad to (n+1) x (n+1)
         n = hp.shape[0]
+        # An underflowed probability still names a candidate edge. Every
+        # finite log-probability is above -745, so at this floor a tree of
+        # n finite edges beats any tree that uses a zero-probability edge.
+        logq[np.isneginf(logq)] = -745.0 * (n + 1)
         w = np.full((n + 1, n + 1), -np.inf)
         w[:, 1:] = logq
         heads = chu_liu_edmonds(w, single_root=config.single_root)

@@ -3,8 +3,11 @@ import json
 import pytest
 
 from conftest import TOY_TREEBANK
+import mfdep.decoder
 from mfdep.cli import run
 from mfdep.conllu import read_conllu_file, write_conllu_file
+from mfdep.scorer import ModelConfig, build_vocabs, init_params
+from mfdep.trainer import save_model
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,32 @@ def test_parse_deterministic(workspace):
         ]) == 0
         outs.append((root / name).read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_parse_defaults_to_checkpoint_variant_and_iterations(workspace, tmp_path, monkeypatch):
+    w2i, p2i, labels = build_vocabs(read_conllu_file(workspace["train"]))
+    cfg = ModelConfig.for_variant("single2o", d_word=4, d_pos=2, d_hidden=3,
+                                  d_edge=4, d_label=3, d_bin=2, iterations=2)
+    model = str(tmp_path / "single.bin")
+    save_model(init_params(cfg, w2i, p2i, labels, seed=0), model)
+    seen = set()
+    real_mfvi = mfdep.decoder.mfvi
+
+    def spy(scores, variant, T=None):
+        seen.add((variant, T))
+        return real_mfvi(scores, variant, T)
+
+    monkeypatch.setattr(mfdep.decoder, "mfvi", spy)
+    argv = ["parse", "--model", model, "--input", workspace["train"],
+            "--output", str(tmp_path / "out.conllu")]
+    assert run(argv) == 0
+    assert seen == {("single2o", 2)}
+    seen.clear()
+    assert run(argv + ["--variant", "local2o"]) == 0
+    assert seen == {("local2o", None)}
+    seen.clear()
+    assert run(argv + ["--iterations", "1"]) == 0
+    assert seen == {("single2o", 1)}
 
 
 def test_eval_text_output(workspace, capsys):

@@ -103,3 +103,16 @@ def test_muladd_count_matches_closed_form(n):
 
 def test_closed_form_is_cubic():
     assert kernels.closed_form_muladds(10) == 3 * 100 * 9
+
+
+def test_mask_cache_is_bounded():
+    kernels._masks.cache_clear()
+    for n in range(1, 41):
+        q, sib, gp = _inputs(n, seed=n)
+        kernels.messages_forward_numpy(q, sib, gp)
+        assert kernels._masks.cache_info().currsize <= kernels._MASK_CACHE_SIZE
+    np.testing.assert_allclose(  # an evicted size is rebuilt correctly
+        kernels.messages_forward_numpy(*_inputs(3, seed=3)),
+        _reference_messages(*_inputs(3, seed=3)),
+        atol=1e-12,
+    )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_scores
 from mfdep.decoder import mfvi_local
@@ -63,6 +65,33 @@ def test_cle_breaks_cycle_by_contraction():
 def test_cle_single_node():
     w = np.array([[-np.inf, 0.0], [-np.inf, -np.inf]])
     assert chu_liu_edmonds(w).tolist() == [0]
+
+
+@st.composite
+def _sparse_int_weights(draw):
+    """Small integer weights (many exact ties) with random missing edges."""
+    n = draw(st.integers(1, 5))
+    vals = draw(st.lists(st.integers(-2, 2), min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+    missing = draw(st.lists(st.booleans(), min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+    w = np.array(vals, dtype=np.float64).reshape(n + 1, n + 1)
+    w[np.array(missing).reshape(n + 1, n + 1)] = -np.inf
+    return w
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(w=_sparse_int_weights(), single_root=st.booleans())
+def test_cle_matches_bruteforce_weight_with_ties_and_missing_edges(w, single_root):
+    _, best = best_arborescence_bruteforce(w, single_root=single_root)
+    if not np.isfinite(best):  # every tree uses a missing edge
+        with pytest.raises(ValueError):
+            chu_liu_edmonds(w, single_root=single_root)
+        return
+    heads = chu_liu_edmonds(w, single_root=single_root)
+    assert is_tree(heads)
+    # integer weights: sums are exact, so equality is the right test
+    assert tree_weight(w, heads) == best
+    if single_root:
+        assert int(np.sum(heads == 0)) == 1
 
 
 def test_cle_errors():
@@ -182,3 +211,17 @@ def test_decode_accepts_posterior_objects(rng):
     post = mfvi_local(scores, T=2)
     tree = decode(post, np.zeros((4, 4, 1)))
     assert is_tree(tree.heads)
+
+
+def test_decode_zero_root_probabilities_still_gives_single_root_tree():
+    # underflow can leave every word with root probability exactly 0
+    q = _peaked_posterior([2, 0, 2])
+    q[:, 0] = 0.0
+    q /= q.sum(axis=1, keepdims=True)
+    stats = DecodeStats()
+    tree = decode(q, np.zeros((4, 4, 1)), DecodeConfig(single_root=True), stats)
+    assert stats.mst_calls == 1
+    assert is_tree(tree.heads)
+    assert int(np.sum(tree.heads == 0)) == 1
+    # the one root child is the word whose best finite tree is the heaviest
+    assert tree.heads.tolist() == [2, 0, 2]
