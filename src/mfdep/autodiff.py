@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
-A Tape records operations in creation order (which is a topological
-order); ``Tape.backward`` replays them once in reverse, accumulating
-adjoints into every reachable Var. Leaf Vars (parameters, constants
-that need gradients) are never registered on the tape; they only
-receive adjoints.
+Each op returns a Var that holds its value, its parent Vars and one VJP
+closure per parent; the graph is nothing more than these parent links.
+``backward`` walks them from a scalar root in reverse topological order
+and accumulates adjoints into every reachable Var. Parents never point
+back at their children, so a graph is freed by reference counting as
+soon as its root goes out of scope.
 """
 from __future__ import annotations
 
@@ -12,16 +13,8 @@ import numpy as np
 
 
 class Tape:
-    """Recorded computation graph for one forward pass."""
-
-    def __init__(self):
-        self._nodes = []
-
-    def _register(self, var):
-        self._nodes.append(var)
-
-    def __len__(self):
-        return len(self._nodes)
+    """Stateless handle kept for callers that unpack it from
+    ``trainer.sentence_loss``; ``backward`` is the module function."""
 
     def backward(self, root, seed_grad=None):
         backward(root, seed_grad)
@@ -63,16 +56,13 @@ def backward(root, seed_grad=None):
 class Var:
     """A node in the computation graph holding a float64 ndarray."""
 
-    __slots__ = ("value", "tape", "grad", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "_parents", "_vjps")
 
-    def __init__(self, value, tape=None, parents=(), vjps=()):
+    def __init__(self, value, parents=(), vjps=()):
         self.value = np.asarray(value, dtype=np.float64)
-        self.tape = tape
         self.grad = None
         self._parents = parents
         self._vjps = vjps
-        if tape is not None and parents:
-            tape._register(self)
 
     @property
     def shape(self):
@@ -112,13 +102,6 @@ def val(x):
     return x.value if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _tape_of(*args):
-    for a in args:
-        if isinstance(a, Var) and a.tape is not None:
-            return a.tape
-    return None
-
-
 def _unbroadcast(g, shape):
     """Sum gradient g down to the given (broadcast-source) shape."""
     while g.ndim > len(shape):
@@ -133,7 +116,6 @@ def add(a, b):
     va, vb = val(a), val(b)
     return Var(
         va + vb,
-        _tape_of(a, b),
         (a, b),
         (
             lambda g: _unbroadcast(g, va.shape),
@@ -146,7 +128,6 @@ def sub(a, b):
     va, vb = val(a), val(b)
     return Var(
         va - vb,
-        _tape_of(a, b),
         (a, b),
         (
             lambda g: _unbroadcast(g, va.shape),
@@ -159,7 +140,6 @@ def mul(a, b):
     va, vb = val(a), val(b)
     return Var(
         va * vb,
-        _tape_of(a, b),
         (a, b),
         (
             lambda g: _unbroadcast(g * vb, va.shape),
@@ -186,7 +166,7 @@ def matmul(a, b):
             return np.outer(va, g)
         return va.T @ g
 
-    return Var(y, _tape_of(a, b), (a, b), (da, db))
+    return Var(y, (a, b), (da, db))
 
 
 def einsum(subs, a, b):
@@ -203,34 +183,34 @@ def einsum(subs, a, b):
     def db(g):
         return np.einsum(f"{out},{sa}->{sb}", g, va)
 
-    return Var(y, _tape_of(a, b), (a, b), (da, db))
+    return Var(y, (a, b), (da, db))
 
 
 def exp(a):
     y = np.exp(val(a))
-    return Var(y, _tape_of(a), (a,), (lambda g: g * y,))
+    return Var(y, (a,), (lambda g: g * y,))
 
 
 def log(a):
     va = val(a)
-    return Var(np.log(va), _tape_of(a), (a,), (lambda g: g / va,))
+    return Var(np.log(va), (a,), (lambda g: g / va,))
 
 
 def tanh(a):
     y = np.tanh(val(a))
-    return Var(y, _tape_of(a), (a,), (lambda g: g * (1.0 - y * y),))
+    return Var(y, (a,), (lambda g: g * (1.0 - y * y),))
 
 
 def sigmoid(a):
     va = val(a)
     y = np.where(va >= 0, 1.0 / (1.0 + np.exp(-va)), np.exp(va) / (1.0 + np.exp(va)))
-    return Var(y, _tape_of(a), (a,), (lambda g: g * y * (1.0 - y),))
+    return Var(y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
 def clip_min(a, floor):
     va = val(a)
     return Var(
-        np.maximum(va, floor), _tape_of(a), (a,), (lambda g: g * (va > floor),)
+        np.maximum(va, floor), (a,), (lambda g: g * (va > floor),)
     )
 
 
@@ -243,12 +223,12 @@ def softmax(a, axis):
     def da(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
-    return Var(y, _tape_of(a), (a,), (da,))
+    return Var(y, (a,), (da,))
 
 
 def sum_all(a):
     va = val(a)
-    return Var(va.sum(), _tape_of(a), (a,), (lambda g: g * np.ones_like(va),))
+    return Var(va.sum(), (a,), (lambda g: g * np.ones_like(va),))
 
 
 def gather_rows(a, idx):
@@ -260,7 +240,7 @@ def gather_rows(a, idx):
         np.add.at(out, idx, g)
         return out
 
-    return Var(va[idx], _tape_of(a), (a,), (da,))
+    return Var(va[idx], (a,), (da,))
 
 
 def take_at(a, index):
@@ -273,7 +253,7 @@ def take_at(a, index):
         np.add.at(out, index, g)
         return out
 
-    return Var(va[index], _tape_of(a), (a,), (da,))
+    return Var(va[index], (a,), (da,))
 
 
 def row(a, i):
@@ -284,7 +264,7 @@ def row(a, i):
         out[i] = g
         return out
 
-    return Var(va[i], _tape_of(a), (a,), (da,))
+    return Var(va[i], (a,), (da,))
 
 
 def concat(parts, axis=0):
@@ -300,7 +280,6 @@ def concat(parts, axis=0):
 
     return Var(
         np.concatenate(vals, axis=axis),
-        _tape_of(*parts),
         tuple(parts),
         tuple(make_vjp(k) for k in range(len(parts))),
     )
@@ -314,21 +293,20 @@ def stack_rows(parts):
 
     return Var(
         np.stack(vals, axis=0),
-        _tape_of(*parts),
         tuple(parts),
         tuple(make_vjp(k) for k in range(len(parts))),
     )
 
 
 def transpose(a):
-    return Var(val(a).T, _tape_of(a), (a,), (lambda g: g.T,))
+    return Var(val(a).T, (a,), (lambda g: g.T,))
 
 
 def permute(a, axes):
     inv = tuple(np.argsort(axes))
-    return Var(val(a).transpose(axes), _tape_of(a), (a,), (lambda g: g.transpose(inv),))
+    return Var(val(a).transpose(axes), (a,), (lambda g: g.transpose(inv),))
 
 
-def custom_op(value, parents, vjps, tape=None):
-    """Register an externally computed primitive with hand-written VJPs."""
-    return Var(value, tape if tape is not None else _tape_of(*parents), tuple(parents), tuple(vjps))
+def custom_op(value, parents, vjps):
+    """Wrap an externally computed primitive with hand-written VJPs."""
+    return Var(value, tuple(parents), tuple(vjps))

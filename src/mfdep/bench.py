@@ -42,7 +42,6 @@ def random_scores(n, rng, n_labels=4, unary_std=1.0, binary_std=0.25):
 class BenchRow:
     variant: str
     n: int
-    backend: str
     median_seconds: float
     sents_per_second: float
     repeats: int
@@ -56,65 +55,48 @@ def _time_decode(scores, variant, T, inner=3):
     return (time.perf_counter() - t0) / inner
 
 
-def benchmark(variants=VARIANTS, lengths=(10, 20, 40), repeats=5, seed=0, backends=None):
-    """Run the decoder suite; returns (rows, slopes)."""
-    if backends is None:
-        backends = ["numpy"] if kernels.backend_name() == "numpy" else ["numba", "numpy"]
+def benchmark(variants=VARIANTS, lengths=(10, 20, 40), repeats=5, seed=0):
+    """Run the decoder suite; returns (rows, slopes by variant)."""
     rng = np.random.default_rng(seed)
     scores_by_n = {n: random_scores(n, rng) for n in lengths}
     rows = []
-    for backend in backends:
-        saved = kernels._HAVE_NUMBA
-        kernels._HAVE_NUMBA = backend == "numba"
-        try:
-            for variant in variants:
-                T = 0 if variant.endswith("1o") else 3
-                for n in lengths:
-                    sc = scores_by_n[n]
-                    mfvi(sc, variant, T)  # warmup (includes any JIT compile)
-                    times = [_time_decode(sc, variant, T) for _ in range(repeats)]
-                    med = float(np.median(times))
-                    rows.append(
-                        BenchRow(
-                            variant=variant,
-                            n=n,
-                            backend=backend,
-                            median_seconds=med,
-                            sents_per_second=1.0 / med if med > 0 else float("inf"),
-                            repeats=repeats,
-                            muladds_per_iteration=0
-                            if T == 0
-                            else kernels.closed_form_muladds(n),
-                        )
-                    )
-        finally:
-            kernels._HAVE_NUMBA = saved
+    for variant in variants:
+        T = 0 if variant.endswith("1o") else 3
+        for n in lengths:
+            sc = scores_by_n[n]
+            mfvi(sc, variant, T)  # warmup
+            times = [_time_decode(sc, variant, T) for _ in range(repeats)]
+            med = float(np.median(times))
+            rows.append(
+                BenchRow(
+                    variant=variant,
+                    n=n,
+                    median_seconds=med,
+                    sents_per_second=1.0 / med if med > 0 else float("inf"),
+                    repeats=repeats,
+                    muladds_per_iteration=0 if T == 0 else kernels.closed_form_muladds(n),
+                )
+            )
     slopes = {}
-    for backend in backends:
-        for variant in variants:
-            pts = [
-                (r.n, r.median_seconds)
-                for r in rows
-                if r.variant == variant and r.backend == backend
-            ]
-            if len(pts) >= 2:
-                ns, ts = zip(*pts)
-                slope = np.polyfit(np.log(ns), np.log(ts), 1)[0]
-                slopes[(variant, backend)] = float(slope)
+    for variant in variants:
+        pts = [(r.n, r.median_seconds) for r in rows if r.variant == variant]
+        if len(pts) >= 2:
+            ns, ts = zip(*pts)
+            slopes[variant] = float(np.polyfit(np.log(ns), np.log(ts), 1)[0])
     return rows, slopes
 
 
 def format_table(rows, slopes):
     buf = io.StringIO()
-    buf.write(f"{'variant':<10}{'backend':<9}{'n':>5}{'median_s':>12}{'sents/s':>12}{'muladds/it':>12}\n")
+    buf.write(f"{'variant':<10}{'n':>5}{'median_s':>12}{'sents/s':>12}{'muladds/it':>12}\n")
     for r in rows:
         buf.write(
-            f"{r.variant:<10}{r.backend:<9}{r.n:>5}{r.median_seconds:>12.6f}"
+            f"{r.variant:<10}{r.n:>5}{r.median_seconds:>12.6f}"
             f"{r.sents_per_second:>12.1f}{r.muladds_per_iteration:>12}\n"
         )
     buf.write("\nlog-log slope of time vs n:\n")
-    for (variant, backend), slope in sorted(slopes.items()):
-        buf.write(f"  {variant} [{backend}]: {slope:.2f}\n")
+    for variant, slope in sorted(slopes.items()):
+        buf.write(f"  {variant}: {slope:.2f}\n")
     buf.write("\nreference sentences/second on the original hardware (informational):\n")
     for variant, speed in REFERENCE_TEST_SPEED.items():
         buf.write(f"  {variant}: {speed}\n")
@@ -122,10 +104,10 @@ def format_table(rows, slopes):
 
 
 def format_csv(rows):
-    lines = ["variant,backend,n,median_seconds,sents_per_second,repeats,muladds_per_iteration"]
+    lines = ["variant,n,median_seconds,sents_per_second,repeats,muladds_per_iteration"]
     for r in rows:
         lines.append(
-            f"{r.variant},{r.backend},{r.n},{r.median_seconds:.9f},"
+            f"{r.variant},{r.n},{r.median_seconds:.9f},"
             f"{r.sents_per_second:.3f},{r.repeats},{r.muladds_per_iteration}"
         )
     return "\n".join(lines) + "\n"

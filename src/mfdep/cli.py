@@ -64,12 +64,16 @@ def _build_parser():
 
 
 def _cmd_train(args):
-    from .conllu import read_conllu_file
+    from .conllu import read_conllu_file, require_annotated
     from .scorer import load_embeddings
-    from .trainer import TrainConfig, parse_config_file, save_model, train
+    from .trainer import TrainConfig, initial_params, parse_config_file, save_model, train
 
     corpus = read_conllu_file(args.train)
-    dev = read_conllu_file(args.dev) if args.dev else corpus
+    require_annotated(corpus, args.train)
+    dev = corpus
+    if args.dev:
+        dev = read_conllu_file(args.dev)
+        require_annotated(dev, args.dev)
     overrides = parse_config_file(args.config) if args.config else {}
     cfg_kwargs = dict(variant=args.variant, seed=args.seed, scale=args.scale,
                       single_root=args.single_root == "on")
@@ -87,9 +91,10 @@ def _cmd_train(args):
         from .scorer import ModelConfig
 
         model_config = ModelConfig.for_variant(args.variant, **model_overrides)
-    result = train(corpus, dev, config, model_config=model_config, log=_log)
+    params = initial_params(corpus, config, model_config)
     if args.embeddings:
-        load_embeddings(args.embeddings, result.params)
+        load_embeddings(args.embeddings, params)
+    result = train(corpus, dev, config, params=params, log=_log)
     save_model(result.params, args.model)
     if args.history:
         with open(args.history, "w", encoding="utf-8") as f:
@@ -99,7 +104,6 @@ def _cmd_train(args):
 
 
 def _cmd_parse(args):
-    from . import autodiff as ad
     from .conllu import read_conllu_file, write_conllu_file
     from .decoder import mfvi
     from .scorer import label_distribution, score_sentence
@@ -117,8 +121,7 @@ def _cmd_parse(args):
     stats = DecodeStats()
     predicted = []
     for sent in sentences:
-        tape = ad.Tape()
-        scores = score_sentence(sent, params, tape)
+        scores = score_sentence(sent, params)
         post = mfvi(scores, variant, iterations)
         p_label = label_distribution(scores.s_label)
         t = decode(post, p_label, cfg, stats)
@@ -129,11 +132,13 @@ def _cmd_parse(args):
 
 
 def _cmd_eval(args):
-    from .conllu import read_conllu_file
+    from .conllu import read_conllu_file, require_annotated
     from .evaluator import uas_las
 
     gold = read_conllu_file(args.gold)
+    require_annotated(gold, args.gold)
     pred = read_conllu_file(args.pred)
+    require_annotated(pred, args.pred)
     pairs = [(s.gold_heads, s.gold_labels) for s in pred]
     uas, las, counts = uas_las(pairs, gold, args.punct)
     if args.json:

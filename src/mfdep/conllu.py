@@ -3,7 +3,8 @@
 Multiword-token ranges and empty nodes are retained verbatim (attached
 to the following syntactic word position) so that writing a parsed file
 back out reproduces the original bytes when no predictions are
-substituted.
+substituted. A HEAD of ``_`` (unannotated input, as given to the parser)
+reads as ``gold_head=None`` and is written back as ``_``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ class Token:
     lemma: str
     upos: str
     xpos: str
-    gold_head: int
+    gold_head: int | None  # None when the HEAD column is "_"
     gold_label: str
     feats: str = "_"
     deps: str = "_"
@@ -86,10 +87,12 @@ def parse_conllu(text):
             int(tok_id)
         except ValueError:
             raise ConlluError(f"line {lineno}: bad token id {tok_id!r}") from None
-        try:
-            head = int(cols[6])
-        except ValueError:
-            raise ConlluError(f"line {lineno}: non-integer HEAD {cols[6]!r}") from None
+        head = None
+        if cols[6] != "_":
+            try:
+                head = int(cols[6])
+            except ValueError:
+                raise ConlluError(f"line {lineno}: non-integer HEAD {cols[6]!r}") from None
         tokens.append(
             Token(
                 form=cols[1],
@@ -140,7 +143,7 @@ def write_conllu(sentences, predicted=None):
                         tok.upos,
                         tok.xpos,
                         tok.feats,
-                        str(head),
+                        "_" if head is None else str(head),
                         label,
                         tok.deps,
                         tok.misc,
@@ -151,6 +154,19 @@ def write_conllu(sentences, predicted=None):
             out.append(rawline)
         out.append("")
     return "\n".join(out) + "\n" if out else ""
+
+
+def require_annotated(sentences, source):
+    """Raise ConlluError naming the first sentence of source that has a
+    word without a gold HEAD or DEPREL (a ``_`` column)."""
+    for s_idx, sent in enumerate(sentences, start=1):
+        for i, tok in enumerate(sent.tokens, start=1):
+            if tok.gold_head is None or tok.gold_label == "_":
+                sid = f" (sent_id {sent.sentence_id})" if sent.sentence_id else ""
+                raise ConlluError(
+                    f"{source}: sentence {s_idx}{sid}, word {i} has no gold "
+                    "HEAD/DEPREL; training and evaluation need annotated input"
+                )
 
 
 def filter_long(sentences, max_len):

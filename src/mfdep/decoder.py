@@ -7,26 +7,25 @@ Two variants:
 * ``mfvi_single`` -- one Bernoulli variable per candidate edge; the
   update is an elementwise logistic.
 
-Both share the same message computation (see ``kernels``) and retain all
-T+1 posterior iterates so gradients flow through the whole unrolled
-inference.
+Both run the same unrolled loop over the same message computation (see
+``kernels``) and retain all T+1 posterior iterates so gradients flow
+through the whole unrolled inference.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .scorer import ScoreTensors, edge_mask
+from .scorer import edge_mask
 
 _NEG = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
 
 
 def _mfvi_messages(q, sib, gp):
-    """Differentiable message op backed by the active kernel backend."""
+    """Differentiable message op backed by ``kernels``."""
     qv, sv, gv = ad.val(q), ad.val(sib), ad.val(gp)
     m = kernels.messages_forward(qv, sv, gv)
     cache = {}
@@ -45,48 +44,16 @@ def _mfvi_messages(q, sib, gp):
 
 
 @dataclass
-class PosteriorLocal:
-    qs: list  # T+1 Vars, each (n+1) x (n+1): qs[t].value[i, j] = Q_j^(t)(i)
-    messages: list  # T Vars, each (n+1) x (n+1)
-    n: int
+class Posterior:
+    qs: list  # T+1 Vars, each (n+1) x (n+1): qs[t].value[i, j] = belief in edge i -> j
 
     @property
     def final(self):
         return self.qs[-1]
 
     def head_probs(self, t=-1):
-        """n x (n+1) array: row j-1 is the head distribution of word j."""
+        """n x (n+1) array: row j-1 holds the beliefs in each head of word j."""
         return ad.val(self.qs[t])[:, 1:].T.copy()
-
-    @property
-    def Q(self):
-        return [ad.val(q)[:, 1:].T.copy() for q in self.qs]
-
-    @property
-    def M(self):
-        return [ad.val(m)[:, 1:].T.copy() for m in self.messages]
-
-
-@dataclass
-class PosteriorSingle:
-    qs: list  # T+1 Vars, each (n+1) x (n+1) of edge probabilities
-    messages: list
-    n: int
-
-    @property
-    def final(self):
-        return self.qs[-1]
-
-    def head_probs(self, t=-1):
-        return ad.val(self.qs[t])[:, 1:].T.copy()
-
-    @property
-    def Q(self):
-        return [ad.val(q)[:, 1:].copy() for q in self.qs]
-
-    @property
-    def M(self):
-        return [ad.val(m)[:, 1:].copy() for m in self.messages]
 
 
 def _sym_sib(s_sib):
@@ -96,39 +63,35 @@ def _sym_sib(s_sib):
     return ad.add(s_sib, ad.permute(s_sib, (0, 2, 1)))
 
 
-def mfvi_local(scores, T=3):
+def _local_update(logits, mask):
+    return ad.mul(ad.softmax(ad.add(logits, (1.0 - mask) * _NEG), axis=0), mask)
+
+
+def _single_update(logits, mask):
+    return ad.mul(ad.sigmoid(logits), mask)
+
+
+def _unrolled(scores, T, update):
+    """q_0 = update(s_edge); q_t = update(s_edge + messages(q_{t-1}))."""
     if T < 0:
         raise ValueError("T must be >= 0")
-    n = scores.n
-    mask = edge_mask(n)
-    addmask = (1.0 - mask) * _NEG
-    logits0 = ad.add(scores.s_edge, addmask)
-    q = ad.mul(ad.softmax(logits0, axis=0), mask)
-    qs, ms = [q], []
+    mask = edge_mask(scores.n)
+    q = update(scores.s_edge, mask)
+    qs = [q]
     sib = _sym_sib(scores.s_sib) if T > 0 else None
     for _ in range(T):
         m = _mfvi_messages(q, sib, scores.s_gp)
-        logits = ad.add(ad.add(scores.s_edge, m), addmask)
-        q = ad.mul(ad.softmax(logits, axis=0), mask)
+        q = update(ad.add(scores.s_edge, m), mask)
         qs.append(q)
-        ms.append(m)
-    return PosteriorLocal(qs, ms, n)
+    return Posterior(qs)
+
+
+def mfvi_local(scores, T=3):
+    return _unrolled(scores, T, _local_update)
 
 
 def mfvi_single(scores, T=3):
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    n = scores.n
-    mask = edge_mask(n)
-    q = ad.mul(ad.sigmoid(scores.s_edge), mask)
-    qs, ms = [q], []
-    sib = _sym_sib(scores.s_sib) if T > 0 else None
-    for _ in range(T):
-        m = _mfvi_messages(q, sib, scores.s_gp)
-        q = ad.mul(ad.sigmoid(ad.add(scores.s_edge, m)), mask)
-        qs.append(q)
-        ms.append(m)
-    return PosteriorSingle(qs, ms, n)
+    return _unrolled(scores, T, _single_update)
 
 
 def mfvi(scores, variant, T=None):
@@ -143,74 +106,3 @@ def mfvi(scores, variant, T=None):
     if v.startswith("single"):
         return mfvi_single(scores, T)
     raise ValueError(f"unknown variant {variant!r}")
-
-
-@dataclass
-class ScaleCheckReport:
-    n: int
-    shift_scale: float
-    max_q_diff: float
-    argmax_agreement: float
-
-
-def posterior_scale_check(scores, c, T=3, seed=0):
-    """Shift s_edge by a per-dependent constant and compare Local
-    posteriors; softmax normalization makes them invariant."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    n = scores.n
-    rng = np.random.default_rng(seed)
-    shifts = rng.uniform(-c, c, size=n + 1)
-    shifts[0] = 0.0
-    base = mfvi_local(scores, T)
-    shifted = ScoreTensors(
-        s_edge=ad.val(scores.s_edge) + shifts[None, :] * edge_mask(n),
-        s_sib=ad.val(scores.s_sib),
-        s_gp=ad.val(scores.s_gp),
-        s_label=ad.val(scores.s_label),
-    )
-    other = mfvi_local(shifted, T)
-    qa, qb = base.head_probs(), other.head_probs()
-    return ScaleCheckReport(
-        n=n,
-        shift_scale=c,
-        max_q_diff=float(np.max(np.abs(qa - qb))),
-        argmax_agreement=float(np.mean(qa.argmax(axis=1) == qb.argmax(axis=1))),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Flat binary blob interchange for score tensors
-# ---------------------------------------------------------------------------
-
-_HEADER = struct.Struct("<3q")  # n, L, T (little-endian int64)
-
-
-def scores_to_blob(scores, T=3):
-    se, ss, sg, sl = scores.values()
-    n, L = scores.n, scores.n_labels
-    parts = [_HEADER.pack(n, L, T)]
-    for arr in (se, ss, sg, sl):
-        parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def scores_from_blob(blob):
-    n, L, T = _HEADER.unpack_from(blob, 0)
-    off = _HEADER.size
-    n1 = n + 1
-
-    def take(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += count * 8
-        return arr.astype(np.float64)
-
-    se = take((n1, n1))
-    ss = take((n1, n1, n1))
-    sg = take((n1, n1, n1))
-    sl = take((n1, n1, L))
-    if off != len(blob):
-        raise ValueError("score blob has trailing bytes")
-    return ScoreTensors(se, ss, sg, sl), T

@@ -201,7 +201,7 @@ def _dropout(x, p, rng):
     return ad.mul(x, mask)
 
 
-def _gru_direction(X, pv, direction, n1, dh, tape):
+def _gru_direction(X, pv, direction, n1, dh):
     # input projections for all positions at once
     gates = {
         g: ad.add(ad.matmul(X, ad.transpose(pv[f"gru_{direction}_{g}_W"])),
@@ -209,7 +209,7 @@ def _gru_direction(X, pv, direction, n1, dh, tape):
         for g in _GATES
     }
     order = range(n1) if direction == "fw" else range(n1 - 1, -1, -1)
-    h = ad.Var(np.zeros(dh), tape)
+    h = ad.Var(np.zeros(dh))
     outs = [None] * n1
     for t in order:
         z = ad.sigmoid(ad.add(ad.row(gates["z"], t), ad.matmul(pv[f"gru_{direction}_z_U"], h)))
@@ -222,7 +222,7 @@ def _gru_direction(X, pv, direction, n1, dh, tape):
     return ad.stack_rows(outs)
 
 
-def encode(sentence, params, tape, pv=None, dropout_rng=None):
+def encode(sentence, params, pv=None, dropout_rng=None):
     """Contextual representations, one row per position (row 0 = root)."""
     if pv is None:
         pv = params.as_vars()
@@ -235,8 +235,8 @@ def encode(sentence, params, tape, pv=None, dropout_rng=None):
     E = _dropout(E, params.config.p_drop_embed if dropout_rng is not None else 0.0, dropout_rng)
     n1 = len(wids)
     dh = params.config.d_hidden
-    fw = _gru_direction(E, pv, "fw", n1, dh, tape)
-    bw = _gru_direction(E, pv, "bw", n1, dh, tape)
+    fw = _gru_direction(E, pv, "fw", n1, dh)
+    bw = _gru_direction(E, pv, "bw", n1, dh)
     return ad.concat([fw, bw], axis=1)
 
 
@@ -250,7 +250,7 @@ def _proj(H, pv, role):
     return ad.add(ad.matmul(H, ad.transpose(pv[f"{role}_W"])), pv[f"{role}_b"])
 
 
-def score_edges(H, params, tape, pv=None, dropout_rng=None):
+def score_edges(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.as_vars()
     p = params.config.p_drop_edge if dropout_rng is not None else 0.0
@@ -271,21 +271,21 @@ def _trilinear(H, pv, W_name, mask, params, dropout_rng):
     return ad.mul(s, mask)
 
 
-def score_siblings(H, params, tape, pv=None, dropout_rng=None):
+def score_siblings(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.as_vars()
     n = ad.val(H).shape[0] - 1
     return _trilinear(H, pv, "W_sib", sib_mask(n), params, dropout_rng)
 
 
-def score_grandparents(H, params, tape, pv=None, dropout_rng=None):
+def score_grandparents(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.as_vars()
     n = ad.val(H).shape[0] - 1
     return _trilinear(H, pv, "W_gp", gp_mask(n), params, dropout_rng)
 
 
-def score_labels(H, params, tape, pv=None, dropout_rng=None):
+def score_labels(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.as_vars()
     p = params.config.p_drop_label if dropout_rng is not None else 0.0
@@ -302,16 +302,16 @@ def label_distribution(s_label):
     return ad.softmax(s_label, axis=2)
 
 
-def score_sentence(sentence, params, tape, pv=None, dropout_rng=None):
+def score_sentence(sentence, params, pv=None, dropout_rng=None):
     """Full scoring pass: Sentence -> ScoreTensors (differentiable)."""
     if pv is None:
         pv = params.as_vars()
-    H = encode(sentence, params, tape, pv, dropout_rng)
+    H = encode(sentence, params, pv, dropout_rng)
     return ScoreTensors(
-        s_edge=score_edges(H, params, tape, pv, dropout_rng),
-        s_sib=score_siblings(H, params, tape, pv, dropout_rng),
-        s_gp=score_grandparents(H, params, tape, pv, dropout_rng),
-        s_label=score_labels(H, params, tape, pv, dropout_rng),
+        s_edge=score_edges(H, params, pv, dropout_rng),
+        s_sib=score_siblings(H, params, pv, dropout_rng),
+        s_gp=score_grandparents(H, params, pv, dropout_rng),
+        s_label=score_labels(H, params, pv, dropout_rng),
     )
 
 

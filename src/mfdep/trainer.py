@@ -8,9 +8,18 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
+from .conllu import filter_long
 from .decoder import mfvi
 from .evaluator import uas_las
-from .scorer import ModelConfig, ModelParams, edge_mask, label_distribution, score_sentence
+from .scorer import (
+    ModelConfig,
+    ModelParams,
+    build_vocabs,
+    edge_mask,
+    init_params,
+    label_distribution,
+    score_sentence,
+)
 from .tree import DecodeConfig, decode
 
 LOG_FLOOR = -30.0  # per-term floor keeping losses finite on degenerate posteriors
@@ -108,13 +117,13 @@ def total_loss(l_edge, l_label, lam):
     return ad.add(ad.mul(l_label, lam), ad.mul(l_edge, 1.0 - lam))
 
 
-def sentence_loss(sentence, params, variant, T, lam, tape=None, pv=None, dropout_rng=None):
-    """Full differentiable pipeline: encode -> scores -> MFVI -> loss."""
-    if tape is None:
-        tape = ad.Tape()
+def sentence_loss(sentence, params, variant, T, lam, pv=None, dropout_rng=None):
+    """Full differentiable pipeline: encode -> scores -> MFVI -> loss.
+
+    Returns (loss, tape, pv); ``tape.backward(loss)`` is ``ad.backward``."""
     if pv is None:
         pv = params.as_vars()
-    scores = score_sentence(sentence, params, tape, pv, dropout_rng)
+    scores = score_sentence(sentence, params, pv, dropout_rng)
     post = mfvi(scores, variant, T)
     gold_heads = sentence.gold_heads
     if variant.startswith("local"):
@@ -124,7 +133,7 @@ def sentence_loss(sentence, params, variant, T, lam, tape=None, pv=None, dropout
     p_label = label_distribution(scores.s_label)
     gold_labels = [params.labels.index(lbl) for lbl in sentence.gold_labels]
     l_label = label_loss(p_label, gold_heads, gold_labels)
-    return total_loss(l_edge, l_label, lam), tape, pv
+    return total_loss(l_edge, l_label, lam), ad.Tape(), pv
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +212,11 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
     grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     total = 0.0
     for sent in batch_sents:
-        loss, tape, pv = sentence_loss(
+        loss, _, pv = sentence_loss(
             sent, params, config.variant, config.iterations, config.lam,
             dropout_rng=dropout_rng,
         )
-        tape.backward(loss)
+        ad.backward(loss)
         total += float(loss.value)
         for name, var in pv.items():
             if var.grad is not None:
@@ -224,8 +233,7 @@ def evaluate(params, sentences, variant=None, T=None, single_root=True, punct_mo
     cfg = DecodeConfig(single_root=single_root)
     trees = []
     for sent in sentences:
-        tape = ad.Tape()
-        scores = score_sentence(sent, params, tape)
+        scores = score_sentence(sent, params)
         post = mfvi(scores, variant, T)
         p_label = label_distribution(scores.s_label)
         trees.append(decode(post, p_label, cfg))
@@ -240,21 +248,25 @@ class TrainResult:
     iterations_run: int = 0
 
 
+def initial_params(corpus, config, model_config=None):
+    """The parameters ``train`` starts from when given none: vocabularies
+    of the sentences it keeps, and the model config (default: the
+    variant's) with config's MFVI iteration count."""
+    if model_config is None:
+        model_config = ModelConfig.for_variant(config.variant)
+    model_config.iterations = config.iterations
+    w2i, p2i, labels = build_vocabs(filter_long(corpus, config.max_train_len))
+    return init_params(model_config, w2i, p2i, labels, seed=config.seed)
+
+
 def train(corpus, dev, config, params=None, model_config=None, log=None, target_uas=None):
     """Token-budget batch training with LR decay, AMSGrad switch and
     early stopping, all driven by dev-set improvement."""
-    from .conllu import filter_long
-    from .scorer import build_vocabs, init_params
-
     corpus = filter_long(corpus, config.max_train_len)
     if not corpus:
         raise ValueError("empty training corpus")
     if params is None:
-        if model_config is None:
-            model_config = ModelConfig.for_variant(config.variant)
-        model_config.iterations = config.iterations
-        w2i, p2i, labels = build_vocabs(corpus)
-        params = init_params(model_config, w2i, p2i, labels, seed=config.seed)
+        params = initial_params(corpus, config, model_config)
 
     rng = np.random.default_rng(config.seed)
     dropout_rng = np.random.default_rng(config.seed + 1) if config.dropout else None

@@ -5,18 +5,17 @@ import mfdep.autodiff as ad
 from mfdep.oracle import finite_diff_gradient
 
 
-def _leaf(value, tape):
-    return ad.Var(np.asarray(value, dtype=np.float64), tape)
+def _leaf(value):
+    return ad.Var(np.asarray(value, dtype=np.float64))
 
 
 def _check_grad(build, shapes, seed=0, tol=1e-6):
-    """Compare tape gradients of a scalar graph against central differences."""
+    """Compare backward gradients of a scalar graph against central differences."""
     rng = np.random.default_rng(seed)
     arrays = {k: rng.normal(size=s) for k, s in shapes.items()}
 
     def run():
-        tape = ad.Tape()
-        leaves = {k: _leaf(v, tape) for k, v in arrays.items()}
+        leaves = {k: _leaf(v) for k, v in arrays.items()}
         return build(leaves), leaves
 
     out, leaves = run()
@@ -64,8 +63,7 @@ def test_elementwise_nonlinearities():
 def test_log_and_clip_min():
     rng = np.random.default_rng(1)
     a = rng.uniform(0.5, 2.0, size=5)
-    tape = ad.Tape()
-    x = _leaf(a, tape)
+    x = _leaf(a)
     out = ad.sum_all(ad.log(ad.clip_min(x, 1.0)))
     ad.backward(out)
     expect = np.where(a > 1.0, 1.0 / a, 0.0)
@@ -73,8 +71,7 @@ def test_log_and_clip_min():
 
 
 def test_softmax_rows_sum_to_one_and_grad():
-    tape = ad.Tape()
-    x = _leaf(np.random.default_rng(2).normal(size=(3, 5)), tape)
+    x = _leaf(np.random.default_rng(2).normal(size=(3, 5)))
     y = ad.softmax(x, axis=1)
     np.testing.assert_allclose(y.value.sum(axis=1), 1.0, atol=1e-12)
     _check_grad(
@@ -91,8 +88,7 @@ def test_softmax_shift_invariance():
 
 
 def test_gather_and_take_accumulate_repeats():
-    tape = ad.Tape()
-    x = _leaf(np.arange(12, dtype=float).reshape(3, 4), tape)
+    x = _leaf(np.arange(12, dtype=float).reshape(3, 4))
     g = ad.gather_rows(x, np.array([0, 0, 2]))
     out = ad.sum_all(g)
     ad.backward(out)
@@ -101,8 +97,7 @@ def test_gather_and_take_accumulate_repeats():
     expect[2] = 1.0
     np.testing.assert_allclose(x.grad, expect)
 
-    tape2 = ad.Tape()
-    y = _leaf(np.arange(9, dtype=float).reshape(3, 3), tape2)
+    y = _leaf(np.arange(9, dtype=float).reshape(3, 3))
     t = ad.take_at(y, (np.array([1, 1]), np.array([2, 2])))
     ad.backward(ad.sum_all(t))
     assert y.grad[1, 2] == 2.0 and y.grad.sum() == 2.0
@@ -133,16 +128,14 @@ def test_concat_stack_transpose_permute():
 
 def test_shared_subexpression_grad_counted_once_per_path():
     # y = x * x: dy/dx = 2x even though x appears twice
-    tape = ad.Tape()
-    x = _leaf(np.array([3.0]), tape)
+    x = _leaf(np.array([3.0]))
     ad.backward(ad.sum_all(x * x))
     np.testing.assert_allclose(x.grad, [6.0])
 
 
 def test_linear_function_gradient_is_exact():
     w = np.random.default_rng(4).normal(size=(5,))
-    tape = ad.Tape()
-    x = _leaf(np.ones(5), tape)
+    x = _leaf(np.ones(5))
     ad.backward(ad.sum_all(ad.mul(x, w)))
     np.testing.assert_allclose(x.grad, w, atol=1e-15)
 
@@ -157,16 +150,14 @@ def test_operator_overloads_match_functions():
 
 
 def test_custom_op_vjp_routing():
-    tape = ad.Tape()
-    x = _leaf(np.array([2.0, 5.0]), tape)
+    x = _leaf(np.array([2.0, 5.0]))
     y = ad.custom_op(x.value * 3.0, (x,), (lambda g: g * 3.0,))
     ad.backward(ad.sum_all(y))
     np.testing.assert_allclose(x.grad, [3.0, 3.0])
 
 
 def test_backward_requires_scalar_seed_or_matching_grad():
-    tape = ad.Tape()
-    x = _leaf(np.eye(2), tape)
+    x = _leaf(np.eye(2))
     y = ad.mul(x, 2.0)
     ad.backward(y, seed_grad=np.ones((2, 2)))
     np.testing.assert_allclose(x.grad, 2.0 * np.ones((2, 2)))

@@ -12,36 +12,24 @@ from mfdep.decoder import mfvi
 
 
 def test_report_has_one_row_per_variant_length_backend():
-    rows, slopes = benchmark(
-        variants=("local1o", "local2o"), lengths=(4, 8), repeats=3,
-        backends=["numpy"],
-    )
-    keys = {(r.variant, r.n, r.backend) for r in rows}
-    assert keys == {
-        ("local1o", 4, "numpy"), ("local1o", 8, "numpy"),
-        ("local2o", 4, "numpy"), ("local2o", 8, "numpy"),
-    }
+    rows, slopes = benchmark(variants=("local1o", "local2o"), lengths=(4, 8), repeats=3)
+    keys = {(r.variant, r.n) for r in rows}
+    assert keys == {("local1o", 4), ("local1o", 8), ("local2o", 4), ("local2o", 8)}
     for r in rows:
         assert r.repeats == 3
         assert np.isfinite(r.median_seconds) and r.median_seconds > 0
         assert np.isfinite(r.sents_per_second)
-    assert ("local2o", "numpy") in slopes
+    assert "local2o" in slopes
 
 
 def test_second_order_slower_than_first_order():
-    rows, _ = benchmark(
-        variants=("local1o", "local2o"), lengths=(40,), repeats=3,
-        backends=["numpy"],
-    )
+    rows, _ = benchmark(variants=("local1o", "local2o"), lengths=(40,), repeats=3)
     by_variant = {r.variant: r.median_seconds for r in rows}
     assert by_variant["local2o"] > by_variant["local1o"]
 
 
 def test_muladd_column_matches_closed_form():
-    rows, _ = benchmark(
-        variants=("single1o", "single2o"), lengths=(20,), repeats=3,
-        backends=["numpy"],
-    )
+    rows, _ = benchmark(variants=("single1o", "single2o"), lengths=(20,), repeats=3)
     for r in rows:
         expect = 0 if r.variant.endswith("1o") else kernels.closed_form_muladds(20)
         assert r.muladds_per_iteration == expect
@@ -57,20 +45,13 @@ def test_random_scores_respect_masks():
 
 
 def test_table_and_csv_output():
-    rows, slopes = benchmark(
-        variants=("local2o",), lengths=(4, 8), repeats=3, backends=["numpy"],
-    )
+    rows, slopes = benchmark(variants=("local2o",), lengths=(4, 8), repeats=3)
     table = format_table(rows, slopes)
     assert "local2o" in table and "slope" in table
     for variant, speed in REFERENCE_TEST_SPEED.items():
         assert f"{variant}: {speed}" in table
     csv = format_csv(rows)
     lines = csv.strip().split("\n")
-    assert lines[0].startswith("variant,backend,n,")
+    assert lines[0].startswith("variant,n,")
     assert len(lines) == 1 + len(rows)
 
-
-def test_backend_toggle_restored_after_run():
-    saved = kernels._HAVE_NUMBA
-    benchmark(variants=("local2o",), lengths=(4,), repeats=3, backends=["numpy"])
-    assert kernels._HAVE_NUMBA == saved

@@ -6,8 +6,10 @@ from conftest import TOY_TREEBANK
 import mfdep.decoder
 from mfdep.cli import run
 from mfdep.conllu import read_conllu_file, write_conllu_file
-from mfdep.scorer import ModelConfig, build_vocabs, init_params
-from mfdep.trainer import save_model
+from mfdep.scorer import ModelConfig, build_vocabs, init_params, load_embeddings
+from mfdep.trainer import TrainConfig, save_model, train
+
+TINY_DIMS = dict(d_word=4, d_pos=2, d_hidden=3, d_edge=4, d_label=3, d_bin=2)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +111,72 @@ def test_parse_defaults_to_checkpoint_variant_and_iterations(workspace, tmp_path
     assert seen == {("single2o", 1)}
 
 
+def test_train_embeddings_are_the_starting_point(tmp_path):
+    train_file = tmp_path / "train.conllu"
+    sents = read_conllu_file(TOY_TREEBANK)[:4]
+    write_conllu_file(str(train_file), sents)
+    with open(train_file, "a", encoding="utf-8") as f:  # too long: max_train_len = 6
+        f.write("".join(f"{k}\tzebra\tzebra\tNOUN\tNN\t_\t{k - 1}\tdep\t_\t_\n"
+                        for k in range(1, 8)) + "\n")
+    emb = tmp_path / "vectors.txt"
+    words = [t.form for t in sents[0].tokens[:3]] + ["zebra"]
+    emb.write_text("".join(f"{w} {k} 0.5 -1 2\n" for k, w in enumerate(words)), encoding="utf-8")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("max_iterations = 3\neval_every = 3\nbatch_tokens = 30\n"
+                        "max_train_len = 6\n"
+                        + "".join(f"{k} = {v}\n" for k, v in TINY_DIMS.items()),
+                        encoding="utf-8")
+    model = tmp_path / "cli.bin"
+    assert run(["train", "--variant", "single2o", "--iterations", "1",
+                "--train", str(train_file), "--model", str(model),
+                "--config", str(cfg_file), "--embeddings", str(emb)]) == 0
+
+    corpus = read_conllu_file(str(train_file))
+    config = TrainConfig(variant="single2o", iterations=1, max_iterations=3,
+                         eval_every=3, batch_tokens=30, max_train_len=6)
+    kept = [s for s in corpus if len(s) <= 6]
+    mc = ModelConfig.for_variant("single2o", iterations=1, **TINY_DIMS)
+    params = init_params(mc, *build_vocabs(kept), seed=0)
+    assert "zebra" not in params.word2id
+    assert load_embeddings(str(emb), params) == 3
+    expect = tmp_path / "expect.bin"
+    save_model(train(corpus, corpus, config, params=params).params, str(expect))
+    assert model.read_bytes() == expect.read_bytes()
+
+
+UNANNOTATED = (
+    "# sent_id = raw-1\n"
+    "1\tHe\the\tPRON\tPRP\t_\t_\t_\t_\t_\n"
+    "2\truns\trun\tVERB\tVBZ\t_\t_\t_\t_\t_\n\n"
+)
+
+
+def test_parse_reads_unannotated_input(workspace, tmp_path):
+    raw = tmp_path / "raw.conllu"
+    raw.write_text(UNANNOTATED, encoding="utf-8")
+    out = tmp_path / "out.conllu"
+    assert run(["parse", "--model", workspace["model"], "--input", str(raw),
+                "--output", str(out)]) == 0
+    parsed = read_conllu_file(str(out))
+    assert len(parsed) == 1 and sorted(parsed[0].gold_heads) == [0, 2]
+    assert "_" not in parsed[0].gold_labels
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_reject_unannotated_input(command, workspace, tmp_path, capsys):
+    raw = tmp_path / "raw.conllu"
+    with open(workspace["train"], encoding="utf-8") as f:
+        raw.write_text(f.read() + UNANNOTATED, encoding="utf-8")
+    if command == "train":
+        argv = ["train", "--train", str(raw), "--model", str(tmp_path / "m.bin")]
+    else:
+        argv = ["eval", "--gold", str(raw), "--pred", str(raw)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "sentence 7 (sent_id raw-1)" in err and str(raw) in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_eval_text_output(workspace, capsys):
     assert run([
         "eval", "--gold", workspace["train"], "--pred", workspace["train"],
@@ -154,7 +222,7 @@ def test_bench_subcommand(tmp_path, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "sents/s" in out
-    assert csv.read_text().startswith("variant,backend,n,")
+    assert csv.read_text().startswith("variant,n,")
 
 
 def test_oracle_check_subcommand(capsys):

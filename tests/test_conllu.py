@@ -8,6 +8,7 @@ from mfdep.conllu import (
     ConlluError,
     parse_conllu,
     read_conllu_file,
+    require_annotated,
     write_conllu,
     filter_long,
 )
@@ -88,6 +89,40 @@ def test_bad_column_count_reports_line_number():
     with pytest.raises(ConlluError) as err:
         parse_conllu("1\tonly\tthree\n\n")
     assert "1" in str(err.value)
+
+
+def test_unannotated_head_reads_as_none_and_round_trips():
+    text = (
+        "# sent_id = raw-1\n"
+        "1\tHe\the\tPRON\tPRP\t_\t_\t_\t_\t_\n"
+        "2\truns\trun\tVERB\tVBZ\t_\t_\t_\t_\t_\n\n"
+    )
+    sents = parse_conllu(text)
+    assert sents[0].gold_heads == [None, None]
+    assert write_conllu(sents) == text
+    assert write_conllu(sents, [([2, 0], ["nsubj", "root"])]).split("\n")[1:3] == [
+        "1\tHe\the\tPRON\tPRP\t_\t2\tnsubj\t_\t_",
+        "2\truns\trun\tVERB\tVBZ\t_\t0\troot\t_\t_",
+    ]
+
+
+def test_require_annotated_names_the_sentence():
+    sents = parse_conllu(
+        "1\ta\ta\tX\tX\t_\t0\troot\t_\t_\n\n"
+        "# sent_id = s2\n1\tb\tb\tX\tX\t_\t0\t_\t_\t_\n\n"
+    )
+    require_annotated(sents[:1], "f.conllu")
+    with pytest.raises(ConlluError, match=r"f\.conllu: sentence 2 \(sent_id s2\), word 1"):
+        require_annotated(sents, "f.conllu")
+
+
+def test_crlf_file_reads_like_lf(tmp_path):
+    with open(TOY_TREEBANK, encoding="utf-8") as f:
+        text = f.read()
+    path = tmp_path / "crlf.conllu"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    assert b"\r\n" in path.read_bytes()
+    assert write_conllu(read_conllu_file(str(path))) == text
 
 
 def test_non_integer_head_rejected():

@@ -3,14 +3,7 @@ import pytest
 
 import mfdep.autodiff as ad
 from conftest import random_scores
-from mfdep.decoder import (
-    mfvi,
-    mfvi_local,
-    mfvi_single,
-    posterior_scale_check,
-    scores_from_blob,
-    scores_to_blob,
-)
+from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import ScoreTensors, edge_mask, gp_mask, sib_mask
 
@@ -118,26 +111,22 @@ def test_permutation_equivariance(rng):
     np.testing.assert_allclose(qb, qa[np.ix_(perm, perm)], atol=1e-12)
 
 
-def test_scale_check_shift_invariance(rng):
-    scores = random_scores(4, rng)
-    report = posterior_scale_check(scores, c=5.0, T=3, seed=1)
-    assert report.max_q_diff <= 1e-12
-    assert report.argmax_agreement == 1.0
-
-
-def test_scale_check_sweep():
+def test_local_shift_invariance():
+    # adding a constant to every candidate-head score of one dependent
+    # leaves its softmax, and so every Local posterior iterate, unchanged
     worst = 0.0
-    for seed in range(100):
+    for seed in range(50):
         r = np.random.default_rng(seed)
-        scores = random_scores(3, r)
-        rep = posterior_scale_check(scores, c=3.0, T=2, seed=seed)
-        worst = max(worst, rep.max_q_diff)
+        n = 3 + seed % 2
+        scores = random_scores(n, r)
+        shifts = r.uniform(-5.0, 5.0, size=n + 1)
+        shifted = ScoreTensors(scores.s_edge + shifts[None, :] * edge_mask(n),
+                               scores.s_sib, scores.s_gp, scores.s_label)
+        qa = mfvi_local(scores, T=3).head_probs()
+        qb = mfvi_local(shifted, T=3).head_probs()
+        worst = max(worst, float(np.max(np.abs(qa - qb))))
+        assert np.array_equal(qa.argmax(axis=1), qb.argmax(axis=1))
     assert worst <= 1e-9
-
-
-def test_scale_check_rejects_nonpositive_c(rng):
-    with pytest.raises(ValueError):
-        posterior_scale_check(random_scores(3, rng), c=0.0)
 
 
 def test_variant_dispatch_forces_first_order(rng):
@@ -163,7 +152,7 @@ def test_posterior_gradients_match_finite_differences(variant, rng):
     run = mfvi_local if variant == "local" else mfvi_single
 
     def forward():
-        leaves = {k: ad.Var(v, ad.Tape()) for k, v in arrays.items()}
+        leaves = {k: ad.Var(v) for k, v in arrays.items()}
         scores = ScoreTensors(leaves["s_edge"], leaves["s_sib"], leaves["s_gp"],
                               np.zeros((n + 1, n + 1, 1)))
         post = run(scores, T=3)
@@ -176,13 +165,3 @@ def test_posterior_gradients_match_finite_differences(variant, rng):
         denom = np.maximum(1.0, np.abs(fd[k]))
         assert np.max(np.abs(leaf.grad - fd[k]) / denom) <= 1e-4, k
 
-
-def test_score_blob_roundtrip(rng):
-    scores = random_scores(4, rng, n_labels=5)
-    blob = scores_to_blob(scores, T=2)
-    back, T = scores_from_blob(blob)
-    assert T == 2
-    for a, b in zip(scores.values(), back.values()):
-        assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        scores_from_blob(blob + b"\x00" * 8)

@@ -42,16 +42,6 @@ def test_forward_matches_reference_loops(n):
     )
 
 
-@pytest.mark.parametrize("n", [2, 4, 6])
-def test_numpy_and_numba_paths_agree(n):
-    if not kernels._HAVE_NUMBA:
-        pytest.skip("numba backend disabled")
-    q, sib, gp = _inputs(n, seed=10 + n)
-    a = kernels.messages_forward_numpy(q, sib, gp)
-    b = kernels.messages_forward_numba(q, sib, gp)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_backward_matches_finite_differences(n):
     q, sib, gp = _inputs(n, seed=20 + n)
@@ -85,17 +75,6 @@ def test_zero_couplings_give_zero_messages():
     assert not kernels.messages_forward(q, z, z).any()
 
 
-def test_backend_name_reports_active_backend():
-    name = kernels.backend_name()
-    assert name in ("numba", "numpy")
-    saved = kernels._HAVE_NUMBA
-    try:
-        kernels._HAVE_NUMBA = False
-        assert kernels.backend_name() == "numpy"
-    finally:
-        kernels._HAVE_NUMBA = saved
-
-
 @pytest.mark.parametrize("n", [5, 10, 20, 40])
 def test_muladd_count_matches_closed_form(n):
     assert kernels.count_muladds(n) == kernels.closed_form_muladds(n)
@@ -109,10 +88,10 @@ def test_mask_cache_is_bounded():
     kernels._masks.cache_clear()
     for n in range(1, 41):
         q, sib, gp = _inputs(n, seed=n)
-        kernels.messages_forward_numpy(q, sib, gp)
+        kernels.messages_forward(q, sib, gp)
         assert kernels._masks.cache_info().currsize <= kernels._MASK_CACHE_SIZE
     np.testing.assert_allclose(  # an evicted size is rebuilt correctly
-        kernels.messages_forward_numpy(*_inputs(3, seed=3)),
+        kernels.messages_forward(*_inputs(3, seed=3)),
         _reference_messages(*_inputs(3, seed=3)),
         atol=1e-12,
     )

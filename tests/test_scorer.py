@@ -51,7 +51,7 @@ def make_params(seed=0, n_labels=3, **dims):
 def test_encode_shapes():
     params = make_params()
     for n in (1, 4):
-        H = encode(make_sentence(n), params, ad.Tape())
+        H = encode(make_sentence(n), params)
         assert ad.val(H).shape == (n + 1, 2 * params.config.d_hidden)
 
 
@@ -59,15 +59,15 @@ def test_all_zero_weights_give_zero_representations():
     params = make_params()
     for k in params.tensors:
         params.tensors[k][:] = 0.0
-    H = encode(make_sentence(3), params, ad.Tape())
+    H = encode(make_sentence(3), params)
     assert not ad.val(H).any()
 
 
 def test_zero_unary_weights_zero_edge_scores():
     params = make_params()
     params.tensors["U_edge"][:] = 0.0
-    H = encode(make_sentence(3), params, ad.Tape())
-    assert not ad.val(score_edges(H, params, ad.Tape())).any()
+    H = encode(make_sentence(3), params)
+    assert not ad.val(score_edges(H, params)).any()
 
 
 def test_identity_biaffine_is_bias_augmented_inner_product():
@@ -77,8 +77,8 @@ def test_identity_biaffine_is_bias_augmented_inner_product():
         params.tensors[f"{role}_W"] = np.eye(params.config.d_edge, enc)
         params.tensors[f"{role}_b"][:] = 0.0
     params.tensors["U_edge"] = np.eye(params.config.d_edge + 1)
-    Hv = ad.val(encode(make_sentence(1), params, ad.Tape()))
-    s = ad.val(score_edges(ad.Var(Hv), params, ad.Tape()))
+    Hv = ad.val(encode(make_sentence(1), params))
+    s = ad.val(score_edges(ad.Var(Hv), params))
     np.testing.assert_allclose(s[0, 1], Hv[0] @ Hv[1] + 1.0, atol=1e-12)
 
 
@@ -86,9 +86,9 @@ def test_zero_trilinear_weights_zero_triple_scores():
     params = make_params()
     params.tensors["W_sib"][:] = 0.0
     params.tensors["W_gp"][:] = 0.0
-    H = encode(make_sentence(3), params, ad.Tape())
-    assert not ad.val(score_siblings(H, params, ad.Tape())).any()
-    assert not ad.val(score_grandparents(H, params, ad.Tape())).any()
+    H = encode(make_sentence(3), params)
+    assert not ad.val(score_siblings(H, params)).any()
+    assert not ad.val(score_grandparents(H, params)).any()
 
 
 def test_constant_trilinear_closed_form():
@@ -99,17 +99,17 @@ def test_constant_trilinear_closed_form():
     params.tensors["bin_head_b"][:] = 1.0
     params.tensors["bin_dep_b"][:] = 1.0
     n = 3
-    H = encode(make_sentence(n), params, ad.Tape())
-    s = ad.val(score_siblings(H, params, ad.Tape()))
+    H = encode(make_sentence(n), params)
+    s = ad.val(score_siblings(H, params))
     np.testing.assert_allclose(s, 2.0 * sib_mask(n), atol=1e-12)
 
 
 def test_trilinear_matches_naive_loops():
     params = make_params(seed=5)
     n = 3
-    H = encode(make_sentence(n), params, ad.Tape())
+    H = encode(make_sentence(n), params)
     Hv = ad.val(H)
-    got = ad.val(score_siblings(H, params, ad.Tape()))
+    got = ad.val(score_siblings(H, params))
     W = params.tensors["W_sib"]
     gh = Hv @ params.tensors["bin_head_W"].T + params.tensors["bin_head_b"]
     gd = Hv @ params.tensors["bin_dep_W"].T + params.tensors["bin_dep_b"]
@@ -139,14 +139,14 @@ def test_label_distribution_uniform_and_degenerate():
 
 def test_label_distribution_normalizes():
     params = make_params(n_labels=3, seed=2)
-    H = encode(make_sentence(3), params, ad.Tape())
-    p = ad.val(label_distribution(score_labels(H, params, ad.Tape())))
+    H = encode(make_sentence(3), params)
+    p = ad.val(label_distribution(score_labels(H, params)))
     np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-12)
 
 
 def test_masked_cells_are_exactly_zero():
     params = make_params(seed=1)
-    scores = score_sentence(make_sentence(4), params, ad.Tape())
+    scores = score_sentence(make_sentence(4), params)
     n = 4
     assert not ad.val(scores.s_edge)[edge_mask(n) == 0].any()
     assert not ad.val(scores.s_sib)[sib_mask(n) == 0].any()
@@ -154,8 +154,8 @@ def test_masked_cells_are_exactly_zero():
 
 
 def test_scores_deterministic():
-    a = score_sentence(make_sentence(3), make_params(seed=7), ad.Tape())
-    b = score_sentence(make_sentence(3), make_params(seed=7), ad.Tape())
+    a = score_sentence(make_sentence(3), make_params(seed=7))
+    b = score_sentence(make_sentence(3), make_params(seed=7))
     for x, y in zip(a.values(), b.values()):
         assert np.array_equal(x, y)
 
@@ -166,9 +166,8 @@ def test_parameter_gradients_match_finite_differences(tensor):
     sent = make_sentence(3)
 
     def run():
-        tape = ad.Tape()
         pv = params.as_vars()
-        scores = score_sentence(sent, params, tape, pv)
+        scores = score_sentence(sent, params, pv)
         # scalar mixing every tensor path: edges + siblings + grandparents + labels
         total = ad.sum_all(scores.s_edge)
         total = ad.add(total, ad.sum_all(scores.s_sib))

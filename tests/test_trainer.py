@@ -1,3 +1,4 @@
+import gc
 import math
 from types import SimpleNamespace
 
@@ -5,9 +6,10 @@ import numpy as np
 import pytest
 
 import mfdep.autodiff as ad
-from conftest import random_scores
+from conftest import TOY_TREEBANK, random_scores
+from mfdep.conllu import read_conllu_file
 from mfdep.decoder import mfvi_local, mfvi_single
-from mfdep.scorer import ModelConfig, edge_mask
+from mfdep.scorer import ModelConfig, build_vocabs, edge_mask, init_params
 from mfdep.trainer import (
     AdamState,
     TrainConfig,
@@ -221,6 +223,27 @@ def test_batch_gradients_deterministic_and_order_invariant():
     np.testing.assert_allclose(loss1, loss3, atol=1e-12)
     for k in g1:
         np.testing.assert_allclose(g1[k], g3[k], atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["local2o", "single2o"])
+def test_graphs_are_freed_without_the_cycle_collector(variant):
+    # a graph holds only parent links, so dropping its root frees it by
+    # reference counting; a cycle would leave thousands of objects here
+    sents = read_conllu_file(TOY_TREEBANK)[:5]
+    mc = ModelConfig.for_variant(variant, d_word=4, d_pos=2, d_hidden=3,
+                                 d_edge=4, d_label=3, d_bin=2)
+    params = init_params(mc, *build_vocabs(sents), seed=0)
+    cfg = TrainConfig(variant=variant)
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(params, sents, variant)
+        after_evaluate = gc.collect()
+        batch_gradients(sents, params, cfg)
+        after_gradients = gc.collect()
+    finally:
+        gc.enable()
+    assert (after_evaluate, after_gradients) == (0, 0)
 
 
 def test_train_overfits_one_sentence():
