@@ -4,7 +4,8 @@ Multiword-token ranges and empty nodes are retained verbatim (attached
 to the following syntactic word position) so that writing a parsed file
 back out reproduces the original bytes when no predictions are
 substituted. A HEAD of ``_`` (unannotated input, as given to the parser)
-reads as ``gold_head=None`` and is written back as ``_``.
+reads as ``gold_head=None`` and is written back as ``_``. One CR ending
+a line (CRLF text) is dropped on reading; output always uses LF.
 """
 from __future__ import annotations
 
@@ -69,6 +70,8 @@ def parse_conllu(text):
 
     for line in text.split("\n"):
         lineno += 1
+        if line.endswith("\r"):  # CRLF line end
+            line = line[:-1]
         if line == "":
             flush()
             continue

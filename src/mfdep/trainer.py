@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
-from .conllu import filter_long
+from .conllu import filter_long, require_annotated
 from .decoder import mfvi
 from .evaluator import uas_las
 from .scorer import (
@@ -261,7 +261,10 @@ def initial_params(corpus, config, model_config=None):
 
 def train(corpus, dev, config, params=None, model_config=None, log=None, target_uas=None):
     """Token-budget batch training with LR decay, AMSGrad switch and
-    early stopping, all driven by dev-set improvement."""
+    early stopping, all driven by dev-set improvement. Raises ConlluError
+    before any work if a corpus or dev word lacks gold HEAD or DEPREL."""
+    require_annotated(corpus, "training corpus")
+    require_annotated(dev, "dev set")
     corpus = filter_long(corpus, config.max_train_len)
     if not corpus:
         raise ValueError("empty training corpus")
@@ -366,12 +369,20 @@ def load_model(path):
         data = f.read()
     if data[:4] != _MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
+    if len(data) < 12:
+        raise ValueError(f"checkpoint truncated: {len(data)} bytes, header needs 12")
     version, hlen = struct.unpack_from("<II", data, 4)
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     off = 12
     header = json.loads(data[off : off + hlen].decode("utf-8"))
     off += hlen
+    expected = off + sum(8 * int(np.prod(shape)) for _, shape in header["tensors"])
+    if len(data) != expected:
+        raise ValueError(
+            f"checkpoint size mismatch: header implies {expected} bytes, "
+            f"file has {len(data)}"
+        )
     tensors = {}
     for name, shape in header["tensors"]:
         count = int(np.prod(shape))

@@ -125,6 +125,21 @@ def test_crlf_file_reads_like_lf(tmp_path):
     assert write_conllu(read_conllu_file(str(path))) == text
 
 
+def test_crlf_string_parses_like_lf():
+    lf = (
+        "# sent_id = s1\n"
+        "1\ta\u2028b\ta\tX\tX\t_\t2\tdep\t_\t_\n"
+        "2\tc\x1cd\tc\tX\tX\t_\t0\troot\t_\tSpaceAfter=No\n\n"
+    )
+    crlf = lf.replace("\n", "\r\n")
+    assert write_conllu(parse_conllu(crlf)) == lf
+    # LF separators with a stray CR ending each row: MISC loses the CR
+    mixed = lf.replace("_\n", "_\r\n").replace("No\n", "No\r\n")
+    sents = parse_conllu(mixed)
+    assert [t.misc for t in sents[0].tokens] == ["_", "SpaceAfter=No"]
+    assert [t.form for t in sents[0].tokens] == ["a\u2028b", "c\x1cd"]
+
+
 def test_non_integer_head_rejected():
     with pytest.raises(ConlluError):
         parse_conllu("1\ta\ta\tX\tX\t_\tzero\troot\t_\t_\n\n")

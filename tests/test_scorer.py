@@ -19,6 +19,7 @@ from mfdep.scorer import (
     score_sentence,
     score_siblings,
     sib_mask,
+    trilinear,
 )
 
 WORDS = ["the", "dog", "barks", "loudly", "cat"]
@@ -125,6 +126,69 @@ def test_trilinear_matches_naive_loops():
                             acc += W[a, b, c] * gh[i, a] * gd[j, b] * gd[k, c]
                 naive[i, j, k] = acc
     np.testing.assert_allclose(got, naive * sib_mask(n), atol=1e-10)
+
+
+def _trilinear_einsum(gh, gd, W):
+    t1 = np.einsum("ia,abc->ibc", gh, W)
+    t2 = np.einsum("ibc,jb->ijc", t1, gd)
+    return np.einsum("ijc,kc->ijk", t2, gd)
+
+
+def test_trilinear_op_matches_einsum_at_default_dims():
+    rng = np.random.default_rng(3)
+    n, d = 40, ModelConfig().d_bin
+    gh = rng.normal(size=(n + 1, d))
+    gd = rng.normal(size=(n + 1, d))
+    W = rng.normal(0.0, 0.25, size=(d, d, d))
+    got = ad.val(trilinear(gh, gd, W))
+    np.testing.assert_allclose(got, _trilinear_einsum(gh, gd, W), rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("m,e,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
+def test_trilinear_op_gradient_non_square(m, e, n, d):
+    # n != d (and m != n, e != d in the second case) so that a transposed
+    # gd, dt1 or W reshape cannot pass by symmetry
+    rng = np.random.default_rng(m * 100 + n)
+    arrays = {
+        "gh": rng.normal(size=(m, e)),
+        "gd": rng.normal(size=(n, d)),
+        "W": rng.normal(size=(e, d, d)),
+    }
+    weights = rng.normal(size=(m, n, n))
+
+    def run():
+        leaves = {k: ad.Var(v) for k, v in arrays.items()}
+        s = trilinear(leaves["gh"], leaves["gd"], leaves["W"])
+        return ad.sum_all(ad.mul(s, weights)), leaves
+
+    out, leaves = run()
+    np.testing.assert_allclose(
+        out.value, np.sum(_trilinear_einsum(*arrays.values()) * weights), atol=1e-12
+    )
+    ad.backward(out)
+    fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
+    for k in arrays:
+        np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-6)
+
+
+def test_trilinear_op_second_backward_uses_new_adjoint():
+    # the shared backward intermediates belong to one adjoint, also when
+    # W is a plain array that gets no VJP call
+    rng = np.random.default_rng(7)
+    gh0, gd0 = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+    W = rng.normal(size=(2, 2, 2))
+    g1, g2 = rng.normal(size=(2, 3, 4, 4))
+
+    gh, gd = ad.Var(gh0), ad.Var(gd0)
+    s = trilinear(gh, gd, W)
+    ad.backward(s, g1)
+    for var in (s, gh, gd):
+        var.grad = None
+    ad.backward(s, g2)
+    fresh_gh, fresh_gd = ad.Var(gh0), ad.Var(gd0)
+    ad.backward(trilinear(fresh_gh, fresh_gd, W), g2)
+    np.testing.assert_array_equal(gh.grad, fresh_gh.grad)
+    np.testing.assert_array_equal(gd.grad, fresh_gd.grad)
 
 
 def test_label_distribution_uniform_and_degenerate():

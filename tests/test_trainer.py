@@ -7,7 +7,7 @@ import pytest
 
 import mfdep.autodiff as ad
 from conftest import TOY_TREEBANK, random_scores
-from mfdep.conllu import read_conllu_file
+from mfdep.conllu import ConlluError, parse_conllu, read_conllu_file
 from mfdep.decoder import mfvi_local, mfvi_single
 from mfdep.scorer import ModelConfig, build_vocabs, edge_mask, init_params
 from mfdep.trainer import (
@@ -259,6 +259,22 @@ def test_train_overfits_one_sentence():
     assert len(result.history) == result.iterations_run
 
 
+@pytest.mark.parametrize("head,deprel", [("_", "root"), ("0", "_")])
+@pytest.mark.parametrize("where", ["corpus", "dev"])
+def test_train_rejects_unannotated_sentences(head, deprel, where):
+    bad = parse_conllu(
+        f"1\ta\ta\tX\tX\t_\t{head}\t{deprel}\t_\t_\n"
+        "2\tb\tb\tX\tX\t_\t1\tdep\t_\t_\n\n"
+    )
+    good = [make_sentence(2)]
+    corpus, dev = (bad, good) if where == "corpus" else (good, bad)
+    cfg = TrainConfig(variant="local2o", max_iterations=1, batch_tokens=50)
+    mc = ModelConfig(d_word=3, d_pos=2, d_hidden=2, d_edge=3, d_label=2, d_bin=2)
+    name = "training corpus" if where == "corpus" else "dev set"
+    with pytest.raises(ConlluError, match=f"{name}: sentence 1, word 1"):
+        train(corpus, dev, cfg, model_config=mc)
+
+
 def test_train_lr_decay_arithmetic():
     corpus = [make_sentence(2)]
     cfg = TrainConfig(
@@ -290,6 +306,25 @@ def test_model_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_model(str(path))
+
+
+def test_model_checkpoint_rejects_wrong_size(tmp_path):
+    params = make_params(seed=9)
+    path = tmp_path / "model.bin"
+    save_model(params, str(path))
+    data = path.read_bytes()
+    n = len(data)
+    for name, body, actual in (
+        ("truncated.bin", data[:-8], n - 8),
+        ("padded.bin", data + b"\0" * 3, n + 3),
+        ("header-only.bin", data[:10], 10),
+    ):
+        bad = tmp_path / name
+        bad.write_bytes(body)
+        with pytest.raises(ValueError, match=rf"\b{actual}\b"):
+            load_model(str(bad))
+    with pytest.raises(ValueError, match=rf"implies {n} bytes, file has {n - 8}"):
+        load_model(str(tmp_path / "truncated.bin"))
 
 
 def test_parse_config_file(tmp_path):
