@@ -2,6 +2,9 @@
 
 Each op returns a Var that holds its value, its parent Vars and one VJP
 closure per parent; the graph is nothing more than these parent links.
+An op none of whose operands is a Var returns a plain ndarray instead:
+nothing can ask for its gradient, so inference on plain parameter
+arrays builds no graph and keeps no closures alive.
 ``backward`` walks them from a scalar root in reverse topological order
 and accumulates adjoints into every reachable Var. Parents never point
 back at their children, so a graph is freed by reference counting as
@@ -91,6 +94,15 @@ class Var:
         return matmul(self, other)
 
 
+def _op(value, parents, vjps):
+    """The result of every op: a Var linked to its parents when one of
+    them is a Var, else the plain float64 array."""
+    for p in parents:
+        if isinstance(p, Var):
+            return Var(value, tuple(parents), tuple(vjps))
+    return np.asarray(value, dtype=np.float64)
+
+
 def _accum(var, g):
     if var.grad is None:
         var.grad = np.array(g, dtype=np.float64, copy=True)
@@ -114,7 +126,7 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     va, vb = val(a), val(b)
-    return Var(
+    return _op(
         va + vb,
         (a, b),
         (
@@ -126,7 +138,7 @@ def add(a, b):
 
 def sub(a, b):
     va, vb = val(a), val(b)
-    return Var(
+    return _op(
         va - vb,
         (a, b),
         (
@@ -138,7 +150,7 @@ def sub(a, b):
 
 def mul(a, b):
     va, vb = val(a), val(b)
-    return Var(
+    return _op(
         va * vb,
         (a, b),
         (
@@ -149,67 +161,38 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """Product of two 2-D operands."""
     va, vb = val(a), val(b)
-    y = va @ vb
-
-    def da(g):
-        if va.ndim == 1:  # (d,) @ (d,m)
-            return g @ vb.T if vb.ndim == 2 else g * vb
-        if vb.ndim == 1:  # (n,d) @ (d,)
-            return np.outer(g, vb)
-        return g @ vb.T
-
-    def db(g):
-        if vb.ndim == 1:  # (n,d) @ (d,)
-            return va.T @ g if va.ndim == 2 else g * va
-        if va.ndim == 1:  # (d,) @ (d,m)
-            return np.outer(va, g)
-        return va.T @ g
-
-    return Var(y, (a, b), (da, db))
-
-
-def einsum(subs, a, b):
-    """Pairwise einsum. Subscripts of each operand must appear in the
-    output or in the other operand (true for plain contractions)."""
-    va, vb = val(a), val(b)
-    ins, out = subs.split("->")
-    sa, sb = ins.split(",")
-    y = np.einsum(subs, va, vb)
-
-    def da(g):
-        return np.einsum(f"{out},{sb}->{sa}", g, vb)
-
-    def db(g):
-        return np.einsum(f"{out},{sa}->{sb}", g, va)
-
-    return Var(y, (a, b), (da, db))
+    return _op(va @ vb, (a, b), (lambda g: g @ vb.T, lambda g: va.T @ g))
 
 
 def exp(a):
     y = np.exp(val(a))
-    return Var(y, (a,), (lambda g: g * y,))
+    return _op(y, (a,), (lambda g: g * y,))
 
 
 def log(a):
     va = val(a)
-    return Var(np.log(va), (a,), (lambda g: g / va,))
+    return _op(np.log(va), (a,), (lambda g: g / va,))
 
 
-def tanh(a):
-    y = np.tanh(val(a))
-    return Var(y, (a,), (lambda g: g * (1.0 - y * y),))
+def logistic(x):
+    """The value of ``sigmoid`` on a plain array: 1 / (1 + exp(-x)) for
+    x >= 0 and exp(x) / (1 + exp(x)) below, with one exp(-|x|) serving
+    both branches, so that no exp overflows."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a):
-    va = val(a)
-    y = np.where(va >= 0, 1.0 / (1.0 + np.exp(-va)), np.exp(va) / (1.0 + np.exp(va)))
-    return Var(y, (a,), (lambda g: g * y * (1.0 - y),))
+    y = logistic(val(a))
+    return _op(y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
 def clip_min(a, floor):
     va = val(a)
-    return Var(
+    return _op(
         np.maximum(va, floor), (a,), (lambda g: g * (va > floor),)
     )
 
@@ -223,12 +206,12 @@ def softmax(a, axis):
     def da(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
-    return Var(y, (a,), (da,))
+    return _op(y, (a,), (da,))
 
 
 def sum_all(a):
     va = val(a)
-    return Var(va.sum(), (a,), (lambda g: g * np.ones_like(va),))
+    return _op(va.sum(), (a,), (lambda g: g * np.ones_like(va),))
 
 
 def gather_rows(a, idx):
@@ -240,7 +223,7 @@ def gather_rows(a, idx):
         np.add.at(out, idx, g)
         return out
 
-    return Var(va[idx], (a,), (da,))
+    return _op(va[idx], (a,), (da,))
 
 
 def take_at(a, index):
@@ -253,18 +236,7 @@ def take_at(a, index):
         np.add.at(out, index, g)
         return out
 
-    return Var(va[index], (a,), (da,))
-
-
-def row(a, i):
-    va = val(a)
-
-    def da(g):
-        out = np.zeros_like(va)
-        out[i] = g
-        return out
-
-    return Var(va[i], (a,), (da,))
+    return _op(va[index], (a,), (da,))
 
 
 def concat(parts, axis=0):
@@ -278,35 +250,44 @@ def concat(parts, axis=0):
         sl = tuple(sl)
         return lambda g: g[sl]
 
-    return Var(
+    return _op(
         np.concatenate(vals, axis=axis),
         tuple(parts),
         tuple(make_vjp(k) for k in range(len(parts))),
     )
 
 
-def stack_rows(parts):
-    vals = [val(p) for p in parts]
-
-    def make_vjp(k):
-        return lambda g: g[k]
-
-    return Var(
-        np.stack(vals, axis=0),
-        tuple(parts),
-        tuple(make_vjp(k) for k in range(len(parts))),
-    )
-
-
 def transpose(a):
-    return Var(val(a).T, (a,), (lambda g: g.T,))
+    return _op(val(a).T, (a,), (lambda g: g.T,))
 
 
 def permute(a, axes):
     inv = tuple(np.argsort(axes))
-    return Var(val(a).transpose(axes), (a,), (lambda g: g.transpose(inv),))
+    return _op(val(a).transpose(axes), (a,), (lambda g: g.transpose(inv),))
 
 
 def custom_op(value, parents, vjps):
     """Wrap an externally computed primitive with hand-written VJPs."""
-    return Var(value, tuple(parents), tuple(vjps))
+    return _op(value, parents, vjps)
+
+
+def shared_backward(parents, compute):
+    """Let the VJPs of one op share the work of a backward pass.
+
+    ``backward`` calls the VJPs of an op's Var parents back to back with
+    one adjoint g. The returned function gives ``compute(g)``: the first
+    call computes it, and the call for the last Var parent releases it,
+    so the next backward through the op starts afresh."""
+    live = sum(isinstance(p, Var) for p in parents)
+    memo = []
+
+    def shared(g):
+        if not memo:
+            memo[:] = [compute(g), live]
+        out = memo[0]
+        memo[1] -= 1
+        if memo[1] == 0:
+            memo.clear()
+        return out
+
+    return shared

@@ -166,6 +166,7 @@ def _cmd_bench(args):
 
 
 def _cmd_oracle_check(args):
+    from . import autodiff as ad
     from .bench import random_scores
     from .decoder import mfvi_local, mfvi_single
     from .oracle import best_arborescence_bruteforce, exact_marginals_local, exact_marginals_single
@@ -178,7 +179,7 @@ def _cmd_oracle_check(args):
         q = mfvi_local(sc, args.iterations).head_probs()
         dev_local.append(np.abs(q - exact_marginals_local(sc)).max())
         sc3 = random_scores(3, rng)
-        q = np.asarray(mfvi_single(sc3, args.iterations).final.value)
+        q = ad.val(mfvi_single(sc3, args.iterations).final)
         dev_single.append(np.abs(q - exact_marginals_single(sc3)).mean())
     mst_fail = 0
     for _ in range(args.instances):

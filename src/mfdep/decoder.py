@@ -27,25 +27,22 @@ _NEG = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
 def _mfvi_messages(q, sib, gp):
     """Differentiable message op backed by ``kernels``."""
     qv, sv, gv = ad.val(q), ad.val(sib), ad.val(gp)
-    m = kernels.messages_forward(qv, sv, gv)
-    cache = {}
-
-    def grads(g):
-        key = id(g)
-        if key not in cache:
-            cache[key] = kernels.messages_backward(np.ascontiguousarray(g), qv, sv, gv)
-        return cache[key]
-
+    parents = (q, sib, gp)
+    shared = ad.shared_backward(
+        parents,
+        lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, sv, gv),
+    )
     return ad.custom_op(
-        m,
-        (q, sib, gp),
-        (lambda g: grads(g)[0], lambda g: grads(g)[1], lambda g: grads(g)[2]),
+        kernels.messages_forward(qv, sv, gv),
+        parents,
+        tuple((lambda g, k=k: shared(g)[k]) for k in range(3)),
     )
 
 
 @dataclass
 class Posterior:
-    qs: list  # T+1 Vars, each (n+1) x (n+1): qs[t].value[i, j] = belief in edge i -> j
+    qs: list  # T+1 Vars (arrays when no score is a Var), each (n+1) x (n+1):
+    # ad.val(qs[t])[i, j] = belief in edge i -> j
 
     @property
     def final(self):

@@ -118,43 +118,6 @@ def exact_marginals_single(scores, max_edges=14):
     return marg
 
 
-def exact_marginals_single_alt(scores, max_edges=14):
-    """Independently structured enumerator (recursive, edge-by-edge)
-    used to cross-check exact_marginals_single."""
-    if hasattr(scores, "values"):
-        s_edge, s_sib, s_gp, _ = scores.values()
-    else:
-        s_edge, s_sib, s_gp = scores
-    n = s_edge.shape[0] - 1
-    edges = _candidate_edges(n)
-    if len(edges) > max_edges:
-        raise ValueError("too many candidate edges")
-
-    def rec(k, chosen):
-        if k == len(edges):
-            present = [0] * len(edges)
-            for c in chosen:
-                present[c] = 1
-            lw = _single_log_weight(edges, present, s_edge, s_sib, s_gp)
-            yield chosen, lw
-            return
-        yield from rec(k + 1, chosen)
-        yield from rec(k + 1, chosen + (k,))
-
-    logz_terms = []
-    per_edge = [[] for _ in edges]
-    for chosen, lw in rec(0, ()):
-        logz_terms.append(lw)
-        for c in chosen:
-            per_edge[c].append(lw)
-    logz = _logsumexp(np.array(logz_terms))
-    marg = np.zeros((n + 1, n + 1))
-    for e, (i, j) in enumerate(edges):
-        if per_edge[e]:
-            marg[i, j] = np.exp(_logsumexp(np.array(per_edge[e])) - logz)
-    return marg
-
-
 _arbo_cache = {}
 
 

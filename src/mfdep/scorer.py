@@ -9,6 +9,11 @@ Score tensors follow the conventions:
     s_label[i, j, l] score of label l on edge i -> j
 Cells that cannot correspond to a valid configuration (root as a
 dependent, self-loops, repeated dependents) are fixed at 0.
+
+Every scoring function reads the parameters from ``pv``: leaf Vars from
+``ModelParams.as_vars`` for training, or by default the plain arrays of
+``ModelParams.tensors``, in which case the scores are plain arrays and no
+autodiff graph is built.
 """
 from __future__ import annotations
 
@@ -114,31 +119,16 @@ def build_vocabs(sentences):
     return word2id, pos2id, sorted(labels)
 
 
-def init_params(config, word2id, pos2id, labels, seed=0):
-    """Initialize all tensors.
-
-    Biaffine (unary) tensors are N(0, 1) and trilinear (binary) tensors
-    N(0, 0.25); everything else uses 1/sqrt(fan_in) scaling.
-    """
-    rng = np.random.default_rng(seed)
-    t = {}
-
-    def scaled(*shape):
-        fan_in = shape[-1]
-        return rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=shape)
-
-    t["emb_word"] = scaled(len(word2id), config.d_word)
-    t["emb_pos"] = scaled(len(pos2id), config.d_pos)
-
+def tensor_shapes(config, n_words, n_pos, n_labels):
+    """{name: shape} of every parameter tensor, in initialization order."""
     d_in = config.d_word + config.d_pos
     dh = config.d_hidden
+    shapes = {"emb_word": (n_words, config.d_word), "emb_pos": (n_pos, config.d_pos)}
     for direction in ("fw", "bw"):
         for gate in _GATES:
-            t[f"gru_{direction}_{gate}_W"] = scaled(dh, d_in)
-            t[f"gru_{direction}_{gate}_U"] = scaled(dh, dh)
-            t[f"gru_{direction}_{gate}_b"] = np.zeros(dh)
-
-    enc = 2 * dh
+            shapes[f"gru_{direction}_{gate}_W"] = (dh, d_in)
+            shapes[f"gru_{direction}_{gate}_U"] = (dh, dh)
+            shapes[f"gru_{direction}_{gate}_b"] = (dh,)
     for role, d in (
         ("edge_head", config.d_edge),
         ("edge_dep", config.d_edge),
@@ -147,16 +137,32 @@ def init_params(config, word2id, pos2id, labels, seed=0):
         ("bin_head", config.d_bin),
         ("bin_dep", config.d_bin),
     ):
-        t[f"{role}_W"] = scaled(d, enc)
-        t[f"{role}_b"] = np.zeros(d)
+        shapes[f"{role}_W"] = (d, 2 * dh)
+        shapes[f"{role}_b"] = (d,)
+    shapes["U_edge"] = (config.d_edge + 1, config.d_edge + 1)
+    shapes["U_label"] = (n_labels, config.d_label + 1, config.d_label + 1)
+    shapes["W_sib"] = (config.d_bin,) * 3
+    shapes["W_gp"] = (config.d_bin,) * 3
+    return shapes
 
-    t["U_edge"] = rng.normal(0.0, 1.0, size=(config.d_edge + 1, config.d_edge + 1))
-    t["U_label"] = rng.normal(
-        0.0, 1.0, size=(len(labels), config.d_label + 1, config.d_label + 1)
-    )
-    t["W_sib"] = rng.normal(0.0, 0.25, size=(config.d_bin,) * 3)
-    t["W_gp"] = rng.normal(0.0, 0.25, size=(config.d_bin,) * 3)
 
+def init_params(config, word2id, pos2id, labels, seed=0):
+    """Initialize all tensors.
+
+    Biases are 0, biaffine (unary) tensors N(0, 1) and trilinear (binary)
+    tensors N(0, 0.25); everything else uses 1/sqrt(fan_in) scaling.
+    """
+    rng = np.random.default_rng(seed)
+    t = {}
+    for name, shape in tensor_shapes(config, len(word2id), len(pos2id), len(labels)).items():
+        if name.endswith("_b"):
+            t[name] = np.zeros(shape)
+        elif name in ("U_edge", "U_label"):
+            t[name] = rng.normal(0.0, 1.0, size=shape)
+        elif name in ("W_sib", "W_gp"):
+            t[name] = rng.normal(0.0, 0.25, size=shape)
+        else:
+            t[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
     return ModelParams(config, word2id, pos2id, list(labels), t)
 
 
@@ -201,31 +207,70 @@ def _dropout(x, p, rng):
     return ad.mul(x, mask)
 
 
-def _gru_direction(X, pv, direction, n1, dh):
-    # input projections for all positions at once
-    gates = {
-        g: ad.add(ad.matmul(X, ad.transpose(pv[f"gru_{direction}_{g}_W"])),
-                  pv[f"gru_{direction}_{g}_b"])
-        for g in _GATES
-    }
-    order = range(n1) if direction == "fw" else range(n1 - 1, -1, -1)
-    h = ad.Var(np.zeros(dh))
-    outs = [None] * n1
+def gru(A, U, reverse=False):
+    """One GRU direction over precomputed input projections, differentiable.
+
+    A = (A_z, A_r, A_h) are the (n1, dh) input projections x_t W_g^T + b_g
+    of the update gate, the reset gate and the candidate state, and
+    U = (U_z, U_r, U_h) the (dh, dh) recurrent matrices. From h = 0, each
+    position t (last to first when reverse) computes
+        z = sigmoid(A_z[t] + U_z h),  r = sigmoid(A_r[t] + U_r h),
+        c = tanh(A_h[t] + U_h (r * h)),  h = (1 - z) * h + z * c,
+    and row t of the (n1, dh) result is that h. The forward pass is a
+    numpy loop that keeps z, r, c and h of every step; the VJPs are
+    hand-written backpropagation through time."""
+    az, ar, ah = (ad.val(a) for a in A)
+    uz, ur, uh = (ad.val(u) for u in U)
+    n1, dh = az.shape
+    order = range(n1 - 1, -1, -1) if reverse else range(n1)
+    # z and r side by side: one elementwise logistic serves both gates
+    azr = np.concatenate((az, ar), axis=1)
+    ZR, C, H = np.empty((n1, 2 * dh)), np.empty((n1, dh)), np.empty((n1, dh))
+    h = np.zeros(dh)
     for t in order:
-        z = ad.sigmoid(ad.add(ad.row(gates["z"], t), ad.matmul(pv[f"gru_{direction}_z_U"], h)))
-        r = ad.sigmoid(ad.add(ad.row(gates["r"], t), ad.matmul(pv[f"gru_{direction}_r_U"], h)))
-        hc = ad.tanh(
-            ad.add(ad.row(gates["h"], t), ad.matmul(pv[f"gru_{direction}_h_U"], ad.mul(r, h)))
-        )
-        h = ad.add(ad.mul(ad.sub(1.0, z), h), ad.mul(z, hc))
-        outs[t] = h
-    return ad.stack_rows(outs)
+        ZR[t] = zr = ad.logistic(azr[t] + np.concatenate((uz @ h, ur @ h)))
+        z, r = zr[:dh], zr[dh:]
+        C[t] = c = np.tanh(ah[t] + uh @ (r * h))
+        H[t] = h = (1.0 - z) * h + z * c
+    Hp = np.zeros((n1, dh))  # the state each step started from
+    if reverse:
+        Hp[:-1] = H[1:]
+    else:
+        Hp[1:] = H[:-1]
+
+    def bptt(g):
+        dzr, dc = np.empty((n1, 2 * dh)), np.empty((n1, dh))
+        uzr = np.concatenate((uz, ur))
+        carry = np.zeros(dh)  # dL/dh flowing back from later steps
+        for t in reversed(order):
+            dh_t = g[t] + carry
+            zr, c, hp = ZR[t], C[t], Hp[t]
+            z, r = zr[:dh], zr[dh:]
+            dc[t] = dct = dh_t * z * (1.0 - c * c)
+            drh = dct @ uh
+            dzr[t, :dh] = dh_t * (c - hp)
+            dzr[t, dh:] = drh * hp
+            dzr[t] *= zr * (1.0 - zr)
+            carry = dh_t * (1.0 - z) + drh * r + dzr[t] @ uzr
+        dz, dr = dzr[:, :dh], dzr[:, dh:]
+        return dz, dr, dc, dz.T @ Hp, dr.T @ Hp, dc.T @ (ZR[:, dh:] * Hp)
+
+    parents = (*A, *U)
+    shared = ad.shared_backward(parents, bptt)
+    vjps = tuple((lambda g, k=k: shared(g)[k]) for k in range(6))
+    return ad.custom_op(H, parents, vjps)
+
+
+def _gru_direction(X, pv, direction):
+    A = [_proj(X, pv, f"gru_{direction}_{g}") for g in _GATES]
+    U = [pv[f"gru_{direction}_{g}_U"] for g in _GATES]
+    return gru(A, U, reverse=direction == "bw")
 
 
 def encode(sentence, params, pv=None, dropout_rng=None):
     """Contextual representations, one row per position (row 0 = root)."""
     if pv is None:
-        pv = params.as_vars()
+        pv = params.tensors
     wids = [0] + [params.word2id.get(t.form, 1) for t in sentence.tokens]
     pids = [0] + [params.pos2id.get(t.upos, 1) for t in sentence.tokens]
     E = ad.concat(
@@ -233,11 +278,7 @@ def encode(sentence, params, pv=None, dropout_rng=None):
         axis=1,
     )
     E = _dropout(E, params.config.p_drop_embed if dropout_rng is not None else 0.0, dropout_rng)
-    n1 = len(wids)
-    dh = params.config.d_hidden
-    fw = _gru_direction(E, pv, "fw", n1, dh)
-    bw = _gru_direction(E, pv, "bw", n1, dh)
-    return ad.concat([fw, bw], axis=1)
+    return ad.concat([_gru_direction(E, pv, "fw"), _gru_direction(E, pv, "bw")], axis=1)
 
 
 def _aug(x):
@@ -252,7 +293,7 @@ def _proj(H, pv, role):
 
 def score_edges(H, params, pv=None, dropout_rng=None):
     if pv is None:
-        pv = params.as_vars()
+        pv = params.tensors
     p = params.config.p_drop_edge if dropout_rng is not None else 0.0
     hh = _aug(_proj(_dropout(H, p, dropout_rng), pv, "edge_head"))
     hd = _aug(_proj(_dropout(H, p, dropout_rng), pv, "edge_dep"))
@@ -272,21 +313,12 @@ def trilinear(gh, gd, W):
     t2 = np.matmul(vd, t1)  # t2[i,j,c]
     # m GEMMs: one (m*n, d) GEMM touches more BLAS buffer (parse-long +7 MB RSS)
     s = t2 @ vd.T
-    live = sum(isinstance(p, ad.Var) for p in (gh, gd, W))
-    memo = []
 
-    def shared(g):
-        # backward calls the VJPs of this op's Var parents back to back
-        # with one g: the first computes dt2 = g gd and dt1 = gd^T dt2,
-        # the last drops them
-        if not memo:
-            dt2 = (g.reshape(m * n, n) @ vd).reshape(m, n, d)
-            memo[:] = [dt2, np.matmul(vd.T, dt2), live]
-        dt2, dt1 = memo[0], memo[1]
-        memo[2] -= 1
-        if memo[2] == 0:
-            memo.clear()
-        return dt2, dt1
+    def intermediates(g):
+        dt2 = (g.reshape(m * n, n) @ vd).reshape(m, n, d)
+        return dt2, np.matmul(vd.T, dt2)  # dt2[i,j,c], dt1[i,b,c]
+
+    shared = ad.shared_backward((gh, gd, W), intermediates)
 
     def d_gh(g):
         _, dt1 = shared(g)
@@ -314,28 +346,57 @@ def _trilinear(H, pv, W_name, mask, params, dropout_rng):
 
 def score_siblings(H, params, pv=None, dropout_rng=None):
     if pv is None:
-        pv = params.as_vars()
+        pv = params.tensors
     n = ad.val(H).shape[0] - 1
     return _trilinear(H, pv, "W_sib", sib_mask(n), params, dropout_rng)
 
 
 def score_grandparents(H, params, pv=None, dropout_rng=None):
     if pv is None:
-        pv = params.as_vars()
+        pv = params.tensors
     n = ad.val(H).shape[0] - 1
     return _trilinear(H, pv, "W_gp", gp_mask(n), params, dropout_rng)
 
 
+def biaffine_labels(lh, ld, U):
+    """s[i,j,l] = sum_ab lh[i,a] U[l,a,b] ld[j,b], differentiable.
+
+    lh is (m, a), ld (n, b) and U (L, a, b); s is (m, n, L). The forward
+    pass and the VJPs are batched BLAS matmuls on reshaped views."""
+    vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
+    (m, a), (n, b), L = vh.shape, vd.shape, vu.shape[0]
+    t1 = np.matmul(vh, vu).reshape(L * m, b)  # t1[l*m+i, b]
+    s = (t1 @ vd.T).reshape(L, m, n).transpose(1, 2, 0)
+
+    def intermediates(g):
+        gl = np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(L * m, n)
+        return gl, (gl @ vd).reshape(L, m, b)  # gl[l*m+i, j], dt1[l,i,b]
+
+    shared = ad.shared_backward((lh, ld, U), intermediates)
+
+    def d_lh(g):
+        _, dt1 = shared(g)
+        return np.matmul(dt1, vu.transpose(0, 2, 1)).sum(axis=0)
+
+    def d_ld(g):
+        gl, _ = shared(g)
+        return gl.T @ t1
+
+    def d_U(g):
+        _, dt1 = shared(g)
+        return np.matmul(vh.T, dt1)
+
+    return ad.custom_op(np.ascontiguousarray(s), (lh, ld, U), (d_lh, d_ld, d_U))
+
+
 def score_labels(H, params, pv=None, dropout_rng=None):
     if pv is None:
-        pv = params.as_vars()
+        pv = params.tensors
     p = params.config.p_drop_label if dropout_rng is not None else 0.0
     lh = _aug(_proj(_dropout(H, p, dropout_rng), pv, "label_head"))
     ld = _aug(_proj(_dropout(H, p, dropout_rng), pv, "label_dep"))
-    t1 = ad.einsum("ia,lab->ilb", lh, pv["U_label"])
-    s = ad.einsum("ilb,jb->ijl", t1, ld)
     n = ad.val(H).shape[0] - 1
-    return ad.mul(s, edge_mask(n)[:, :, None])
+    return ad.mul(biaffine_labels(lh, ld, pv["U_label"]), edge_mask(n)[:, :, None])
 
 
 def label_distribution(s_label):
@@ -344,9 +405,10 @@ def label_distribution(s_label):
 
 
 def score_sentence(sentence, params, pv=None, dropout_rng=None):
-    """Full scoring pass: Sentence -> ScoreTensors (differentiable)."""
+    """Full scoring pass: Sentence -> ScoreTensors, differentiable with
+    respect to the Vars in pv."""
     if pv is None:
-        pv = params.as_vars()
+        pv = params.tensors
     H = encode(sentence, params, pv, dropout_rng)
     return ScoreTensors(
         s_edge=score_edges(H, params, pv, dropout_rng),

@@ -19,6 +19,7 @@ from .scorer import (
     init_params,
     label_distribution,
     score_sentence,
+    tensor_shapes,
 )
 from .tree import DecodeConfig, decode
 
@@ -364,6 +365,28 @@ def save_model(params, path):
             f.write(np.ascontiguousarray(params.tensors[k], dtype="<f8").tobytes())
 
 
+def _check_tensor_shapes(header, cfg):
+    """Raise ValueError unless the checkpoint holds exactly the tensors,
+    with the shapes, that its config, vocabularies and labels imply."""
+    expected = tensor_shapes(
+        cfg, len(header["word2id"]), len(header["pos2id"]), len(header["labels"])
+    )
+    found = {name: tuple(shape) for name, shape in header["tensors"]}
+    missing = sorted(expected.keys() - found.keys())
+    if missing:
+        raise ValueError("checkpoint lacks tensor " + ", ".join(
+            f"{name!r} (expected shape {expected[name]})" for name in missing
+        ))
+    extra = sorted(found.keys() - expected.keys())
+    if extra:
+        raise ValueError("checkpoint has unexpected tensor " + ", ".join(map(repr, extra)))
+    for name, shape in expected.items():
+        if found[name] != shape:
+            raise ValueError(
+                f"checkpoint tensor {name!r} has shape {found[name]}, expected {shape}"
+            )
+
+
 def load_model(path):
     with open(path, "rb") as f:
         data = f.read()
@@ -377,6 +400,8 @@ def load_model(path):
     off = 12
     header = json.loads(data[off : off + hlen].decode("utf-8"))
     off += hlen
+    cfg = ModelConfig(**header["config"])
+    _check_tensor_shapes(header, cfg)
     expected = off + sum(8 * int(np.prod(shape)) for _, shape in header["tensors"])
     if len(data) != expected:
         raise ValueError(
@@ -392,7 +417,6 @@ def load_model(path):
             .astype(np.float64)
         )
         off += count * 8
-    cfg = ModelConfig(**header["config"])
     return ModelParams(cfg, header["word2id"], header["pos2id"], header["labels"], tensors)
 
 

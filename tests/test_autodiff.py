@@ -46,18 +46,25 @@ def test_matmul_chain():
     )
 
 
-def test_einsum_pair():
-    _check_grad(
-        lambda v: ad.sum_all(ad.einsum("ia,abc->ibc", v["a"], v["w"])),
-        {"a": (3, 4), "w": (4, 2, 2)},
-    )
-
-
 def test_elementwise_nonlinearities():
     _check_grad(
-        lambda v: ad.sum_all(ad.tanh(ad.sigmoid(ad.exp(v["a"])))),
+        lambda v: ad.sum_all(ad.sigmoid(ad.exp(v["a"]))),
         {"a": (4,)},
     )
+
+
+def test_logistic_equals_the_two_branch_formula():
+    rng = np.random.default_rng(5)
+    x = np.concatenate(
+        [rng.normal(0.0, s, 2000) for s in (1e-300, 1e-8, 1.0, 40.0, 800.0)]
+        + [np.array([0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf])]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = ad.logistic(x)
+    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(ad.sigmoid(ad.Var(x)).value, expect)
 
 
 def test_log_and_clip_min():
@@ -118,12 +125,6 @@ def test_concat_stack_transpose_permute():
         lambda v: ad.sum_all(ad.mul(ad.permute(v["a"], (2, 0, 1)), v["b"])),
         {"a": (2, 3, 4), "b": (4, 2, 3)},
     )
-    _check_grad(
-        lambda v: ad.sum_all(
-            ad.mul(ad.stack_rows([ad.row(v["a"], 1), ad.row(v["a"], 0)]), v["b"])
-        ),
-        {"a": (3, 4), "b": (2, 4)},
-    )
 
 
 def test_shared_subexpression_grad_counted_once_per_path():
@@ -154,6 +155,18 @@ def test_custom_op_vjp_routing():
     y = ad.custom_op(x.value * 3.0, (x,), (lambda g: g * 3.0,))
     ad.backward(ad.sum_all(y))
     np.testing.assert_allclose(x.grad, [3.0, 3.0])
+
+
+def test_ops_without_var_operands_return_plain_arrays():
+    a = np.array([1.0, -2.0])
+    for out in (
+        ad.add(a, 1.0),
+        ad.sigmoid(a),
+        ad.softmax(a, axis=0),
+        ad.custom_op(a * 3.0, (a,), (lambda g: g * 3.0,)),
+    ):
+        assert type(out) is np.ndarray
+    assert isinstance(ad.mul(a, ad.Var(a)), ad.Var)
 
 
 def test_backward_requires_scalar_seed_or_matching_grad():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import TOY_TREEBANK
@@ -213,6 +214,26 @@ def test_corrupt_model_exits_1(tmp_path, workspace):
         "parse", "--model", str(bad), "--input", workspace["train"],
         "--output", str(tmp_path / "out.conllu"),
     ]) == 1
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda t: t.pop("W_sib"), "lacks tensor 'W_sib'"),
+        (lambda t: t.update(W_sib=np.zeros((1, 2, 4))), "tensor 'W_sib' has shape (1, 2, 4)"),
+    ],
+)
+def test_mismatched_checkpoint_exits_1_naming_the_tensor(edit, message, workspace, tmp_path, capsys):
+    w2i, p2i, labels = build_vocabs(read_conllu_file(workspace["train"]))
+    params = init_params(ModelConfig(**TINY_DIMS), w2i, p2i, labels, seed=0)
+    edit(params.tensors)
+    model = str(tmp_path / "model.bin")
+    save_model(params, model)
+    assert run([
+        "parse", "--model", model, "--input", workspace["train"],
+        "--output", str(tmp_path / "out.conllu"),
+    ]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_bench_subcommand(tmp_path, capsys):

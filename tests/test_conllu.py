@@ -2,10 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TOY_TREEBANK, fixture_path
 from mfdep.conllu import (
     ConlluError,
+    Sentence,
+    Token,
     parse_conllu,
     read_conllu_file,
     require_annotated,
@@ -138,6 +142,51 @@ def test_crlf_string_parses_like_lf():
     sents = parse_conllu(mixed)
     assert [t.misc for t in sents[0].tokens] == ["_", "SpaceAfter=No"]
     assert [t.form for t in sents[0].tokens] == ["a\u2028b", "c\x1cd"]
+
+
+# a column value: anything but the tab and line-end characters
+_field = st.text(
+    st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def _sentences(draw):
+    n = draw(st.integers(1, 5))
+    tokens = [
+        Token(
+            form=draw(_field),
+            lemma=draw(_field),
+            upos=draw(_field),
+            xpos=draw(_field),
+            gold_head=draw(st.none() | st.integers(0, n)),
+            gold_label=draw(st.just("_") | _field),
+            feats=draw(_field),
+            deps=draw(_field),
+            misc=draw(_field),
+        )
+        for _ in range(n)
+    ]
+    sid = draw(st.none() | _field.map(str.strip).filter(bool))
+    comments = [f"# sent_id = {sid}"] if sid is not None else []
+    comments += ["#" + c for c in draw(st.lists(_field, max_size=2)) if not c.startswith(" sent_id")]
+    raw = {}  # multiword ranges before word pos + 1, an empty node at the end
+    for pos in draw(st.lists(st.integers(0, n), max_size=2)):
+        tok_id = f"{pos}.1" if pos == n else f"{pos + 1}-{pos + 2}"
+        cols = draw(st.lists(_field, min_size=9, max_size=9))
+        raw.setdefault(pos, []).append("\t".join([tok_id] + cols))
+    return Sentence(tokens, sid or "", comments, raw)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_sentences(), max_size=4))
+def test_roundtrip_generated_sentences(sents):
+    text = write_conllu(sents)
+    assert parse_conllu(text) == sents
+    assert parse_conllu(text.replace("\n", "\r\n")) == sents
+    assert write_conllu(parse_conllu(text)) == text
 
 
 def test_non_integer_head_rejected():

@@ -3,11 +3,13 @@ import pytest
 
 from conftest import random_scores
 from mfdep.oracle import (
+    _candidate_edges,
+    _logsumexp,
+    _single_log_weight,
     all_arborescences,
     best_arborescence_bruteforce,
     exact_marginals_local,
     exact_marginals_single,
-    exact_marginals_single_alt,
     finite_diff_gradient,
 )
 from mfdep.scorer import ScoreTensors, edge_mask
@@ -77,6 +79,43 @@ def test_single_lone_zero_edge_is_half():
     scores.s_edge[:] = 0.0
     marg = exact_marginals_single(scores)
     np.testing.assert_allclose(marg[0, 1], 0.5, atol=1e-15)
+
+
+def exact_marginals_single_alt(scores, max_edges=14):
+    """Independently structured enumerator (recursive, edge-by-edge)
+    used to cross-check exact_marginals_single."""
+    if hasattr(scores, "values"):
+        s_edge, s_sib, s_gp, _ = scores.values()
+    else:
+        s_edge, s_sib, s_gp = scores
+    n = s_edge.shape[0] - 1
+    edges = _candidate_edges(n)
+    if len(edges) > max_edges:
+        raise ValueError("too many candidate edges")
+
+    def rec(k, chosen):
+        if k == len(edges):
+            present = [0] * len(edges)
+            for c in chosen:
+                present[c] = 1
+            lw = _single_log_weight(edges, present, s_edge, s_sib, s_gp)
+            yield chosen, lw
+            return
+        yield from rec(k + 1, chosen)
+        yield from rec(k + 1, chosen + (k,))
+
+    logz_terms = []
+    per_edge = [[] for _ in edges]
+    for chosen, lw in rec(0, ()):
+        logz_terms.append(lw)
+        for c in chosen:
+            per_edge[c].append(lw)
+    logz = _logsumexp(np.array(logz_terms))
+    marg = np.zeros((n + 1, n + 1))
+    for e, (i, j) in enumerate(edges):
+        if per_edge[e]:
+            marg[i, j] = np.exp(_logsumexp(np.array(per_edge[e])) - logz)
+    return marg
 
 
 def test_single_enumerators_agree(rng):

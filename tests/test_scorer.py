@@ -6,10 +6,12 @@ from mfdep.conllu import parse_conllu
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import (
     ModelConfig,
+    biaffine_labels,
     build_vocabs,
     edge_mask,
     encode,
     gp_mask,
+    gru,
     init_params,
     label_distribution,
     load_embeddings,
@@ -21,6 +23,7 @@ from mfdep.scorer import (
     sib_mask,
     trilinear,
 )
+from mfdep.trainer import sentence_loss
 
 WORDS = ["the", "dog", "barks", "loudly", "cat"]
 POS = ["DET", "NOUN", "VERB", "ADV", "NOUN"]
@@ -189,6 +192,116 @@ def test_trilinear_op_second_backward_uses_new_adjoint():
     ad.backward(trilinear(fresh_gh, fresh_gd, W), g2)
     np.testing.assert_array_equal(gh.grad, fresh_gh.grad)
     np.testing.assert_array_equal(gd.grad, fresh_gd.grad)
+
+
+def _gru_reference(A, U, reverse):
+    """The recurrence written out step by step, with the arithmetic of the
+    GRU built from elementwise autodiff ops."""
+    def sigmoid(x):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+    (az, ar, ah), (uz, ur, uh) = A, U
+    n1, dh = az.shape
+    h = np.zeros(dh)
+    out = np.zeros((n1, dh))
+    for t in (range(n1 - 1, -1, -1) if reverse else range(n1)):
+        z = sigmoid(az[t] + uz @ h)
+        r = sigmoid(ar[t] + ur @ h)
+        c = np.tanh(ah[t] + uh @ (r * h))
+        h = (1.0 - z) * h + z * c
+        out[t] = h
+    return out
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n1,dh", [(1, 3), (6, 24), (12, 100)])
+def test_gru_op_matches_reference_loop(n1, dh, reverse):
+    rng = np.random.default_rng(n1 + dh)
+    A = tuple(rng.normal(size=(n1, dh)) for _ in range(3))
+    U = tuple(rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(3))
+    got = gru(A, U, reverse)
+    assert type(got) is np.ndarray
+    np.testing.assert_array_equal(got, _gru_reference(A, U, reverse))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("n1", [1, 3, 5])
+def test_gru_op_gradient(n1, reverse):
+    # inputs reach the op through W x + b with d_in != dh, as in encode
+    d_in, dh = 4, 3
+    rng = np.random.default_rng(10 * n1 + reverse)
+    arrays = {"X": rng.normal(size=(n1, d_in))}
+    for g in "zrh":
+        arrays[f"W_{g}"] = rng.normal(size=(dh, d_in))
+        arrays[f"b_{g}"] = rng.normal(size=dh)
+        arrays[f"U_{g}"] = rng.normal(size=(dh, dh))
+    weights = rng.normal(size=(n1, dh))
+
+    def run():
+        v = {k: ad.Var(a) for k, a in arrays.items()}
+        A = [ad.add(ad.matmul(v["X"], ad.transpose(v[f"W_{g}"])), v[f"b_{g}"]) for g in "zrh"]
+        H = gru(A, [v[f"U_{g}"] for g in "zrh"], reverse)
+        return ad.sum_all(ad.mul(H, weights)), v
+
+    out, leaves = run()
+    ad.backward(out)
+    fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
+    for k in arrays:
+        np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-8, err_msg=k)
+
+
+def _labels_einsum(lh, ld, U):
+    return np.einsum("ilb,jb->ijl", np.einsum("ia,lab->ilb", lh, U), ld)
+
+
+def test_label_op_matches_einsum_at_default_dims():
+    rng = np.random.default_rng(4)
+    n, d, L = 40, ModelConfig().d_label + 1, 40
+    lh = rng.normal(size=(n + 1, d))
+    ld = rng.normal(size=(n + 1, d))
+    U = rng.normal(size=(L, d, d))
+    got = biaffine_labels(lh, ld, U)
+    np.testing.assert_allclose(got, _labels_einsum(lh, ld, U), rtol=0, atol=1e-9)
+
+
+def test_label_op_gradient_non_square():
+    # m != n, a != b and L >= 3, so that no transposed view passes by symmetry
+    m, n, a, b, L = 4, 5, 3, 2, 3
+    rng = np.random.default_rng(11)
+    arrays = {
+        "lh": rng.normal(size=(m, a)),
+        "ld": rng.normal(size=(n, b)),
+        "U": rng.normal(size=(L, a, b)),
+    }
+    weights = rng.normal(size=(m, n, L))
+
+    def run():
+        leaves = {k: ad.Var(v) for k, v in arrays.items()}
+        s = biaffine_labels(leaves["lh"], leaves["ld"], leaves["U"])
+        return ad.sum_all(ad.mul(s, weights)), leaves
+
+    out, leaves = run()
+    np.testing.assert_allclose(
+        out.value, np.sum(_labels_einsum(*arrays.values()) * weights), atol=1e-12
+    )
+    ad.backward(out)
+    fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
+    for k in arrays:
+        np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-6, err_msg=k)
+
+
+def test_scoring_plain_params_builds_no_graph_and_training_does():
+    params = make_params(seed=6)
+    sent = make_sentence(4)
+    for name, s in vars(score_sentence(sent, params)).items():
+        assert type(s) is np.ndarray, name
+    loss, _, pv = sentence_loss(sent, params, "local2o", 2, 0.4)
+    assert isinstance(loss, ad.Var)
+    ad.backward(loss)
+    assert set(pv) == set(params.tensors)
+    for name, var in pv.items():
+        assert var.grad is not None and var.grad.shape == params.tensors[name].shape, name
+        assert np.any(var.grad != 0.0), name
 
 
 def test_label_distribution_uniform_and_degenerate():

@@ -65,7 +65,7 @@ def test_edge_loss_local_matches_recomputation(rng):
     scores = random_scores(3, rng)
     q = mfvi_local(scores, T=2).final
     gold = [0, 1, 1]
-    got = float(edge_loss_local(q, gold).value)
+    got = float(ad.val(edge_loss_local(q, gold)))
     expect = -sum(math.log(ad.val(q)[h, j]) for j, h in enumerate(gold, start=1))
     np.testing.assert_allclose(got, expect, atol=1e-10)
 
@@ -97,7 +97,7 @@ def test_edge_loss_single_matches_recomputation(rng):
                 continue
             expect -= math.log(qv[i, j] if i == gold[j - 1] else 1.0 - qv[i, j])
     np.testing.assert_allclose(
-        float(edge_loss_single(q, gold).value), expect, atol=1e-10
+        float(ad.val(edge_loss_single(q, gold))), expect, atol=1e-10
     )
 
 
@@ -325,6 +325,31 @@ def test_model_checkpoint_rejects_wrong_size(tmp_path):
             load_model(str(bad))
     with pytest.raises(ValueError, match=rf"implies {n} bytes, file has {n - 8}"):
         load_model(str(tmp_path / "truncated.bin"))
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda t: t.pop("W_sib"), r"lacks tensor 'W_sib' \(expected shape \(2, 2, 2\)\)"),
+        # same element count as the expected (2, 2, 2): reshaping would not fail
+        (
+            lambda t: t.update(W_sib=np.zeros((1, 2, 4))),
+            r"tensor 'W_sib' has shape \(1, 2, 4\), expected \(2, 2, 2\)",
+        ),
+        (
+            lambda t: t.update(U_label=np.zeros((2, 5, 5))),
+            r"tensor 'U_label' has shape \(2, 5, 5\), expected \(3, 5, 5\)",
+        ),
+        (lambda t: t.update(W_extra=np.zeros(3)), r"unexpected tensor 'W_extra'"),
+    ],
+)
+def test_model_checkpoint_checks_tensor_names_and_shapes(tmp_path, edit, message):
+    params = make_params(seed=9)  # d_bin = 2, d_label = 4, 3 labels
+    edit(params.tensors)
+    path = str(tmp_path / "model.bin")
+    save_model(params, path)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
 
 
 def test_parse_config_file(tmp_path):
