@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -142,45 +143,81 @@ def sentence_loss(sentence, params, variant, T, lam, pv=None, dropout_rng=None):
 # ---------------------------------------------------------------------------
 
 
+_ADAM_BLOCK = 1 << 15  # elements per block: a block of p, m, v, g stays in cache
+
+
 class AdamState:
     def __init__(self, tensors):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.vmax = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.vmax = None  # allocated on the first AMSGrad step
         self.amsgrad = False
         self.skipped = 0
+        self.work = np.empty((2, _ADAM_BLOCK))
+        self.finite = np.empty(_ADAM_BLOCK, dtype=bool)
+
+
+def _blocks(size):
+    for lo in range(0, size, _ADAM_BLOCK):
+        yield lo, min(lo + _ADAM_BLOCK, size)
 
 
 def adam_step(params, grads, state, config, lr=None):
     """One (AMS)Adam update in place. Returns False (and changes nothing)
-    if any gradient is non-finite."""
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            state.skipped += 1
-            return False
+    if any gradient is non-finite.
+
+    Each tensor is walked once, in blocks of ``_ADAM_BLOCK`` elements,
+    through the state's two work buffers. Per element the operations and
+    their order are those of the whole-array formula
+
+        m = b1 m + (1 - b1) g,  v = b2 v + ((1 - b2) g) g,
+        p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+
+    (v replaced by its running max under AMSGrad), so the update is
+    bit-identical to it. Parameter tensors must be C-contiguous."""
+    flat = {name: g.reshape(-1) for name, g in grads.items()}
+    for g in flat.values():
+        for lo, hi in _blocks(g.size):
+            if not np.isfinite(g[lo:hi], out=state.finite[: hi - lo]).all():
+                state.skipped += 1
+                return False
     if lr is None:
         lr = config.learning_rate
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
     state.t += 1
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
+    if state.amsgrad and state.vmax is None:
+        state.vmax = {k: np.zeros_like(v) for k, v in state.v.items()}
     for name, p in params.tensors.items():
-        g = grads.get(name)
+        g = flat.get(name)
         if g is None:
             continue
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        if state.amsgrad:
-            np.maximum(state.vmax[name], v, out=state.vmax[name])
-            vhat = state.vmax[name] / bc2
-        else:
-            vhat = v / bc2
-        p -= lr * (m / bc1) / (np.sqrt(vhat) + eps)
+        if not p.flags.c_contiguous:
+            raise ValueError(f"parameter tensor {name!r} is not C-contiguous")
+        p = p.reshape(-1)
+        m = state.m[name].reshape(-1)
+        v = state.v[name].reshape(-1)
+        vmax = state.vmax[name].reshape(-1) if state.amsgrad else None
+        for lo, hi in _blocks(p.size):
+            gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
+            a, b = state.work[:, : hi - lo]
+            mb *= b1
+            mb += np.multiply(1.0 - b1, gb, out=a)
+            vb *= b2
+            np.multiply(1.0 - b2, gb, out=a)
+            vb += np.multiply(a, gb, out=a)
+            if vmax is None:
+                np.divide(vb, bc2, out=a)
+            else:
+                xb = vmax[lo:hi]
+                np.divide(np.maximum(xb, vb, out=xb), bc2, out=a)
+            np.sqrt(a, out=a)
+            a += eps
+            np.divide(mb, bc1, out=b)
+            np.multiply(lr, b, out=b)
+            pb -= np.divide(b, a, out=b)
     return True
 
 
@@ -209,8 +246,14 @@ def make_batches(sentences, batch_tokens, rng=None):
 
 def batch_gradients(batch_sents, params, config, dropout_rng=None):
     """Mean loss and gradient over a batch; sentences are processed in a
-    canonical (corpus-index) order so the reduction is deterministic."""
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    canonical (corpus-index) order so the reduction is deterministic.
+
+    A leaf's first ``var.grad`` becomes the batch gradient: backward gives
+    every leaf an array of its own, and adopting it equals adding it into
+    zeros, except that a -0.0 stays -0.0 (Adam then moves a parameter to
+    the same bits unless the parameter itself is -0.0). Tensors that get
+    no gradient get zeros."""
+    got = {}
     total = 0.0
     for sent in batch_sents:
         loss, _, pv = sentence_loss(
@@ -220,11 +263,20 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
         ad.backward(loss)
         total += float(loss.value)
         for name, var in pv.items():
-            if var.grad is not None:
-                grads[name] += var.grad
+            if var.grad is None:
+                continue
+            if name in got:
+                got[name] += var.grad
+            else:
+                got[name] = var.grad
+    grads = {
+        name: got[name] if name in got else np.zeros_like(v)
+        for name, v in params.tensors.items()
+    }
     k = max(1, len(batch_sents))
-    for g in grads.values():
-        g /= k
+    if k > 1:
+        for g in grads.values():
+            g /= k
     return total / k, grads
 
 
@@ -282,7 +334,7 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
     amsgrad_after = config.scaled("amsgrad_after")
     early_stop = config.scaled("early_stop")
 
-    result = TrainResult(params=params.copy())
+    result = TrainResult(params=None)  # a copy of params once dev improves
     best = -1.0
     since_improvement = 0
     since_decay = 0
@@ -310,7 +362,11 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
             entry.update({"dev_uas": uas, "dev_las": las})
             if metric > best:
                 best = metric
-                result.params = params.copy()
+                if result.params is None:
+                    result.params = params.copy()
+                else:
+                    for name, v in params.tensors.items():
+                        np.copyto(result.params.tensors[name], v)
                 result.best_dev = best
                 since_improvement = 0
                 since_decay = 0
@@ -335,7 +391,7 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
                 break
         result.history.append(entry)
     result.iterations_run = iteration
-    if result.best_dev < 0:  # never evaluated: keep final params
+    if result.params is None:  # dev never improved: keep final params
         result.params = params.copy()
     return result
 
@@ -362,7 +418,7 @@ def save_model(params, path):
         f.write(struct.pack("<II", _VERSION, len(hbytes)))
         f.write(hbytes)
         for k, _ in header["tensors"]:
-            f.write(np.ascontiguousarray(params.tensors[k], dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(params.tensors[k], dtype="<f8"))
 
 
 def _check_tensor_shapes(header, cfg):
@@ -389,34 +445,35 @@ def _check_tensor_shapes(header, cfg):
 
 def load_model(path):
     with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != _MAGIC:
-        raise ValueError("not a model checkpoint (bad magic)")
-    if len(data) < 12:
-        raise ValueError(f"checkpoint truncated: {len(data)} bytes, header needs 12")
-    version, hlen = struct.unpack_from("<II", data, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    off = 12
-    header = json.loads(data[off : off + hlen].decode("utf-8"))
-    off += hlen
-    cfg = ModelConfig(**header["config"])
-    _check_tensor_shapes(header, cfg)
-    expected = off + sum(8 * int(np.prod(shape)) for _, shape in header["tensors"])
-    if len(data) != expected:
-        raise ValueError(
-            f"checkpoint size mismatch: header implies {expected} bytes, "
-            f"file has {len(data)}"
-        )
-    tensors = {}
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape))
-        tensors[name] = (
-            np.frombuffer(data, dtype="<f8", count=count, offset=off)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        off += count * 8
+        preamble = f.read(12)
+        if preamble[:4] != _MAGIC:
+            raise ValueError("not a model checkpoint (bad magic)")
+        if len(preamble) < 12:
+            raise ValueError(
+                f"checkpoint truncated: {len(preamble)} bytes, header needs 12"
+            )
+        version, hlen = struct.unpack_from("<II", preamble, 4)
+        if version != _VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        header = json.loads(f.read(hlen).decode("utf-8"))
+        cfg = ModelConfig(**header["config"])
+        _check_tensor_shapes(header, cfg)
+        size = os.fstat(f.fileno()).st_size
+        expected = 12 + hlen + sum(8 * int(np.prod(shape)) for _, shape in header["tensors"])
+        if size != expected:
+            raise ValueError(
+                f"checkpoint size mismatch: header implies {expected} bytes, "
+                f"file has {size}"
+            )
+        tensors = {}
+        for name, shape in header["tensors"]:
+            arr = np.empty(shape, dtype="<f8")
+            got = f.readinto(arr)
+            if got != arr.nbytes:
+                raise ValueError(
+                    f"checkpoint truncated: tensor {name!r} has {got} of {arr.nbytes} bytes"
+                )
+            tensors[name] = arr.astype(np.float64, copy=False)
     return ModelParams(cfg, header["word2id"], header["pos2id"], header["labels"], tensors)
 
 

@@ -10,7 +10,9 @@ from conftest import TOY_TREEBANK, random_scores
 from mfdep.conllu import ConlluError, parse_conllu, read_conllu_file
 from mfdep.decoder import mfvi_local, mfvi_single
 from mfdep.scorer import ModelConfig, build_vocabs, edge_mask, init_params
+import mfdep.trainer as trainer
 from mfdep.trainer import (
+    _ADAM_BLOCK,
     AdamState,
     TrainConfig,
     adam_step,
@@ -201,6 +203,89 @@ def test_amsgrad_uses_running_max_second_moment():
     assert abs(params.tensors["t"][0] - before[0]) < 1e-6
 
 
+def _reference_adam_step(p, m, v, vmax, g, t, cfg, amsgrad):
+    """The whole-array update, one temporary per operation."""
+    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    if amsgrad:
+        np.maximum(vmax, v, out=vmax)
+        vhat = vmax / bc2
+    else:
+        vhat = v / bc2
+    p -= lr * (m / bc1) / (np.sqrt(vhat) + eps)
+
+
+_BLOCK_SHAPES = {
+    "one": (1,),
+    "below": (_ADAM_BLOCK - 1,),
+    "block": (_ADAM_BLOCK,),
+    "above": (_ADAM_BLOCK + 1,),
+    "cube": (3, 130, 170),  # two full blocks and a partial one
+}
+
+
+def _block_problem(seed):
+    rng = np.random.default_rng(seed)
+    tensors = {k: rng.normal(0.0, 1.0, shape) for k, shape in _BLOCK_SHAPES.items()}
+    return SimpleNamespace(tensors=tensors), rng
+
+
+def _block_grads(rng, step):
+    # shrinking gradients, so AMSGrad's running max differs from v
+    grads = {k: rng.normal(0.0, 4.0 / step, shape) for k, shape in _BLOCK_SHAPES.items()}
+    grads["cube"] = np.asfortranarray(grads["cube"])
+    return grads
+
+
+@pytest.mark.parametrize("beta1", [0.0, 0.9])
+def test_adam_blocks_match_whole_array_formula_bit_for_bit(beta1):
+    cfg = TrainConfig(variant="local2o", adam_beta1=beta1)
+    params, rng = _block_problem(seed=1)
+    ref = {k: p.copy() for k, p in params.tensors.items()}
+    ref_m = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_v = {k: np.zeros_like(p) for k, p in ref.items()}
+    ref_vmax = {k: np.zeros_like(p) for k, p in ref.items()}
+    state = AdamState(params.tensors)
+    for step in range(1, 5):
+        amsgrad = step > 2
+        state.amsgrad = amsgrad
+        if step == 3:
+            assert state.vmax is None
+        grads = _block_grads(rng, step)
+        assert adam_step(params, grads, state, cfg)
+        for k, g in grads.items():
+            _reference_adam_step(ref[k], ref_m[k], ref_v[k], ref_vmax[k], g, step, cfg, amsgrad)
+            np.testing.assert_array_equal(params.tensors[k], ref[k])
+            np.testing.assert_array_equal(state.m[k], ref_m[k])
+            np.testing.assert_array_equal(state.v[k], ref_v[k])
+            if amsgrad:
+                np.testing.assert_array_equal(state.vmax[k], ref_vmax[k])
+    assert state.t == 4
+
+
+def test_adam_nan_in_last_block_changes_nothing():
+    cfg = TrainConfig(variant="local2o", adam_beta1=0.9)
+    params, rng = _block_problem(seed=2)
+    state = AdamState(params.tensors)
+    for step in (1, 2):
+        assert adam_step(params, _block_grads(rng, step), state, cfg)
+    before = [
+        {k: a.copy() for k, a in d.items()} for d in (params.tensors, state.m, state.v)
+    ]
+    grads = _block_grads(rng, 3)
+    grads["cube"][-1, -1, -1] = np.nan  # the last element of the last tensor
+    assert not adam_step(params, grads, state, cfg)
+    assert state.t == 2 and state.skipped == 1
+    for old, new in zip(before, (params.tensors, state.m, state.v)):
+        for k in old:
+            np.testing.assert_array_equal(new[k], old[k])
+
+
 def test_make_batches_respects_token_budget():
     sents = [make_sentence(n) for n in (3, 3, 4, 2, 5)]
     batches = make_batches(sents, batch_tokens=7)
@@ -223,6 +308,38 @@ def test_batch_gradients_deterministic_and_order_invariant():
     np.testing.assert_allclose(loss1, loss3, atol=1e-12)
     for k in g1:
         np.testing.assert_allclose(g1[k], g3[k], atol=1e-12)
+
+
+def _reference_batch_gradients(batch, params, cfg):
+    """Every batch gradient starts from zeros; each sentence adds into it."""
+    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    for sent in batch:
+        loss, _, pv = sentence_loss(sent, params, cfg.variant, cfg.iterations, cfg.lam)
+        ad.backward(loss)
+        for name, var in pv.items():
+            if var.grad is not None:
+                grads[name] += var.grad
+    for g in grads.values():
+        g /= len(batch)
+    return grads
+
+
+@pytest.mark.parametrize("lengths", [(4,), (2, 5, 3)])
+def test_batch_gradients_match_zero_initialised_sum(lengths):
+    params = make_params(seed=6)
+    params.tensors["unused"] = np.ones((2, 3))  # no op reads it: no gradient
+    cfg = TrainConfig(variant="local2o", iterations=2)
+    batch = [make_sentence(n) for n in lengths]
+    _, grads = batch_gradients(batch, params, cfg)
+    ref = _reference_batch_gradients(batch, params, cfg)
+    assert list(grads) == list(params.tensors)
+    for k in ref:
+        np.testing.assert_array_equal(grads[k], ref[k])
+    np.testing.assert_array_equal(grads["unused"], np.zeros((2, 3)))
+    arrays = list(grads.values()) + list(params.tensors.values())
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("variant", ["local2o", "single2o"])
@@ -257,6 +374,38 @@ def test_train_overfits_one_sentence():
     uas, las, _ = evaluate(result.params, corpus, "local2o", 2)
     assert uas == 100.0
     assert len(result.history) == result.iterations_run
+
+
+def _train_with_dev_metric(monkeypatch, metrics, max_iterations):
+    """Train on one sentence, evaluating every iteration, with the dev
+    scores taken from ``metrics``; returns (result, live params)."""
+    scores = iter(metrics)
+    monkeypatch.setattr(trainer, "evaluate", lambda *a, **kw: (next(scores),) * 2 + (None,))
+    corpus = [make_sentence(3)]
+    cfg = TrainConfig(variant="local2o", iterations=2, max_iterations=max_iterations,
+                      eval_every=1, batch_tokens=50, seed=0)
+    params = make_params(seed=3)
+    return train(corpus, corpus, cfg, params=params), params
+
+
+@pytest.mark.parametrize(
+    "metrics,best_step",
+    [
+        ([10.0, 20.0, 30.0], 3),  # improves every time: snapshot updated in place
+        ([10.0, 10.0, 10.0], 1),  # improves once: the first snapshot is kept
+        ([math.nan] * 3, None),  # never improves: the final params
+    ],
+)
+def test_train_result_params_are_a_snapshot(monkeypatch, metrics, best_step):
+    result, live = _train_with_dev_metric(monkeypatch, metrics, max_iterations=3)
+    if best_step is None:
+        assert result.best_dev == -1.0
+        best_step = 3
+    _, expected = _train_with_dev_metric(monkeypatch, metrics, max_iterations=best_step)
+    assert set(result.params.tensors) == set(live.tensors)
+    for k, v in result.params.tensors.items():
+        assert not np.shares_memory(v, live.tensors[k])
+        np.testing.assert_array_equal(v, expected.tensors[k])
 
 
 @pytest.mark.parametrize("head,deprel", [("_", "root"), ("0", "_")])
@@ -299,6 +448,18 @@ def test_model_checkpoint_roundtrip(tmp_path):
     assert set(back.tensors) == set(params.tensors)
     for k in params.tensors:
         np.testing.assert_array_equal(back.tensors[k], params.tensors[k])
+
+
+def test_model_checkpoint_loads_owned_arrays_and_resaves_identically(tmp_path):
+    params = make_params(seed=9)
+    first, second = str(tmp_path / "first.bin"), str(tmp_path / "second.bin")
+    save_model(params, first)
+    back = load_model(first)
+    for v in back.tensors.values():
+        assert v.dtype == np.float64
+        assert v.flags.writeable and v.flags.c_contiguous and v.flags.owndata
+    save_model(back, second)
+    assert (tmp_path / "first.bin").read_bytes() == (tmp_path / "second.bin").read_bytes()
 
 
 def test_model_checkpoint_rejects_bad_magic(tmp_path):
