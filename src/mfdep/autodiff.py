@@ -2,9 +2,11 @@
 
 Each op returns a Var that holds its value, its parent Vars and one VJP
 closure per parent; the graph is nothing more than these parent links.
-An op none of whose operands is a Var returns a plain ndarray instead:
-nothing can ask for its gradient, so inference on plain parameter
-arrays builds no graph and keeps no closures alive.
+An op none of whose operands is a Var returns the plain numpy result
+instead (a numpy scalar where numpy gives one, as for two 0-d arrays),
+and checks for that before it builds any closure: nothing can ask for
+its gradient, so inference on plain parameter arrays builds no graph
+and pays only for the arithmetic.
 ``backward`` walks them from a scalar root in reverse topological order
 and accumulates adjoints into every reachable Var. Parents never point
 back at their children, so a graph is freed by reference counting as
@@ -94,13 +96,13 @@ class Var:
         return matmul(self, other)
 
 
-def _op(value, parents, vjps):
-    """The result of every op: a Var linked to its parents when one of
-    them is a Var, else the plain float64 array."""
-    for p in parents:
-        if isinstance(p, Var):
-            return Var(value, tuple(parents), tuple(vjps))
-    return np.asarray(value, dtype=np.float64)
+def any_var(xs):
+    """True when some element of xs is a Var: only then does an op
+    build closures for a backward pass."""
+    for x in xs:
+        if isinstance(x, Var):
+            return True
+    return False
 
 
 def _accum(var, g):
@@ -126,8 +128,11 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     va, vb = val(a), val(b)
-    return _op(
-        va + vb,
+    y = va + vb
+    if not (isinstance(a, Var) or isinstance(b, Var)):
+        return y
+    return Var(
+        y,
         (a, b),
         (
             lambda g: _unbroadcast(g, va.shape),
@@ -138,8 +143,11 @@ def add(a, b):
 
 def sub(a, b):
     va, vb = val(a), val(b)
-    return _op(
-        va - vb,
+    y = va - vb
+    if not (isinstance(a, Var) or isinstance(b, Var)):
+        return y
+    return Var(
+        y,
         (a, b),
         (
             lambda g: _unbroadcast(g, va.shape),
@@ -150,8 +158,11 @@ def sub(a, b):
 
 def mul(a, b):
     va, vb = val(a), val(b)
-    return _op(
-        va * vb,
+    y = va * vb
+    if not (isinstance(a, Var) or isinstance(b, Var)):
+        return y
+    return Var(
+        y,
         (a, b),
         (
             lambda g: _unbroadcast(g * vb, va.shape),
@@ -163,38 +174,50 @@ def mul(a, b):
 def matmul(a, b):
     """Product of two 2-D operands."""
     va, vb = val(a), val(b)
-    return _op(va @ vb, (a, b), (lambda g: g @ vb.T, lambda g: va.T @ g))
+    y = va @ vb
+    if not (isinstance(a, Var) or isinstance(b, Var)):
+        return y
+    return Var(y, (a, b), (lambda g: g @ vb.T, lambda g: va.T @ g))
 
 
 def exp(a):
     y = np.exp(val(a))
-    return _op(y, (a,), (lambda g: g * y,))
+    if not isinstance(a, Var):
+        return y
+    return Var(y, (a,), (lambda g: g * y,))
 
 
 def log(a):
     va = val(a)
-    return _op(np.log(va), (a,), (lambda g: g / va,))
+    y = np.log(va)
+    if not isinstance(a, Var):
+        return y
+    return Var(y, (a,), (lambda g: g / va,))
 
 
-def logistic(x):
+def logistic(x, out=None):
     """The value of ``sigmoid`` on a plain array: 1 / (1 + exp(-x)) for
     x >= 0 and exp(x) / (1 + exp(x)) below, with one exp(-|x|) serving
-    both branches, so that no exp overflows."""
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    both branches, so that no exp overflows. copysign(x, -1) is -|x|,
+    sign of zero and NaN included. ``out`` receives the result, as in
+    numpy."""
+    e = np.exp(np.copysign(x, -1.0))
+    return np.divide(np.where(x >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 def sigmoid(a):
     y = logistic(val(a))
-    return _op(y, (a,), (lambda g: g * y * (1.0 - y),))
+    if not isinstance(a, Var):
+        return y
+    return Var(y, (a,), (lambda g: g * y * (1.0 - y),))
 
 
 def clip_min(a, floor):
     va = val(a)
-    return _op(
-        np.maximum(va, floor), (a,), (lambda g: g * (va > floor),)
-    )
+    y = np.maximum(va, floor)
+    if not isinstance(a, Var):
+        return y
+    return Var(y, (a,), (lambda g: g * (va > floor),))
 
 
 def softmax(a, axis):
@@ -202,47 +225,57 @@ def softmax(a, axis):
     m = np.max(va, axis=axis, keepdims=True)
     e = np.exp(va - m)
     y = e / e.sum(axis=axis, keepdims=True)
+    if not isinstance(a, Var):
+        return y
 
     def da(g):
         return y * (g - (g * y).sum(axis=axis, keepdims=True))
 
-    return _op(y, (a,), (da,))
+    return Var(y, (a,), (da,))
 
 
 def sum_all(a):
     va = val(a)
-    return _op(va.sum(), (a,), (lambda g: g * np.ones_like(va),))
+    if not isinstance(a, Var):
+        return np.asarray(va.sum())
+    return Var(va.sum(), (a,), (lambda g: g * np.ones_like(va),))
 
 
 def gather_rows(a, idx):
     va = val(a)
     idx = np.asarray(idx, dtype=np.intp)
+    if not isinstance(a, Var):
+        return va[idx]
 
     def da(g):
         out = np.zeros_like(va)
         np.add.at(out, idx, g)
         return out
 
-    return _op(va[idx], (a,), (da,))
+    return Var(va[idx], (a,), (da,))
 
 
 def take_at(a, index):
     """Fancy indexing with a tuple of integer index arrays."""
     va = val(a)
     index = tuple(np.asarray(ix, dtype=np.intp) for ix in index)
+    if not isinstance(a, Var):
+        return va[index]
 
     def da(g):
         out = np.zeros_like(va)
         np.add.at(out, index, g)
         return out
 
-    return _op(va[index], (a,), (da,))
+    return Var(va[index], (a,), (da,))
 
 
 def concat(parts, axis=0):
     vals = [val(p) for p in parts]
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
+    y = np.concatenate(vals, axis=axis)
+    if not any_var(parts):
+        return y
+    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
 
     def make_vjp(k):
         sl = [slice(None)] * vals[k].ndim
@@ -250,25 +283,30 @@ def concat(parts, axis=0):
         sl = tuple(sl)
         return lambda g: g[sl]
 
-    return _op(
-        np.concatenate(vals, axis=axis),
-        tuple(parts),
-        tuple(make_vjp(k) for k in range(len(parts))),
-    )
+    return Var(y, tuple(parts), tuple(make_vjp(k) for k in range(len(parts))))
 
 
 def transpose(a):
-    return _op(val(a).T, (a,), (lambda g: g.T,))
+    if not isinstance(a, Var):
+        return val(a).T
+    return Var(a.value.T, (a,), (lambda g: g.T,))
 
 
 def permute(a, axes):
+    if not isinstance(a, Var):
+        return val(a).transpose(axes)
     inv = tuple(np.argsort(axes))
-    return _op(val(a).transpose(axes), (a,), (lambda g: g.transpose(inv),))
+    return Var(a.value.transpose(axes), (a,), (lambda g: g.transpose(inv),))
 
 
 def custom_op(value, parents, vjps):
-    """Wrap an externally computed primitive with hand-written VJPs."""
-    return _op(value, parents, vjps)
+    """Wrap an externally computed primitive with hand-written VJPs: a
+    Var linked to its parents when one of them is a Var, else the plain
+    float64 array. The ops in ``scorer`` and ``decoder`` check
+    ``any_var(parents)`` before they build their VJPs."""
+    if any_var(parents):
+        return Var(value, tuple(parents), tuple(vjps))
+    return np.asarray(value, dtype=np.float64)
 
 
 def shared_backward(parents, compute):

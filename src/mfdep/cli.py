@@ -73,6 +73,8 @@ def _cmd_train(args):
     dev = corpus
     if args.dev:
         dev = read_conllu_file(args.dev)
+        if not dev:
+            raise ValueError(f"{args.dev}: dev file has no sentences")
         require_annotated(dev, args.dev)
     overrides = parse_config_file(args.config) if args.config else {}
     cfg_kwargs = dict(variant=args.variant, seed=args.seed, scale=args.scale,

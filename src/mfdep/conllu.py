@@ -160,16 +160,24 @@ def write_conllu(sentences, predicted=None):
 
 
 def require_annotated(sentences, source):
-    """Raise ConlluError naming the first sentence of source that has a
-    word without a gold HEAD or DEPREL (a ``_`` column)."""
+    """Raise ConlluError naming the first sentence and word of source
+    whose gold HEAD or DEPREL is missing (a ``_`` column), or whose HEAD
+    is no candidate head: below 0, above the sentence length, or the
+    word's own index."""
     for s_idx, sent in enumerate(sentences, start=1):
+        n = len(sent)
         for i, tok in enumerate(sent.tokens, start=1):
-            if tok.gold_head is None or tok.gold_label == "_":
-                sid = f" (sent_id {sent.sentence_id})" if sent.sentence_id else ""
-                raise ConlluError(
-                    f"{source}: sentence {s_idx}{sid}, word {i} has no gold "
-                    "HEAD/DEPREL; training and evaluation need annotated input"
-                )
+            head = tok.gold_head
+            if head is None or tok.gold_label == "_":
+                problem = ("has no gold HEAD/DEPREL; training and evaluation "
+                           "need annotated input")
+            elif head < 0 or head > n or head == i:
+                problem = (f"has HEAD {head}; a HEAD must lie in 0..{n} "
+                           "and differ from the word's own index")
+            else:
+                continue
+            sid = f" (sent_id {sent.sentence_id})" if sent.sentence_id else ""
+            raise ConlluError(f"{source}: sentence {s_idx}{sid}, word {i} {problem}")
 
 
 def filter_long(sentences, max_len):

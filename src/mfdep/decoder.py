@@ -9,7 +9,10 @@ Two variants:
 
 Both run the same unrolled loop over the same message computation (see
 ``kernels``) and retain all T+1 posterior iterates so gradients flow
-through the whole unrolled inference.
+through the whole unrolled inference. The 2-D edge mask, and the Local
+variant's additive mask, are built at most once per sentence. When no
+score is a Var (parsing), every iterate is a plain array and no op
+builds a closure.
 """
 from __future__ import annotations
 
@@ -27,16 +30,15 @@ _NEG = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
 def _mfvi_messages(q, sib, gp):
     """Differentiable message op backed by ``kernels``."""
     qv, sv, gv = ad.val(q), ad.val(sib), ad.val(gp)
+    m = kernels.messages_forward(qv, sv, gv)
     parents = (q, sib, gp)
+    if not ad.any_var(parents):
+        return m
     shared = ad.shared_backward(
         parents,
         lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, sv, gv),
     )
-    return ad.custom_op(
-        kernels.messages_forward(qv, sv, gv),
-        parents,
-        tuple((lambda g, k=k: shared(g)[k]) for k in range(3)),
-    )
+    return ad.custom_op(m, parents, tuple((lambda g, k=k: shared(g)[k]) for k in range(3)))
 
 
 @dataclass
@@ -60,10 +62,6 @@ def _sym_sib(s_sib):
     return ad.add(s_sib, ad.permute(s_sib, (0, 2, 1)))
 
 
-def _local_update(logits, mask):
-    return ad.mul(ad.softmax(ad.add(logits, (1.0 - mask) * _NEG), axis=0), mask)
-
-
 def _single_update(logits, mask):
     return ad.mul(ad.sigmoid(logits), mask)
 
@@ -84,7 +82,12 @@ def _unrolled(scores, T, update):
 
 
 def mfvi_local(scores, T=3):
-    return _unrolled(scores, T, _local_update)
+    neg = (1.0 - edge_mask(scores.n)) * _NEG  # additive mask of the non-edges
+
+    def local_update(logits, mask):
+        return ad.mul(ad.softmax(ad.add(logits, neg), axis=0), mask)
+
+    return _unrolled(scores, T, local_update)
 
 
 def mfvi_single(scores, T=3):
@@ -94,10 +97,7 @@ def mfvi_single(scores, T=3):
 def mfvi(scores, variant, T=None):
     """Dispatch by variant name; first-order variants run with T=0."""
     v = variant.lower()
-    if T is None:
-        T = 0 if v.endswith("1o") else 3
-    if v.endswith("1o"):
-        T = 0
+    T = 0 if v.endswith("1o") else 3 if T is None else T
     if v.startswith("local"):
         return mfvi_local(scores, T)
     if v.startswith("single"):

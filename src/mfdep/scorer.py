@@ -8,15 +8,18 @@ Score tensors follow the conventions:
     s_gp[i, j, k]    score of the chain i -> j -> k
     s_label[i, j, l] score of label l on edge i -> j
 Cells that cannot correspond to a valid configuration (root as a
-dependent, self-loops, repeated dependents) are fixed at 0.
+dependent, self-loops, repeated dependents) are fixed at 0: by a 2-D mask
+for edges and labels, and inside ``trilinear`` for sibling pairs and
+chains, so that no mask cube is built.
 
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
-``ModelParams.tensors``, in which case the scores are plain arrays and no
-autodiff graph is built.
+``ModelParams.tensors``, in which case the scores are plain arrays and
+no op builds a closure or any other autodiff bookkeeping.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,14 +174,22 @@ def init_params(config, word2id, pos2id, labels, seed=0):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=16)
 def edge_mask(n):
-    """(n+1, n+1) 0/1 mask of candidate edges i -> j."""
+    """(n+1, n+1) 0/1 mask of candidate edges i -> j. Read-only: one
+    array per length serves every sentence of that length."""
     idx = np.arange(n + 1)
-    return ((idx[None, :] >= 1) & (idx[:, None] != idx[None, :])).astype(np.float64)
+    mask = ((idx[None, :] >= 1) & (idx[:, None] != idx[None, :])).astype(np.float64)
+    mask.flags.writeable = False
+    return mask
 
 
 def sib_mask(n):
-    """Valid {i->j, i->k} pairs: both edges valid, j != k."""
+    """(n+1, n+1, n+1) 0/1 mask of valid sibling pairs {i->j, i->k} and
+    valid chains i->j->k, one predicate: both edges valid (j, k >= 1)
+    and i, j, k pairwise distinct (j != k for a pair; k != i rules out a
+    2-cycle in a chain). ``trilinear`` zeroes these cells in place
+    without building the mask."""
     idx = np.arange(n + 1)
     i = idx[:, None, None]
     j = idx[None, :, None]
@@ -186,13 +197,7 @@ def sib_mask(n):
     return ((j >= 1) & (k >= 1) & (i != j) & (i != k) & (j != k)).astype(np.float64)
 
 
-def gp_mask(n):
-    """Valid chains i->j->k: both edges valid, no 2-cycle (k != i)."""
-    idx = np.arange(n + 1)
-    i = idx[:, None, None]
-    j = idx[None, :, None]
-    k = idx[None, None, :]
-    return ((j >= 1) & (k >= 1) & (i != j) & (j != k) & (k != i)).astype(np.float64)
+gp_mask = sib_mask
 
 
 # ---------------------------------------------------------------------------
@@ -207,64 +212,84 @@ def _dropout(x, p, rng):
     return ad.mul(x, mask)
 
 
-def gru(A, U, reverse=False):
-    """One GRU direction over precomputed input projections, differentiable.
+def _by_position(x):
+    """(n1, 2, ...) in step order -> (2, n1, ...) in position order."""
+    return np.stack((x[:, 0], x[::-1, 1]))
 
-    A = (A_z, A_r, A_h) are the (n1, dh) input projections x_t W_g^T + b_g
-    of the update gate, the reset gate and the candidate state, and
-    U = (U_z, U_r, U_h) the (dh, dh) recurrent matrices. From h = 0, each
-    position t (last to first when reverse) computes
+
+def gru(A, U):
+    """Both GRU directions over precomputed input projections, in
+    lockstep, differentiable.
+
+    A = (A_z, A_r, A_h) of the forward direction followed by those of the
+    backward one: the (n1, dh) input projections x_t W_g^T + b_g of the
+    update gate, the reset gate and the candidate state. U likewise holds
+    the six (dh, dh) recurrent matrices (U_z, U_r, U_h). From h = 0, each
+    step of a direction computes
         z = sigmoid(A_z[t] + U_z h),  r = sigmoid(A_r[t] + U_r h),
         c = tanh(A_h[t] + U_h (r * h)),  h = (1 - z) * h + z * c,
-    and row t of the (n1, dh) result is that h. The forward pass is a
-    numpy loop that keeps z, r, c and h of every step; the VJPs are
-    hand-written backpropagation through time."""
-    az, ar, ah = (ad.val(a) for a in A)
-    uz, ur, uh = (ad.val(u) for u in U)
-    n1, dh = az.shape
-    order = range(n1 - 1, -1, -1) if reverse else range(n1)
-    # z and r side by side: one elementwise logistic serves both gates
-    azr = np.concatenate((az, ar), axis=1)
-    ZR, C, H = np.empty((n1, 2 * dh)), np.empty((n1, dh)), np.empty((n1, dh))
-    h = np.zeros(dh)
-    for t in order:
-        ZR[t] = zr = ad.logistic(azr[t] + np.concatenate((uz @ h, ur @ h)))
-        z, r = zr[:dh], zr[dh:]
-        C[t] = c = np.tanh(ah[t] + uh @ (r * h))
-        H[t] = h = (1.0 - z) * h + z * c
-    Hp = np.zeros((n1, dh))  # the state each step started from
-    if reverse:
-        Hp[:-1] = H[1:]
-    else:
-        Hp[1:] = H[:-1]
+    the forward direction for t = 0 .. n1-1 and the backward one for
+    t = n1-1 .. 0. Row t of the (n1, 2 dh) result is both h at t, forward
+    first. Step s runs forward position s and backward position n1-1-s
+    together: the state is both directions' h as a (2, dh, 1) stack of
+    columns, each recurrent product one np.matmul over the directions'
+    stacked matrices, and the gate arithmetic one pass over stacked
+    arrays. Per element the arithmetic is that of one direction at a
+    time, so the result is bit-identical to it. The VJPs are hand-written
+    backpropagation through time in the same lockstep."""
+    a = [ad.val(x) for x in A]
+    u = [ad.val(x) for x in U]
+    n1, dh = a[0].shape
+    # step order, states as columns: [s, 0] is forward position s and
+    # [s, 1] backward position n1-1-s; z and r side by side, so that one
+    # elementwise logistic serves both gates
+    azr = np.concatenate((a[0], a[1], a[3][::-1], a[4][::-1]), axis=1).reshape(n1, 2, 2 * dh, 1)
+    ah = np.concatenate((a[2], a[5][::-1]), axis=1).reshape(n1, 2, dh, 1)
+    # C-ordered stacks (np.concatenate would keep a Fortran-ordered input's
+    # layout, and BLAS rounds a transposed operand differently)
+    uzr = np.array((u[0], u[1], u[3], u[4])).reshape(2, 2 * dh, dh)
+    uh = np.array((u[2], u[5]))
+    ZR, C, H = np.empty((n1, 2, 2 * dh, 1)), np.empty((n1, 2, dh, 1)), np.empty((n1, 2, dh, 1))
+    h = np.zeros((2, dh, 1))
+    for s in range(n1):
+        zr = ad.logistic(azr[s] + np.matmul(uzr, h), out=ZR[s])
+        z, r = zr[:, :dh], zr[:, dh:]
+        c = np.tanh(ah[s] + np.matmul(uh, r * h), out=C[s])
+        h = np.add((1.0 - z) * h, z * c, out=H[s])
+    out = np.concatenate((H[:, 0, :, 0], H[::-1, 1, :, 0]), axis=1)
+    parents = (*A, *U)
+    if not ad.any_var(parents):
+        return out
+    ZR, C, H = ZR[..., 0], C[..., 0], H[..., 0]
+    Hp = np.zeros((n1, 2, dh))  # the state each step started from
+    Hp[1:] = H[:-1]
 
     def bptt(g):
-        dzr, dc = np.empty((n1, 2 * dh)), np.empty((n1, dh))
-        uzr = np.concatenate((uz, ur))
-        carry = np.zeros(dh)  # dL/dh flowing back from later steps
-        for t in reversed(order):
-            dh_t = g[t] + carry
-            zr, c, hp = ZR[t], C[t], Hp[t]
-            z, r = zr[:dh], zr[dh:]
-            dc[t] = dct = dh_t * z * (1.0 - c * c)
-            drh = dct @ uh
-            dzr[t, :dh] = dh_t * (c - hp)
-            dzr[t, dh:] = drh * hp
-            dzr[t] *= zr * (1.0 - zr)
-            carry = dh_t * (1.0 - z) + drh * r + dzr[t] @ uzr
-        dz, dr = dzr[:, :dh], dzr[:, dh:]
-        return dz, dr, dc, dz.T @ Hp, dr.T @ Hp, dc.T @ (ZR[:, dh:] * Hp)
+        G = np.empty((n1, 2, dh))
+        G[:, 0], G[:, 1] = g[:, :dh], g[::-1, dh:]
+        dZR, dC = np.empty((n1, 2, 2 * dh)), np.empty((n1, 2, dh))
+        carry = np.zeros((2, dh))  # dL/dh flowing back from later steps
+        for s in range(n1 - 1, -1, -1):
+            dh_s = G[s] + carry
+            zr, c, hp = ZR[s], C[s], Hp[s]
+            z, r = zr[:, :dh], zr[:, dh:]
+            dC[s] = dcs = dh_s * z * (1.0 - c * c)
+            drh = np.matmul(dcs[:, None, :], uh)[:, 0]
+            dZR[s, :, :dh] = dh_s * (c - hp)
+            dZR[s, :, dh:] = drh * hp
+            dZR[s] *= zr * (1.0 - zr)
+            carry = dh_s * (1.0 - z) + drh * r + np.matmul(dZR[s][:, None, :], uzr)[:, 0]
+        dZR, dC, Hp_, R = (_by_position(x) for x in (dZR, dC, Hp, ZR[:, :, dh:]))
+        dz, dr = dZR[:, :, :dh], dZR[:, :, dh:]
+        dUz = np.matmul(dz.transpose(0, 2, 1), Hp_)
+        dUr = np.matmul(dr.transpose(0, 2, 1), Hp_)
+        dUh = np.matmul(dC.transpose(0, 2, 1), R * Hp_)
+        return (dz[0], dr[0], dC[0], dz[1], dr[1], dC[1],
+                dUz[0], dUr[0], dUh[0], dUz[1], dUr[1], dUh[1])
 
-    parents = (*A, *U)
     shared = ad.shared_backward(parents, bptt)
-    vjps = tuple((lambda g, k=k: shared(g)[k]) for k in range(6))
-    return ad.custom_op(H, parents, vjps)
-
-
-def _gru_direction(X, pv, direction):
-    A = [_proj(X, pv, f"gru_{direction}_{g}") for g in _GATES]
-    U = [pv[f"gru_{direction}_{g}_U"] for g in _GATES]
-    return gru(A, U, reverse=direction == "bw")
+    vjps = tuple((lambda g, k=k: shared(g)[k]) for k in range(12))
+    return ad.custom_op(out, parents, vjps)
 
 
 def encode(sentence, params, pv=None, dropout_rng=None):
@@ -278,7 +303,8 @@ def encode(sentence, params, pv=None, dropout_rng=None):
         axis=1,
     )
     E = _dropout(E, params.config.p_drop_embed if dropout_rng is not None else 0.0, dropout_rng)
-    return ad.concat([_gru_direction(E, pv, "fw"), _gru_direction(E, pv, "bw")], axis=1)
+    A = [_proj(E, pv, f"gru_{d}_{g}") for d in ("fw", "bw") for g in _GATES]
+    return gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES])
 
 
 def _aug(x):
@@ -302,60 +328,79 @@ def score_edges(H, params, pv=None, dropout_rng=None):
     return ad.mul(s, edge_mask(n))
 
 
-def trilinear(gh, gd, W):
-    """s[i,j,k] = sum_abc gh[i,a] W[a,b,c] gd[j,b] gd[k,c], differentiable.
+def _zero_invalid(s):
+    """Multiply by 0.0, in place, the cells of an (m, n, n) cube that
+    hold no valid sibling pair or chain: j = 0, k = 0, or two of i, j, k
+    equal (the cells ``sib_mask`` zeroes). A product keeps the sign of
+    the cell, as the product with a 0/1 mask does."""
+    m, n = s.shape[:2]
+    d = min(m, n)
+    # einsum with a repeated index returns a writeable view of a diagonal
+    for cells in (s[:, 0], s[:, :, 0], np.einsum("ijj->ij", s),
+                  np.einsum("iik->ik", s[:d, :d]), np.einsum("iji->ij", s[:d, :, :d])):
+        cells *= 0.0
 
-    gh is (m, e), gd (n, d) and W (e, d, d); s is (m, n, n). The forward
-    pass and the VJPs are BLAS matmuls on reshaped views."""
+
+def trilinear(gh, gd, W):
+    """s[i,j,k] = sum_abc gh[i,a] W[a,b,c] gd[j,b] gd[k,c] on valid
+    cells and 0 elsewhere, differentiable.
+
+    gh is (m, e), gd (n, d) and W (e, d, d); s is (m, n, n). A cell is
+    valid when j, k >= 1 and i, j, k are pairwise distinct; the op zeroes
+    the others in its output, and in the adjoint before the VJPs. The
+    forward pass and the VJPs are BLAS matmuls on reshaped views."""
     vh, vd, vw = ad.val(gh), ad.val(gd), ad.val(W)
     (m, e), (n, d) = vh.shape, vd.shape
     t1 = (vh @ vw.reshape(e, d * d)).reshape(m, d, d)  # t1[i,b,c]
     t2 = np.matmul(vd, t1)  # t2[i,j,c]
     # m GEMMs: one (m*n, d) GEMM touches more BLAS buffer (parse-long +7 MB RSS)
     s = t2 @ vd.T
+    _zero_invalid(s)
+    if not ad.any_var((gh, gd, W)):
+        return s
 
     def intermediates(g):
+        g = g.copy()
+        _zero_invalid(g)
         dt2 = (g.reshape(m * n, n) @ vd).reshape(m, n, d)
-        return dt2, np.matmul(vd.T, dt2)  # dt2[i,j,c], dt1[i,b,c]
+        return g, dt2, np.matmul(vd.T, dt2)  # masked g, dt2[i,j,c], dt1[i,b,c]
 
     shared = ad.shared_backward((gh, gd, W), intermediates)
 
     def d_gh(g):
-        _, dt1 = shared(g)
+        dt1 = shared(g)[2]
         return dt1.reshape(m, d * d) @ vw.reshape(e, d * d).T
 
     def d_gd(g):
-        dt2, _ = shared(g)
+        g, dt2, _ = shared(g)
         as_k = g.reshape(m * n, n).T @ t2.reshape(m * n, d)
         as_j = np.matmul(dt2, t1.transpose(0, 2, 1)).sum(axis=0)
         return as_k + as_j
 
     def d_W(g):
-        _, dt1 = shared(g)
+        dt1 = shared(g)[2]
         return (vh.T @ dt1.reshape(m, d * d)).reshape(e, d, d)
 
     return ad.custom_op(s, (gh, gd, W), (d_gh, d_gd, d_W))
 
 
-def _trilinear(H, pv, W_name, mask, params, dropout_rng):
+def _trilinear(H, pv, W_name, params, dropout_rng):
     p = params.config.p_drop_bin if dropout_rng is not None else 0.0
     gh = _proj(_dropout(H, p, dropout_rng), pv, "bin_head")
     gd = _proj(_dropout(H, p, dropout_rng), pv, "bin_dep")
-    return ad.mul(trilinear(gh, gd, pv[W_name]), mask)
+    return trilinear(gh, gd, pv[W_name])
 
 
 def score_siblings(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.tensors
-    n = ad.val(H).shape[0] - 1
-    return _trilinear(H, pv, "W_sib", sib_mask(n), params, dropout_rng)
+    return _trilinear(H, pv, "W_sib", params, dropout_rng)
 
 
 def score_grandparents(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.tensors
-    n = ad.val(H).shape[0] - 1
-    return _trilinear(H, pv, "W_gp", gp_mask(n), params, dropout_rng)
+    return _trilinear(H, pv, "W_gp", params, dropout_rng)
 
 
 def biaffine_labels(lh, ld, U):
@@ -366,7 +411,9 @@ def biaffine_labels(lh, ld, U):
     vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
     (m, a), (n, b), L = vh.shape, vd.shape, vu.shape[0]
     t1 = np.matmul(vh, vu).reshape(L * m, b)  # t1[l*m+i, b]
-    s = (t1 @ vd.T).reshape(L, m, n).transpose(1, 2, 0)
+    s = np.ascontiguousarray((t1 @ vd.T).reshape(L, m, n).transpose(1, 2, 0))
+    if not ad.any_var((lh, ld, U)):
+        return s
 
     def intermediates(g):
         gl = np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(L * m, n)
@@ -386,7 +433,7 @@ def biaffine_labels(lh, ld, U):
         _, dt1 = shared(g)
         return np.matmul(vh.T, dt1)
 
-    return ad.custom_op(np.ascontiguousarray(s), (lh, ld, U), (d_lh, d_ld, d_U))
+    return ad.custom_op(s, (lh, ld, U), (d_lh, d_ld, d_U))
 
 
 def score_labels(H, params, pv=None, dropout_rng=None):

@@ -315,9 +315,13 @@ def initial_params(corpus, config, model_config=None):
 def train(corpus, dev, config, params=None, model_config=None, log=None, target_uas=None):
     """Token-budget batch training with LR decay, AMSGrad switch and
     early stopping, all driven by dev-set improvement. Raises ConlluError
-    before any work if a corpus or dev word lacks gold HEAD or DEPREL."""
+    before any work if a corpus or dev word lacks a valid gold HEAD or a
+    DEPREL, and ValueError if the dev set is empty (no evaluation could
+    pick a snapshot)."""
     require_annotated(corpus, "training corpus")
     require_annotated(dev, "dev set")
+    if not dev:
+        raise ValueError("empty dev set")
     corpus = filter_long(corpus, config.max_train_len)
     if not corpus:
         raise ValueError("empty training corpus")

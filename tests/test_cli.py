@@ -11,6 +11,8 @@ from mfdep.scorer import ModelConfig, build_vocabs, init_params, load_embeddings
 from mfdep.trainer import TrainConfig, save_model, train
 
 TINY_DIMS = dict(d_word=4, d_pos=2, d_hidden=3, d_edge=4, d_label=3, d_bin=2)
+# one training step at TINY_DIMS: a run that should have been refused ends quickly
+TINY_RUN_CFG = "max_iterations = 1\n" + "".join(f"{k} = {v}\n" for k, v in TINY_DIMS.items())
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +178,83 @@ def test_train_and_eval_reject_unannotated_input(command, workspace, tmp_path, c
     err = capsys.readouterr().err
     assert "sentence 7 (sent_id raw-1)" in err and str(raw) in err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("head", ["-1", "3", "1"])  # below 0, above n = 2, own index
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_reject_invalid_gold_heads(command, head, workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.conllu"
+    with open(workspace["train"], encoding="utf-8") as f:
+        bad.write_text(
+            f.read() + "# sent_id = bad-1\n"
+            f"1\tHe\the\tPRON\tPRP\t_\t{head}\tnsubj\t_\t_\n"
+            "2\truns\trun\tVERB\tVBZ\t_\t0\troot\t_\t_\n\n",
+            encoding="utf-8",
+        )
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    if command == "train":
+        argv = ["train", "--train", str(bad), "--config", str(cfg),
+                "--model", str(tmp_path / "m.bin")]
+    else:
+        argv = ["eval", "--gold", str(bad), "--pred", str(bad)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: sentence 7 (sent_id bad-1), word 1 has HEAD {head};" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_train_rejects_an_empty_dev_file(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.conllu"
+    empty.write_text("", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", workspace["train"], "--dev", str(empty),
+                "--config", str(cfg), "--model", str(model)]) == 1
+    assert str(empty) in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):
+    # perfbench counts tokens and times layers by rebinding these functions
+    # in every mfdep module; a parse that bypassed a binding would go uncounted
+    import sys
+
+    from mfdep import decoder, kernels, scorer, tree
+
+    calls = {}
+
+    def rebind(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(name, []).append(args)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if mod is not None and (modname == "mfdep" or modname.startswith("mfdep.")):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+
+    for module, name in [
+        (scorer, "score_sentence"), (scorer, "encode"), (scorer, "score_edges"),
+        (scorer, "score_siblings"), (scorer, "score_grandparents"), (scorer, "score_labels"),
+        (decoder, "mfvi"), (kernels, "messages_forward"), (tree, "decode"),
+    ]:
+        rebind(module, name)
+    sentences = read_conllu_file(workspace["train"])
+    assert run(["parse", "--model", workspace["model"], "--input", workspace["train"],
+                "--output", str(tmp_path / "out.conllu")]) == 0
+    assert [args[0] for args in calls["score_sentence"]] == sentences
+    for name in ("encode", "score_edges", "score_siblings", "score_grandparents",
+                 "score_labels", "mfvi", "decode"):
+        assert len(calls[name]) == len(sentences), name
+    # the workspace model runs T = 2 iterations: two (q, sib, gp) calls per sentence
+    sizes = [len(s) + 1 for s in sentences for _ in range(2)]
+    assert [len(args) for args in calls["messages_forward"]] == [3] * len(sizes)
+    assert [args[0].shape for args in calls["messages_forward"]] == [(k, k) for k in sizes]
 
 
 def test_eval_text_output(workspace, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 import mfdep.autodiff as ad
 from mfdep.conllu import parse_conllu
+from mfdep.decoder import mfvi
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import (
     ModelConfig,
@@ -24,6 +25,7 @@ from mfdep.scorer import (
     trilinear,
 )
 from mfdep.trainer import sentence_loss
+from mfdep.tree import DecodeConfig, decode
 
 WORDS = ["the", "dog", "barks", "loudly", "cat"]
 POS = ["DET", "NOUN", "VERB", "ADV", "NOUN"]
@@ -137,6 +139,12 @@ def _trilinear_einsum(gh, gd, W):
     return np.einsum("ijc,kc->ijk", t2, gd)
 
 
+def _valid_cells(m, n):
+    """(m, n, n) bool: j, k >= 1 and i, j, k pairwise distinct."""
+    i, j, k = np.ogrid[:m, :n, :n]
+    return (j >= 1) & (k >= 1) & (i != j) & (i != k) & (j != k)
+
+
 def test_trilinear_op_matches_einsum_at_default_dims():
     rng = np.random.default_rng(3)
     n, d = 40, ModelConfig().d_bin
@@ -144,7 +152,21 @@ def test_trilinear_op_matches_einsum_at_default_dims():
     gd = rng.normal(size=(n + 1, d))
     W = rng.normal(0.0, 0.25, size=(d, d, d))
     got = ad.val(trilinear(gh, gd, W))
-    np.testing.assert_allclose(got, _trilinear_einsum(gh, gd, W), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        got, _trilinear_einsum(gh, gd, W) * sib_mask(n), rtol=0, atol=1e-9
+    )
+    assert not got[sib_mask(n) == 0].any()
+
+
+def test_trilinear_zeroes_exactly_the_sib_mask_cells():
+    assert gp_mask is sib_mask
+    rng = np.random.default_rng(8)
+    for n in range(1, 30):
+        gh = rng.uniform(0.5, 1.0, size=(n + 1, 2))
+        gd = rng.uniform(0.5, 1.0, size=(n + 1, 2))
+        s = trilinear(gh, gd, rng.uniform(0.5, 1.0, size=(2, 2, 2)))
+        np.testing.assert_array_equal(s != 0, sib_mask(n) == 1)
+        np.testing.assert_array_equal(sib_mask(n) == 1, _valid_cells(n + 1, n + 1))
 
 
 @pytest.mark.parametrize("m,e,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
@@ -166,12 +188,54 @@ def test_trilinear_op_gradient_non_square(m, e, n, d):
 
     out, leaves = run()
     np.testing.assert_allclose(
-        out.value, np.sum(_trilinear_einsum(*arrays.values()) * weights), atol=1e-12
+        out.value,
+        np.sum(_trilinear_einsum(*arrays.values()) * _valid_cells(m, n) * weights),
+        atol=1e-12,
     )
     ad.backward(out)
     fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
     for k in arrays:
         np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-6)
+
+
+def _trilinear_vjp_einsum(gh, gd, W, g):
+    """VJP of the unmasked trilinear form for the adjoint g."""
+    return {
+        "gh": np.einsum("ijk,abc,jb,kc->ia", g, W, gd, gd),
+        "gd": np.einsum("ijk,abc,ia,kc->jb", g, W, gh, gd)
+        + np.einsum("ijk,abc,ia,jb->kc", g, W, gh, gd),
+        "W": np.einsum("ijk,ia,jb,kc->abc", g, gh, gd, gd),
+    }
+
+
+@pytest.mark.parametrize("m,e,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
+def test_masked_trilinear_gradient(m, e, n, d):
+    # the op's gradient is the unmasked VJP of the adjoint with its invalid
+    # cells zeroed: adjoint mass on invalid cells moves nothing
+    rng = np.random.default_rng(m * 10 + n)
+    arrays = {
+        "gh": rng.normal(size=(m, e)),
+        "gd": rng.normal(size=(n, d)),
+        "W": rng.normal(size=(e, d, d)),
+    }
+    valid = _valid_cells(m, n)
+    dense = rng.normal(size=(m, n, n))
+
+    def grads(weights):
+        leaves = {k: ad.Var(v) for k, v in arrays.items()}
+        ad.backward(ad.sum_all(ad.mul(trilinear(*leaves.values()), weights)))
+        return {k: v.grad for k, v in leaves.items()}
+
+    for k, g in grads(dense * ~valid).items():
+        assert not g.any(), k
+    got = grads(dense)
+    expect = _trilinear_vjp_einsum(*arrays.values(), dense * valid)
+    fd = finite_diff_gradient(
+        lambda p: float(np.sum(ad.val(trilinear(*arrays.values())) * dense)), arrays, eps=1e-6
+    )
+    for k in arrays:
+        np.testing.assert_allclose(got[k], expect[k], rtol=1e-10, atol=1e-10, err_msg=k)
+        np.testing.assert_allclose(got[k], fd[k], rtol=1e-6, atol=1e-6, err_msg=k)
 
 
 def test_trilinear_op_second_backward_uses_new_adjoint():
@@ -195,8 +259,8 @@ def test_trilinear_op_second_backward_uses_new_adjoint():
 
 
 def _gru_reference(A, U, reverse):
-    """The recurrence written out step by step, with the arithmetic of the
-    GRU built from elementwise autodiff ops."""
+    """One direction of the recurrence written out step by step, with the
+    arithmetic of the GRU built from elementwise autodiff ops."""
     def sigmoid(x):
         return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
 
@@ -213,34 +277,52 @@ def _gru_reference(A, U, reverse):
     return out
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("views", [False, True])
 @pytest.mark.parametrize("n1,dh", [(1, 3), (6, 24), (12, 100)])
-def test_gru_op_matches_reference_loop(n1, dh, reverse):
+def test_gru_op_matches_reference_loop(n1, dh, views):
+    # views: the inputs are column blocks of one array and the recurrent
+    # matrices transposed views, as non-contiguous as a caller may pass them
+    # (the reference gets C-ordered copies of the matrices: BLAS rounds a
+    # product with a transposed operand differently)
     rng = np.random.default_rng(n1 + dh)
-    A = tuple(rng.normal(size=(n1, dh)) for _ in range(3))
-    U = tuple(rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(3))
-    got = gru(A, U, reverse)
+    if views:
+        P = rng.normal(size=(n1, 6 * dh))
+        A = [P[:, k * dh:(k + 1) * dh] for k in range(6)]
+        U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)).T for _ in range(6)]
+    else:
+        A = [rng.normal(size=(n1, dh)) for _ in range(6)]
+        U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(6)]
+    got = gru(A, U)
     assert type(got) is np.ndarray
-    np.testing.assert_array_equal(got, _gru_reference(A, U, reverse))
+    Uc = [np.ascontiguousarray(u) for u in U]
+    expect = np.concatenate(
+        [_gru_reference(A[:3], Uc[:3], False), _gru_reference(A[3:], Uc[3:], True)], axis=1
+    )
+    np.testing.assert_array_equal(got, expect)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("bw_only", [False, True])
 @pytest.mark.parametrize("n1", [1, 3, 5])
-def test_gru_op_gradient(n1, reverse):
-    # inputs reach the op through W x + b with d_in != dh, as in encode
+def test_gru_op_gradient(n1, bw_only):
+    # inputs reach the op through W x + b with d_in != dh, as in encode;
+    # bw_only: the loss reads only the backward half, so every forward
+    # parameter must get an exactly zero gradient
     d_in, dh = 4, 3
-    rng = np.random.default_rng(10 * n1 + reverse)
+    rng = np.random.default_rng(10 * n1 + bw_only)
     arrays = {"X": rng.normal(size=(n1, d_in))}
-    for g in "zrh":
-        arrays[f"W_{g}"] = rng.normal(size=(dh, d_in))
-        arrays[f"b_{g}"] = rng.normal(size=dh)
-        arrays[f"U_{g}"] = rng.normal(size=(dh, dh))
-    weights = rng.normal(size=(n1, dh))
+    for k in (f"{d}{g}" for d in "fb" for g in "zrh"):
+        arrays[f"W_{k}"] = rng.normal(size=(dh, d_in))
+        arrays[f"b_{k}"] = rng.normal(size=dh)
+        arrays[f"U_{k}"] = rng.normal(size=(dh, dh))
+    weights = rng.normal(size=(n1, 2 * dh))
+    if bw_only:
+        weights[:, :dh] = 0.0
 
     def run():
         v = {k: ad.Var(a) for k, a in arrays.items()}
-        A = [ad.add(ad.matmul(v["X"], ad.transpose(v[f"W_{g}"])), v[f"b_{g}"]) for g in "zrh"]
-        H = gru(A, [v[f"U_{g}"] for g in "zrh"], reverse)
+        keys = [f"{d}{g}" for d in "fb" for g in "zrh"]
+        A = [ad.add(ad.matmul(v["X"], ad.transpose(v[f"W_{k}"])), v[f"b_{k}"]) for k in keys]
+        H = gru(A, [v[f"U_{k}"] for k in keys])
         return ad.sum_all(ad.mul(H, weights)), v
 
     out, leaves = run()
@@ -248,6 +330,8 @@ def test_gru_op_gradient(n1, reverse):
     fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
     for k in arrays:
         np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-8, err_msg=k)
+        if bw_only and k[2:3] == "f":
+            assert not leaves[k].grad.any(), k
 
 
 def _labels_einsum(lh, ld, U):
@@ -302,6 +386,20 @@ def test_scoring_plain_params_builds_no_graph_and_training_does():
     for name, var in pv.items():
         assert var.grad is not None and var.grad.shape == params.tensors[name].shape, name
         assert np.any(var.grad != 0.0), name
+
+
+@pytest.mark.parametrize("variant", ["local2o", "single2o"])
+def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("graph bookkeeping on plain arrays")
+
+    monkeypatch.setattr(ad.Var, "__init__", no_graph)
+    monkeypatch.setattr(ad, "shared_backward", no_graph)
+    params = make_params(seed=6)
+    scores = score_sentence(make_sentence(4), params)
+    post = mfvi(scores, variant, 2)
+    tree = decode(post, label_distribution(scores.s_label), DecodeConfig())
+    assert len(tree.heads) == 4 and len(tree.labels) == 4
 
 
 def test_label_distribution_uniform_and_degenerate():

@@ -424,6 +424,31 @@ def test_train_rejects_unannotated_sentences(head, deprel, where):
         train(corpus, dev, cfg, model_config=mc)
 
 
+@pytest.mark.parametrize("head", ["-1", "3", "1"])  # below 0, above n = 2, own index
+@pytest.mark.parametrize("where", ["corpus", "dev"])
+def test_train_rejects_invalid_gold_heads(head, where):
+    bad = parse_conllu(
+        f"1\ta\ta\tX\tX\t_\t{head}\tdep\t_\t_\n"
+        "2\tb\tb\tX\tX\t_\t0\troot\t_\t_\n\n"
+    )
+    good = [make_sentence(2)]
+    corpus, dev = (bad, good) if where == "corpus" else (good, bad)
+    cfg = TrainConfig(variant="local2o", max_iterations=1, batch_tokens=50)
+    mc = ModelConfig(d_word=3, d_pos=2, d_hidden=2, d_edge=3, d_label=2, d_bin=2)
+    name = "training corpus" if where == "corpus" else "dev set"
+    with pytest.raises(ConlluError, match=f"{name}: sentence 1, word 1 has HEAD {head};"):
+        train(corpus, dev, cfg, model_config=mc)
+
+
+def test_train_rejects_an_empty_dev_set(monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer, "batch_gradients", lambda *a, **kw: steps.append(a))
+    cfg = TrainConfig(variant="local2o", max_iterations=2, eval_every=1, batch_tokens=50)
+    with pytest.raises(ValueError, match="empty dev set"):
+        train([make_sentence(3)], [], cfg, params=make_params(seed=3))
+    assert not steps
+
+
 def test_train_lr_decay_arithmetic():
     corpus = [make_sentence(2)]
     cfg = TrainConfig(
