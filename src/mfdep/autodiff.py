@@ -8,9 +8,11 @@ and checks for that before it builds any closure: nothing can ask for
 its gradient, so inference on plain parameter arrays builds no graph
 and pays only for the arithmetic.
 ``backward`` walks them from a scalar root in reverse topological order
-and accumulates adjoints into every reachable Var. Parents never point
-back at their children, so a graph is freed by reference counting as
-soon as its root goes out of scope.
+and accumulates adjoints into every reachable Var. A VJP result that
+nothing else can reach becomes the parent's first ``grad`` as it is
+(see ``_adoptable``); any other result is copied first. Parents never
+point back at their children, so a graph is freed by reference counting
+as soon as its root goes out of scope.
 """
 from __future__ import annotations
 
@@ -48,14 +50,42 @@ def backward(root, seed_grad=None):
         for parent in node._parents:
             if isinstance(parent, Var) and id(parent) not in seen:
                 stack.append((parent, False))
-    _accum(root, np.asarray(seed_grad, dtype=np.float64))
+    if root.grad is None:
+        root.grad = np.array(seed_grad, dtype=np.float64)
+    else:
+        root.grad += seed_grad
+    adopted = set()  # ids of adopted VJP results; each lives on as a grad, so ids stay unique
     for node in reversed(order):
         g = node.grad
         if g is None:
             continue
         for parent, vjp in zip(node._parents, node._vjps):
-            if isinstance(parent, Var):
-                _accum(parent, vjp(g))
+            if not isinstance(parent, Var):
+                continue
+            r = vjp(g)
+            if parent.grad is not None:
+                parent.grad += r
+            elif r is not g and id(r) not in adopted and _adoptable(r, parent):
+                adopted.add(id(r))
+                parent.grad = r
+            else:
+                parent.grad = np.array(r, dtype=np.float64)
+
+
+def _adoptable(r, var):
+    """True when VJP result r may become var's grad as it is: a
+    writeable float64 ndarray of var's shape that owns its data, so it
+    is no view of another array. ``backward`` also refuses the adjoint
+    itself and an array another Var adopted. VJPs keep no reference to
+    the arrays they return, so such an array is reachable through r
+    alone, and adding into it later changes nothing else."""
+    return (
+        type(r) is np.ndarray
+        and r.base is None
+        and r.dtype == np.float64
+        and r.flags.writeable
+        and r.shape == var.value.shape
+    )
 
 
 class Var:
@@ -103,13 +133,6 @@ def any_var(xs):
         if isinstance(x, Var):
             return True
     return False
-
-
-def _accum(var, g):
-    if var.grad is None:
-        var.grad = np.array(g, dtype=np.float64, copy=True)
-    else:
-        var.grad += g
 
 
 def val(x):

@@ -1,7 +1,7 @@
 """The mean-field message kernel, its VJP, and its multiply-add count.
 
 The message computation is the Theta(n^3) inner loop of each inference
-iteration; both directions are numpy einsums over masked score tensors.
+iteration; both directions are numpy einsums over the score tensors.
 
 Conventions: ``q`` is an (n+1)x(n+1) matrix with ``q[i, j]`` the current
 belief that word j attaches to head i (column 0 is all zeros: the root
@@ -10,6 +10,13 @@ has no head). ``sib[i, j, k]`` scores the edge pair {i->j, i->k} and
 (i, j) sums, over third words k distinct from i and j,
 
     q[i,k]*sib[i,j,k] + q[j,k]*gp[i,j,k] + q[k,i]*gp[k,i,j]
+
+Precondition: ``sib`` and ``gp`` are 0 on every cell that holds no valid
+pair or chain (j = 0, k = 0, or two of i, j, k equal; ``scorer.sib_mask``),
+as ``scorer.trilinear`` leaves them. The einsums then sum over all k, the
+terms with k = i or k = j being 0, and no 3-D mask is built or applied.
+``messages_backward`` returns dsib and dgp on those cells too: they are
+the derivatives of the unrestricted sums, and ``trilinear`` zeroes them.
 """
 from __future__ import annotations
 
@@ -23,47 +30,32 @@ def backend_name():
     return "numpy"
 
 
-_MASK_CACHE_SIZE = 8  # masks are 2*(n+1)^3 floats; a sentence reuses one size
+_MASK_CACHE_SIZE = 8  # a sentence reuses one size
 
 
 @functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
 def _masks(n1):
-    """Per-size constant masks, cached for the most recent sizes.
-
-    pair[i,j]: candidate edge i->j (dependent j >= 1, i != j).
-    k3[i,j,k]: third index differs from the first two.
-    k1[k,i,j]: first index differs from the last two.
-    """
+    """pair[i,j]: candidate edge i->j (dependent j >= 1, i != j), as a
+    0/1 float matrix cached for the most recent sizes."""
     idx = np.arange(n1)
-    pair = (idx[None, :] >= 1) & (idx[:, None] != idx[None, :])
-    a0 = idx[:, None, None]
-    a1 = idx[None, :, None]
-    a2 = idx[None, None, :]
-    k3 = ((a2 != a0) & (a2 != a1)).astype(np.float64)
-    k1 = ((a0 != a1) & (a0 != a2)).astype(np.float64)
-    return pair.astype(np.float64), k3, k1
+    return ((idx[None, :] >= 1) & (idx[:, None] != idx[None, :])).astype(np.float64)
 
 
 def messages_forward(q, sib, gp):
-    pair, k3, k1 = _masks(q.shape[0])
-    t1 = np.einsum("ik,ijk->ij", q, sib * k3)
-    t2 = np.einsum("jk,ijk->ij", q, gp * k3)
-    t3 = np.einsum("ki,kij->ij", q, gp * k1)
-    return (t1 + t2 + t3) * pair
+    t1 = np.einsum("ik,ijk->ij", q, sib)
+    t2 = np.einsum("jk,ijk->ij", q, gp)
+    t3 = np.einsum("ki,kij->ij", q, gp)
+    return (t1 + t2 + t3) * _masks(q.shape[0])
 
 
 def messages_backward(dm, q, sib, gp):
-    pair, k3, k1 = _masks(q.shape[0])
-    dmp = dm * pair
-    sibm = sib * k3
-    gpm = gp * k3
-    gp1 = gp * k1
-    dq = np.einsum("ij,ijk->ik", dmp, sibm)
-    dq += np.einsum("ij,ijk->jk", dmp, gpm)
-    dq += np.einsum("ij,kij->ki", dmp, gp1)
-    dsib = dmp[:, :, None] * q[:, None, :] * k3
-    dgp = dmp[:, :, None] * q[None, :, :] * k3
-    dgp += q[:, :, None] * dmp[None, :, :] * k1
+    dmp = dm * _masks(q.shape[0])
+    dq = np.einsum("ij,ijk->ik", dmp, sib)
+    dq += np.einsum("ij,ijk->jk", dmp, gp)
+    dq += np.einsum("ij,kij->ki", dmp, gp)
+    dsib = dmp[:, :, None] * q[:, None, :]
+    dgp = dmp[:, :, None] * q[None, :, :]
+    dgp += q[:, :, None] * dmp[None, :, :]
     return dq, dsib, dgp
 
 

@@ -379,7 +379,9 @@ def trilinear(gh, gd, W):
 
     def d_W(g):
         dt1 = shared(g)[2]
-        return (vh.T @ dt1.reshape(m, d * d)).reshape(e, d, d)
+        dW = np.empty((e, d, d))  # an owning array, so backward adopts it
+        np.matmul(vh.T, dt1.reshape(m, d * d), out=dW.reshape(e, d * d))
+        return dW
 
     return ad.custom_op(s, (gh, gd, W), (d_gh, d_gd, d_W))
 

@@ -149,7 +149,7 @@ _ADAM_BLOCK = 1 << 15  # elements per block: a block of p, m, v, g stays in cach
 class AdamState:
     def __init__(self, tensors):
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self.m = None  # allocated on the first step with beta1 != 0
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.vmax = None  # allocated on the first AMSGrad step
         self.amsgrad = False
@@ -175,7 +175,11 @@ def adam_step(params, grads, state, config, lr=None):
         p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
 
     (v replaced by its running max under AMSGrad), so the update is
-    bit-identical to it. Parameter tensors must be C-contiguous."""
+    bit-identical to it. With b1 = 0 the first moment is g itself and
+    bc1 is 1, so g stands in for m / bc1 and no m is kept: bit-identical
+    too, except that a parameter of -0.0 given a gradient of -0.0 may
+    become +0.0 where the formula keeps -0.0. Parameter tensors must be
+    C-contiguous."""
     flat = {name: g.reshape(-1) for name, g in grads.items()}
     for g in flat.values():
         for lo, hi in _blocks(g.size):
@@ -188,6 +192,8 @@ def adam_step(params, grads, state, config, lr=None):
     state.t += 1
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
+    if b1 != 0.0 and state.m is None:
+        state.m = {k: np.zeros_like(v) for k, v in state.v.items()}
     if state.amsgrad and state.vmax is None:
         state.vmax = {k: np.zeros_like(v) for k, v in state.v.items()}
     for name, p in params.tensors.items():
@@ -197,14 +203,12 @@ def adam_step(params, grads, state, config, lr=None):
         if not p.flags.c_contiguous:
             raise ValueError(f"parameter tensor {name!r} is not C-contiguous")
         p = p.reshape(-1)
-        m = state.m[name].reshape(-1)
+        m = state.m[name].reshape(-1) if b1 != 0.0 else None
         v = state.v[name].reshape(-1)
         vmax = state.vmax[name].reshape(-1) if state.amsgrad else None
         for lo, hi in _blocks(p.size):
-            gb, mb, vb, pb = g[lo:hi], m[lo:hi], v[lo:hi], p[lo:hi]
+            gb, vb, pb = g[lo:hi], v[lo:hi], p[lo:hi]
             a, b = state.work[:, : hi - lo]
-            mb *= b1
-            mb += np.multiply(1.0 - b1, gb, out=a)
             vb *= b2
             np.multiply(1.0 - b2, gb, out=a)
             vb += np.multiply(a, gb, out=a)
@@ -215,8 +219,13 @@ def adam_step(params, grads, state, config, lr=None):
                 np.divide(np.maximum(xb, vb, out=xb), bc2, out=a)
             np.sqrt(a, out=a)
             a += eps
-            np.divide(mb, bc1, out=b)
-            np.multiply(lr, b, out=b)
+            if m is None:  # b1 = 0: m / bc1 is g
+                np.multiply(lr, gb, out=b)
+            else:
+                mb = m[lo:hi]
+                mb *= b1
+                mb += np.multiply(1.0 - b1, gb, out=b)
+                np.multiply(lr, np.divide(mb, bc1, out=b), out=b)
             pb -= np.divide(b, a, out=b)
     return True
 
@@ -356,6 +365,7 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
         iteration += 1
         loss, grads = batch_gradients(batch, params, config, dropout_rng)
         stepped = adam_step(params, grads, state, config, lr=lr)
+        del grads  # not kept through evaluation and the next backward
         entry = {"iteration": iteration, "loss": loss, "lr": lr, "stepped": stepped}
 
         if iteration % eval_every == 0 or iteration == max_iters:

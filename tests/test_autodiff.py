@@ -174,3 +174,81 @@ def test_backward_requires_scalar_seed_or_matching_grad():
     y = ad.mul(x, 2.0)
     ad.backward(y, seed_grad=np.ones((2, 2)))
     np.testing.assert_allclose(x.grad, 2.0 * np.ones((2, 2)))
+
+
+def _assert_no_shared_grads(*vars_):
+    grads = [v.grad for v in vars_]
+    for i, a in enumerate(grads):
+        assert a is not None
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+
+
+def test_add_of_a_var_with_itself_gets_its_own_grad():
+    # both VJPs of add(x, x) return views of y's grad: x must copy, not
+    # alias y's grad and then add the second view into it
+    x = _leaf([1.0, -2.0, 3.0])
+    w = np.array([0.5, 2.0, -1.0])
+    y = ad.add(x, x)
+    z = ad.mul(y, w)
+    out = ad.sum_all(z)
+    ad.backward(out)
+    np.testing.assert_array_equal(x.grad, 2.0 * w)
+    np.testing.assert_array_equal(y.grad, w)
+    _assert_no_shared_grads(x, y, z, out)
+
+
+def test_concat_transpose_and_permute_grads_are_not_views():
+    a, b = _leaf(np.ones((2, 3))), _leaf(np.ones((2, 2)))
+    c = _leaf(np.ones((2, 3, 4)))
+    w1 = np.arange(10.0).reshape(2, 5)
+    w2 = np.arange(6.0).reshape(3, 2)
+    w3 = np.arange(24.0).reshape(4, 2, 3)
+    cat = ad.concat([a, b], axis=1)
+    t = ad.transpose(a)
+    p = ad.permute(c, (2, 0, 1))
+    terms = [ad.mul(cat, w1), ad.mul(t, w2), ad.mul(p, w3)]
+    sums = [ad.sum_all(x) for x in terms]
+    out = ad.add(ad.add(sums[0], sums[1]), sums[2])
+    ad.backward(out)
+    np.testing.assert_array_equal(a.grad, w1[:, :3] + w2.T)
+    np.testing.assert_array_equal(b.grad, w1[:, 3:])
+    np.testing.assert_array_equal(c.grad, w3.transpose(1, 2, 0))
+    _assert_no_shared_grads(a, b, c, cat, t, p, *terms, *sums, out)
+
+
+def test_custom_op_returning_its_adjoint_is_copied():
+    x = _leaf([2.0, 5.0])
+    w = np.array([3.0, -1.0])
+    y = ad.custom_op(x.value.copy(), (x,), (lambda g: g,))
+    z = ad.mul(y, w)
+    ad.backward(ad.sum_all(z))
+    np.testing.assert_array_equal(x.grad, w)
+    _assert_no_shared_grads(x, y, z)
+
+
+def test_one_array_returned_to_two_parents_is_adopted_once():
+    x1, x2 = _leaf([1.0, 2.0]), _leaf([3.0, 4.0])
+    shared = ad.shared_backward((x1, x2), lambda g: g * 2.0)
+    y = ad.custom_op(x1.value + x2.value, (x1, x2), (shared, shared))
+    ad.backward(ad.sum_all(ad.mul(y, np.array([1.0, -1.0]))))
+    np.testing.assert_array_equal(x1.grad, [2.0, -2.0])
+    np.testing.assert_array_equal(x2.grad, [2.0, -2.0])
+    _assert_no_shared_grads(x1, x2, y)
+
+
+def test_fresh_vjp_result_is_adopted_and_the_seed_is_not():
+    x = _leaf([1.0, 2.0])
+    returned = []
+
+    def vjp(g):
+        returned.append(g * 3.0)
+        return returned[-1]
+
+    y = ad.custom_op(x.value * 3.0, (x,), (vjp,))
+    seed = np.array([1.0, -1.0])
+    ad.backward(y, seed)
+    assert y.grad is not seed and not np.shares_memory(y.grad, seed)
+    assert x.grad is returned[0]  # owned and reachable from no other Var
+    np.testing.assert_array_equal(x.grad, [3.0, -3.0])
+    np.testing.assert_array_equal(seed, [1.0, -1.0])

@@ -258,6 +258,21 @@ def test_trilinear_op_second_backward_uses_new_adjoint():
     np.testing.assert_array_equal(gd.grad, fresh_gd.grad)
 
 
+def test_trilinear_weight_gradient_is_adopted_not_copied():
+    # d_W returns an array of its own in W's shape, so backward makes it
+    # W's grad as it is: the (d_bin^3) weight gradients are never copied
+    rng = np.random.default_rng(11)
+    gh, gd = ad.Var(rng.normal(size=(4, 3))), ad.Var(rng.normal(size=(5, 2)))
+    W = ad.Var(rng.normal(size=(3, 2, 2)))
+    s = trilinear(gh, gd, W)
+    returned = []
+    d_W = s._vjps[2]
+    s._vjps = (*s._vjps[:2], lambda g: returned.append(d_W(g)) or returned[-1])
+    ad.backward(s, rng.normal(size=(4, 5, 5)))
+    assert W.grad is returned[0]
+    assert W.grad.base is None and W.grad.shape == (3, 2, 2)
+
+
 def _gru_reference(A, U, reverse):
     """One direction of the recurrence written out step by step, with the
     arithmetic of the GRU built from elementwise autodiff ops."""

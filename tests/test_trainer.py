@@ -1,5 +1,7 @@
 import gc
 import math
+import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -158,7 +160,8 @@ def test_adam_zero_gradient_no_op():
     state = AdamState(params.tensors)
     assert adam_step(params, {"t": np.zeros(2)}, state, _bowl_config())
     np.testing.assert_array_equal(params.tensors["t"], [1.0, -2.0])
-    assert not state.m["t"].any() and not state.v["t"].any()
+    assert state.m is None  # beta1 = 0: the first moment is the gradient
+    assert not state.v["t"].any()
 
 
 def test_adam_single_step_magnitude():
@@ -261,7 +264,10 @@ def test_adam_blocks_match_whole_array_formula_bit_for_bit(beta1):
         for k, g in grads.items():
             _reference_adam_step(ref[k], ref_m[k], ref_v[k], ref_vmax[k], g, step, cfg, amsgrad)
             np.testing.assert_array_equal(params.tensors[k], ref[k])
-            np.testing.assert_array_equal(state.m[k], ref_m[k])
+            if beta1 == 0.0:
+                assert state.m is None
+            else:
+                np.testing.assert_array_equal(state.m[k], ref_m[k])
             np.testing.assert_array_equal(state.v[k], ref_v[k])
             if amsgrad:
                 np.testing.assert_array_equal(state.vmax[k], ref_vmax[k])
@@ -438,6 +444,53 @@ def test_train_rejects_invalid_gold_heads(head, where):
     name = "training corpus" if where == "corpus" else "dev set"
     with pytest.raises(ConlluError, match=f"{name}: sentence 1, word 1 has HEAD {head};"):
         train(corpus, dev, cfg, model_config=mc)
+
+
+def test_train_frees_the_batch_gradient_after_its_adam_step(monkeypatch):
+    # the batch gradient (as large as the parameters) must not live on
+    # through dev evaluation, the snapshot copy and the next backward
+    refs, evaluated = [], []
+    real_adam_step = trainer.adam_step
+
+    def watched_adam_step(params, grads, state, config, lr=None):
+        refs[:] = [weakref.ref(g) for g in grads.values()]
+        return real_adam_step(params, grads, state, config, lr=lr)
+
+    def checked_evaluate(*a, **kw):
+        assert refs and all(r() is None for r in refs)
+        evaluated.append(True)
+        return 50.0, 50.0, None
+
+    monkeypatch.setattr(trainer, "adam_step", watched_adam_step)
+    monkeypatch.setattr(trainer, "evaluate", checked_evaluate)
+    cfg = TrainConfig(variant="local2o", iterations=2, max_iterations=2, eval_every=1,
+                      batch_tokens=50)
+    train([make_sentence(3)], [make_sentence(3)], cfg, params=make_params(seed=3))
+    assert len(evaluated) == 2
+
+
+def test_training_step_memory_budget_at_default_dims():
+    # P = parameter bytes. Adam's state at beta1 = 0 is the second moment
+    # only (a first moment would add P), and a step holds one gradient
+    # array per parameter (a copy of a d_bin^3 weight gradient adds 0.45 P)
+    sent = make_sentence(10)
+    cfg = TrainConfig(variant="local2o")
+    assert cfg.adam_beta1 == 0.0
+    params = init_params(ModelConfig.for_variant("local2o"), *build_vocabs([sent]), seed=0)
+    P = sum(a.nbytes for a in params.tensors.values())
+    tracemalloc.start()
+    try:
+        state = AdamState(params.tensors)
+        _, peak = tracemalloc.get_traced_memory()
+        assert peak <= 1.05 * P
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        _, grads = batch_gradients([sent], params, cfg)
+        assert adam_step(params, grads, state, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 1.3 * P
 
 
 def test_train_rejects_an_empty_dev_set(monkeypatch):
