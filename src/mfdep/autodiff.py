@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
 Each op returns a Var that holds its value, its parent Vars and one VJP
-closure per parent; the graph is nothing more than these parent links.
-An op none of whose operands is a Var returns the plain numpy result
-instead (a numpy scalar where numpy gives one, as for two 0-d arrays),
-and checks for that before it builds any closure: nothing can ask for
+closure that maps the adjoint of the value to one adjoint per parent, in
+parent order; the graph is nothing more than these parent links. An op
+none of whose operands is a Var returns the plain numpy result instead
+(a numpy scalar where numpy gives one, as for two 0-d arrays), and
+checks for that before it builds any closure: nothing can ask for
 its gradient, so inference on plain parameter arrays builds no graph
 and pays only for the arithmetic.
 ``backward`` walks them from a scalar root in reverse topological order
@@ -57,12 +58,11 @@ def backward(root, seed_grad=None):
     adopted = set()  # ids of adopted VJP results; each lives on as a grad, so ids stay unique
     for node in reversed(order):
         g = node.grad
-        if g is None:
+        if g is None or node._vjp is None:
             continue
-        for parent, vjp in zip(node._parents, node._vjps):
+        for parent, r in zip(node._parents, node._vjp(g), strict=True):
             if not isinstance(parent, Var):
                 continue
-            r = vjp(g)
             if parent.grad is not None:
                 parent.grad += r
             elif r is not g and id(r) not in adopted and _adoptable(r, parent):
@@ -91,13 +91,13 @@ def _adoptable(r, var):
 class Var:
     """A node in the computation graph holding a float64 ndarray."""
 
-    __slots__ = ("value", "grad", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "_parents", "_vjp")
 
-    def __init__(self, value, parents=(), vjps=()):
+    def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._vjps = vjps
+        self._vjp = vjp
 
     @property
     def shape(self):
@@ -128,7 +128,7 @@ class Var:
 
 def any_var(xs):
     """True when some element of xs is a Var: only then does an op
-    build closures for a backward pass."""
+    build its VJP for a backward pass."""
     for x in xs:
         if isinstance(x, Var):
             return True
@@ -154,14 +154,7 @@ def add(a, b):
     y = va + vb
     if not (isinstance(a, Var) or isinstance(b, Var)):
         return y
-    return Var(
-        y,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g, va.shape),
-            lambda g: _unbroadcast(g, vb.shape),
-        ),
-    )
+    return Var(y, (a, b), lambda g: (_unbroadcast(g, va.shape), _unbroadcast(g, vb.shape)))
 
 
 def sub(a, b):
@@ -169,14 +162,7 @@ def sub(a, b):
     y = va - vb
     if not (isinstance(a, Var) or isinstance(b, Var)):
         return y
-    return Var(
-        y,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g, va.shape),
-            lambda g: _unbroadcast(-g, vb.shape),
-        ),
-    )
+    return Var(y, (a, b), lambda g: (_unbroadcast(g, va.shape), _unbroadcast(-g, vb.shape)))
 
 
 def mul(a, b):
@@ -185,12 +171,7 @@ def mul(a, b):
     if not (isinstance(a, Var) or isinstance(b, Var)):
         return y
     return Var(
-        y,
-        (a, b),
-        (
-            lambda g: _unbroadcast(g * vb, va.shape),
-            lambda g: _unbroadcast(g * va, vb.shape),
-        ),
+        y, (a, b), lambda g: (_unbroadcast(g * vb, va.shape), _unbroadcast(g * va, vb.shape))
     )
 
 
@@ -200,14 +181,7 @@ def matmul(a, b):
     y = va @ vb
     if not (isinstance(a, Var) or isinstance(b, Var)):
         return y
-    return Var(y, (a, b), (lambda g: g @ vb.T, lambda g: va.T @ g))
-
-
-def exp(a):
-    y = np.exp(val(a))
-    if not isinstance(a, Var):
-        return y
-    return Var(y, (a,), (lambda g: g * y,))
+    return Var(y, (a, b), lambda g: (g @ vb.T, va.T @ g))
 
 
 def log(a):
@@ -215,7 +189,7 @@ def log(a):
     y = np.log(va)
     if not isinstance(a, Var):
         return y
-    return Var(y, (a,), (lambda g: g / va,))
+    return Var(y, (a,), lambda g: (g / va,))
 
 
 def logistic(x, out=None):
@@ -232,7 +206,7 @@ def sigmoid(a):
     y = logistic(val(a))
     if not isinstance(a, Var):
         return y
-    return Var(y, (a,), (lambda g: g * y * (1.0 - y),))
+    return Var(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def clip_min(a, floor):
@@ -240,7 +214,7 @@ def clip_min(a, floor):
     y = np.maximum(va, floor)
     if not isinstance(a, Var):
         return y
-    return Var(y, (a,), (lambda g: g * (va > floor),))
+    return Var(y, (a,), lambda g: (g * (va > floor),))
 
 
 def softmax(a, axis):
@@ -250,18 +224,20 @@ def softmax(a, axis):
     y = e / e.sum(axis=axis, keepdims=True)
     if not isinstance(a, Var):
         return y
-
-    def da(g):
-        return y * (g - (g * y).sum(axis=axis, keepdims=True))
-
-    return Var(y, (a,), (da,))
+    return Var(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def sum_all(a):
     va = val(a)
     if not isinstance(a, Var):
         return np.asarray(va.sum())
-    return Var(va.sum(), (a,), (lambda g: g * np.ones_like(va),))
+    return Var(va.sum(), (a,), lambda g: (g * np.ones_like(va),))
+
+
+def _scatter_add(va, index, g):
+    out = np.zeros_like(va)
+    np.add.at(out, index, g)
+    return out
 
 
 def gather_rows(a, idx):
@@ -269,13 +245,7 @@ def gather_rows(a, idx):
     idx = np.asarray(idx, dtype=np.intp)
     if not isinstance(a, Var):
         return va[idx]
-
-    def da(g):
-        out = np.zeros_like(va)
-        np.add.at(out, idx, g)
-        return out
-
-    return Var(va[idx], (a,), (da,))
+    return Var(va[idx], (a,), lambda g: (_scatter_add(va, idx, g),))
 
 
 def take_at(a, index):
@@ -284,13 +254,7 @@ def take_at(a, index):
     index = tuple(np.asarray(ix, dtype=np.intp) for ix in index)
     if not isinstance(a, Var):
         return va[index]
-
-    def da(g):
-        out = np.zeros_like(va)
-        np.add.at(out, index, g)
-        return out
-
-    return Var(va[index], (a,), (da,))
+    return Var(va[index], (a,), lambda g: (_scatter_add(va, index, g),))
 
 
 def concat(parts, axis=0):
@@ -298,57 +262,29 @@ def concat(parts, axis=0):
     y = np.concatenate(vals, axis=axis)
     if not any_var(parts):
         return y
-    offsets = np.cumsum([0] + [v.shape[axis] for v in vals])
-
-    def make_vjp(k):
-        sl = [slice(None)] * vals[k].ndim
-        sl[axis] = slice(offsets[k], offsets[k + 1])
-        sl = tuple(sl)
-        return lambda g: g[sl]
-
-    return Var(y, tuple(parts), tuple(make_vjp(k) for k in range(len(parts))))
+    cuts = np.cumsum([v.shape[axis] for v in vals[:-1]])
+    return Var(y, tuple(parts), lambda g: np.split(g, cuts, axis=axis))
 
 
 def transpose(a):
     if not isinstance(a, Var):
         return val(a).T
-    return Var(a.value.T, (a,), (lambda g: g.T,))
+    return Var(a.value.T, (a,), lambda g: (g.T,))
 
 
 def permute(a, axes):
     if not isinstance(a, Var):
         return val(a).transpose(axes)
     inv = tuple(np.argsort(axes))
-    return Var(a.value.transpose(axes), (a,), (lambda g: g.transpose(inv),))
+    return Var(a.value.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def custom_op(value, parents, vjps):
-    """Wrap an externally computed primitive with hand-written VJPs: a
-    Var linked to its parents when one of them is a Var, else the plain
+def custom_op(value, parents, vjp):
+    """Wrap an externally computed primitive with a hand-written VJP,
+    ``vjp(g)`` returning one adjoint per parent in parent order: a Var
+    linked to its parents when one of them is a Var, else the plain
     float64 array. The ops in ``scorer`` and ``decoder`` check
-    ``any_var(parents)`` before they build their VJPs."""
+    ``any_var(parents)`` before they build their VJP."""
     if any_var(parents):
-        return Var(value, tuple(parents), tuple(vjps))
+        return Var(value, tuple(parents), vjp)
     return np.asarray(value, dtype=np.float64)
-
-
-def shared_backward(parents, compute):
-    """Let the VJPs of one op share the work of a backward pass.
-
-    ``backward`` calls the VJPs of an op's Var parents back to back with
-    one adjoint g. The returned function gives ``compute(g)``: the first
-    call computes it, and the call for the last Var parent releases it,
-    so the next backward through the op starts afresh."""
-    live = sum(isinstance(p, Var) for p in parents)
-    memo = []
-
-    def shared(g):
-        if not memo:
-            memo[:] = [compute(g), live]
-        out = memo[0]
-        memo[1] -= 1
-        if memo[1] == 0:
-            memo.clear()
-        return out
-
-    return shared

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -84,6 +85,10 @@ def _cmd_train(args):
     if args.iterations is not None:
         cfg_kwargs["iterations"] = args.iterations
     model_keys = {"d_word", "d_pos", "d_hidden", "d_edge", "d_label", "d_bin"}
+    known = model_keys | {f.name for f in dataclasses.fields(TrainConfig)}
+    for key in overrides:
+        if key not in known:
+            raise ValueError(f"{args.config}: unknown key {key!r}")
     model_overrides = {k: v for k, v in overrides.items() if k in model_keys}
     cfg_kwargs.update({k: v for k, v in overrides.items() if k not in model_keys})
     config = TrainConfig(**cfg_kwargs)
@@ -92,7 +97,7 @@ def _cmd_train(args):
     if model_overrides:
         from .scorer import ModelConfig
 
-        model_config = ModelConfig.for_variant(args.variant, **model_overrides)
+        model_config = ModelConfig.for_variant(config.variant, **model_overrides)
     params = initial_params(corpus, config, model_config)
     if args.embeddings:
         load_embeddings(args.embeddings, params)

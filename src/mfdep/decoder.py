@@ -34,11 +34,9 @@ def _mfvi_messages(q, sib, gp):
     parents = (q, sib, gp)
     if not ad.any_var(parents):
         return m
-    shared = ad.shared_backward(
-        parents,
-        lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, sv, gv),
+    return ad.custom_op(
+        m, parents, lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, sv, gv)
     )
-    return ad.custom_op(m, parents, tuple((lambda g, k=k: shared(g)[k]) for k in range(3)))
 
 
 @dataclass

@@ -14,13 +14,14 @@ has no head). ``sib[i, j, k]`` scores the edge pair {i->j, i->k} and
 Precondition: ``sib`` and ``gp`` are 0 on every cell that holds no valid
 pair or chain (j = 0, k = 0, or two of i, j, k equal; ``scorer.sib_mask``),
 as ``scorer.trilinear`` leaves them. The einsums then sum over all k, the
-terms with k = i or k = j being 0, and no 3-D mask is built or applied.
-``messages_backward`` returns dsib and dgp on those cells too: they are
-the derivatives of the unrestricted sums, and ``trilinear`` zeroes them.
+terms with k = i or k = j being 0, and no mask is built or applied: the
+message on a cell that is no candidate edge is a sum of signed zeros, and
+``messages_backward`` passes the adjoint on such a cell to dq only
+through those zeros, and to dsib and dgp only on cells that are not valid
+either. It returns dsib and dgp on invalid cells too: they are the derivatives of the unrestricted sums, and
+``trilinear`` zeroes them.
 """
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -30,32 +31,20 @@ def backend_name():
     return "numpy"
 
 
-_MASK_CACHE_SIZE = 8  # a sentence reuses one size
-
-
-@functools.lru_cache(maxsize=_MASK_CACHE_SIZE)
-def _masks(n1):
-    """pair[i,j]: candidate edge i->j (dependent j >= 1, i != j), as a
-    0/1 float matrix cached for the most recent sizes."""
-    idx = np.arange(n1)
-    return ((idx[None, :] >= 1) & (idx[:, None] != idx[None, :])).astype(np.float64)
-
-
 def messages_forward(q, sib, gp):
     t1 = np.einsum("ik,ijk->ij", q, sib)
     t2 = np.einsum("jk,ijk->ij", q, gp)
     t3 = np.einsum("ki,kij->ij", q, gp)
-    return (t1 + t2 + t3) * _masks(q.shape[0])
+    return t1 + t2 + t3
 
 
 def messages_backward(dm, q, sib, gp):
-    dmp = dm * _masks(q.shape[0])
-    dq = np.einsum("ij,ijk->ik", dmp, sib)
-    dq += np.einsum("ij,ijk->jk", dmp, gp)
-    dq += np.einsum("ij,kij->ki", dmp, gp)
-    dsib = dmp[:, :, None] * q[:, None, :]
-    dgp = dmp[:, :, None] * q[None, :, :]
-    dgp += q[:, :, None] * dmp[None, :, :]
+    dq = np.einsum("ij,ijk->ik", dm, sib)
+    dq += np.einsum("ij,ijk->jk", dm, gp)
+    dq += np.einsum("ij,kij->ki", dm, gp)
+    dsib = dm[:, :, None] * q[:, None, :]
+    dgp = dm[:, :, None] * q[None, :, :]
+    dgp += q[:, :, None] * dm[None, :, :]
     return dq, dsib, dgp
 
 

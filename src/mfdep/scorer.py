@@ -235,7 +235,7 @@ def gru(A, U):
     columns, each recurrent product one np.matmul over the directions'
     stacked matrices, and the gate arithmetic one pass over stacked
     arrays. Per element the arithmetic is that of one direction at a
-    time, so the result is bit-identical to it. The VJPs are hand-written
+    time, so the result is bit-identical to it. The VJP is hand-written
     backpropagation through time in the same lockstep."""
     a = [ad.val(x) for x in A]
     u = [ad.val(x) for x in U]
@@ -287,9 +287,7 @@ def gru(A, U):
         return (dz[0], dr[0], dC[0], dz[1], dr[1], dC[1],
                 dUz[0], dUr[0], dUh[0], dUz[1], dUr[1], dUh[1])
 
-    shared = ad.shared_backward(parents, bptt)
-    vjps = tuple((lambda g, k=k: shared(g)[k]) for k in range(12))
-    return ad.custom_op(out, parents, vjps)
+    return ad.custom_op(out, parents, bptt)
 
 
 def encode(sentence, params, pv=None, dropout_rng=None):
@@ -347,8 +345,8 @@ def trilinear(gh, gd, W):
 
     gh is (m, e), gd (n, d) and W (e, d, d); s is (m, n, n). A cell is
     valid when j, k >= 1 and i, j, k are pairwise distinct; the op zeroes
-    the others in its output, and in the adjoint before the VJPs. The
-    forward pass and the VJPs are BLAS matmuls on reshaped views."""
+    the others in its output, and in the adjoint before its VJP. The
+    forward pass and the VJP are BLAS matmuls on reshaped views."""
     vh, vd, vw = ad.val(gh), ad.val(gd), ad.val(W)
     (m, e), (n, d) = vh.shape, vd.shape
     t1 = (vh @ vw.reshape(e, d * d)).reshape(m, d, d)  # t1[i,b,c]
@@ -359,31 +357,19 @@ def trilinear(gh, gd, W):
     if not ad.any_var((gh, gd, W)):
         return s
 
-    def intermediates(g):
+    def vjp(g):
         g = g.copy()
         _zero_invalid(g)
-        dt2 = (g.reshape(m * n, n) @ vd).reshape(m, n, d)
-        return g, dt2, np.matmul(vd.T, dt2)  # masked g, dt2[i,j,c], dt1[i,b,c]
-
-    shared = ad.shared_backward((gh, gd, W), intermediates)
-
-    def d_gh(g):
-        dt1 = shared(g)[2]
-        return dt1.reshape(m, d * d) @ vw.reshape(e, d * d).T
-
-    def d_gd(g):
-        g, dt2, _ = shared(g)
+        dt2 = (g.reshape(m * n, n) @ vd).reshape(m, n, d)  # dt2[i,j,c]
+        dt1 = np.matmul(vd.T, dt2)  # dt1[i,b,c]
+        d_gh = dt1.reshape(m, d * d) @ vw.reshape(e, d * d).T
         as_k = g.reshape(m * n, n).T @ t2.reshape(m * n, d)
         as_j = np.matmul(dt2, t1.transpose(0, 2, 1)).sum(axis=0)
-        return as_k + as_j
-
-    def d_W(g):
-        dt1 = shared(g)[2]
         dW = np.empty((e, d, d))  # an owning array, so backward adopts it
         np.matmul(vh.T, dt1.reshape(m, d * d), out=dW.reshape(e, d * d))
-        return dW
+        return d_gh, as_k + as_j, dW
 
-    return ad.custom_op(s, (gh, gd, W), (d_gh, d_gd, d_W))
+    return ad.custom_op(s, (gh, gd, W), vjp)
 
 
 def _trilinear(H, pv, W_name, params, dropout_rng):
@@ -409,7 +395,7 @@ def biaffine_labels(lh, ld, U):
     """s[i,j,l] = sum_ab lh[i,a] U[l,a,b] ld[j,b], differentiable.
 
     lh is (m, a), ld (n, b) and U (L, a, b); s is (m, n, L). The forward
-    pass and the VJPs are batched BLAS matmuls on reshaped views."""
+    pass and the VJP are batched BLAS matmuls on reshaped views."""
     vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
     (m, a), (n, b), L = vh.shape, vd.shape, vu.shape[0]
     t1 = np.matmul(vh, vu).reshape(L * m, b)  # t1[l*m+i, b]
@@ -417,25 +403,13 @@ def biaffine_labels(lh, ld, U):
     if not ad.any_var((lh, ld, U)):
         return s
 
-    def intermediates(g):
-        gl = np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(L * m, n)
-        return gl, (gl @ vd).reshape(L, m, b)  # gl[l*m+i, j], dt1[l,i,b]
+    def vjp(g):
+        gl = np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(L * m, n)  # gl[l*m+i, j]
+        dt1 = (gl @ vd).reshape(L, m, b)  # dt1[l,i,b]
+        return (np.matmul(dt1, vu.transpose(0, 2, 1)).sum(axis=0), gl.T @ t1,
+                np.matmul(vh.T, dt1))
 
-    shared = ad.shared_backward((lh, ld, U), intermediates)
-
-    def d_lh(g):
-        _, dt1 = shared(g)
-        return np.matmul(dt1, vu.transpose(0, 2, 1)).sum(axis=0)
-
-    def d_ld(g):
-        gl, _ = shared(g)
-        return gl.T @ t1
-
-    def d_U(g):
-        _, dt1 = shared(g)
-        return np.matmul(vh.T, dt1)
-
-    return ad.custom_op(s, (lh, ld, U), (d_lh, d_ld, d_U))
+    return ad.custom_op(s, (lh, ld, U), vjp)
 
 
 def score_labels(H, params, pv=None, dropout_rng=None):

@@ -58,6 +58,8 @@ class TrainConfig:
             raise ValueError("lambda must lie in [0, 1]")
         if self.decay_step < 1:
             raise ValueError("decay_step must be >= 1")
+        if not self.scale > 0:
+            raise ValueError("scale must be > 0")
         if self.variant.endswith("1o"):
             self.iterations = 0
 

@@ -8,7 +8,7 @@ import mfdep.decoder
 from mfdep.cli import run
 from mfdep.conllu import read_conllu_file, write_conllu_file
 from mfdep.scorer import ModelConfig, build_vocabs, init_params, load_embeddings
-from mfdep.trainer import TrainConfig, save_model, train
+from mfdep.trainer import TrainConfig, load_model, save_model, train
 
 TINY_DIMS = dict(d_word=4, d_pos=2, d_hidden=3, d_edge=4, d_label=3, d_bin=2)
 # one training step at TINY_DIMS: a run that should have been refused ends quickly
@@ -213,6 +213,43 @@ def test_train_rejects_an_empty_dev_file(workspace, tmp_path, capsys):
     assert run(["train", "--train", workspace["train"], "--dev", str(empty),
                 "--config", str(cfg), "--model", str(model)]) == 1
     assert str(empty) in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_checkpoint_records_the_variant_the_config_file_sets(workspace, tmp_path):
+    # the config file's variant wins over --variant, for the model too:
+    # its config and its d_edge default are those of the variant trained
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("max_iterations = 1\nvariant = single2o\n"
+                   + "".join(f"{k} = {v}\n" for k, v in TINY_DIMS.items() if k != "d_edge"),
+                   encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--variant", "local2o", "--train", workspace["train"],
+                "--config", str(cfg), "--model", str(model)]) == 0
+    config = load_model(str(model)).config
+    assert config.variant == "single2o"
+    assert config.d_edge == ModelConfig.for_variant("single2o").d_edge
+
+
+def test_train_rejects_an_unknown_config_key(workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG + "lamda = 0.3\n", encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{cfg}: unknown key 'lamda'" in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("scale", ["0", "-2"])
+def test_train_rejects_a_scale_that_is_not_positive(scale, workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--scale", scale, "--model", str(model)]) == 1
+    assert "error: scale must be > 0" in capsys.readouterr().err
     assert not model.exists()
 
 

@@ -239,8 +239,8 @@ def test_masked_trilinear_gradient(m, e, n, d):
 
 
 def test_trilinear_op_second_backward_uses_new_adjoint():
-    # the shared backward intermediates belong to one adjoint, also when
-    # W is a plain array that gets no VJP call
+    # the backward intermediates belong to one adjoint, also when W is a
+    # plain array whose adjoint backward discards
     rng = np.random.default_rng(7)
     gh0, gd0 = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
     W = rng.normal(size=(2, 2, 2))
@@ -259,15 +259,22 @@ def test_trilinear_op_second_backward_uses_new_adjoint():
 
 
 def test_trilinear_weight_gradient_is_adopted_not_copied():
-    # d_W returns an array of its own in W's shape, so backward makes it
-    # W's grad as it is: the (d_bin^3) weight gradients are never copied
+    # the VJP returns dW as an array of its own in W's shape, so backward
+    # makes it W's grad as it is: the (d_bin^3) weight gradients are never
+    # copied
     rng = np.random.default_rng(11)
     gh, gd = ad.Var(rng.normal(size=(4, 3))), ad.Var(rng.normal(size=(5, 2)))
     W = ad.Var(rng.normal(size=(3, 2, 2)))
     s = trilinear(gh, gd, W)
     returned = []
-    d_W = s._vjps[2]
-    s._vjps = (*s._vjps[:2], lambda g: returned.append(d_W(g)) or returned[-1])
+    vjp = s._vjp
+
+    def recording_vjp(g):
+        adjoints = vjp(g)
+        returned.append(adjoints[2])
+        return adjoints
+
+    s._vjp = recording_vjp
     ad.backward(s, rng.normal(size=(4, 5, 5)))
     assert W.grad is returned[0]
     assert W.grad.base is None and W.grad.shape == (3, 2, 2)
@@ -409,7 +416,6 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
         raise AssertionError("graph bookkeeping on plain arrays")
 
     monkeypatch.setattr(ad.Var, "__init__", no_graph)
-    monkeypatch.setattr(ad, "shared_backward", no_graph)
     params = make_params(seed=6)
     scores = score_sentence(make_sentence(4), params)
     post = mfvi(scores, variant, 2)

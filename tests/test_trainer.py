@@ -11,6 +11,7 @@ import mfdep.autodiff as ad
 from conftest import TOY_TREEBANK, random_scores
 from mfdep.conllu import ConlluError, parse_conllu, read_conllu_file
 from mfdep.decoder import mfvi_local, mfvi_single
+from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import ModelConfig, build_vocabs, edge_mask, init_params
 import mfdep.trainer as trainer
 from mfdep.trainer import (
@@ -43,6 +44,9 @@ def test_config_defaults_per_variant():
         TrainConfig(lam=1.5)
     with pytest.raises(ValueError):
         TrainConfig(decay_step=0)
+    for scale in (0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="scale"):
+            TrainConfig(scale=scale)
 
 
 def test_config_scale_shrinks_schedule():
@@ -149,6 +153,29 @@ def test_lambda_endpoints_zero_out_one_path():
         assert not pv[zeroed].grad.any()
         other = "U_edge" if zeroed == "U_label" else "U_label"
         assert pv[other].grad.any()
+
+
+@pytest.mark.parametrize("variant", ["local2o", "single2o"])
+def test_dropout_loss_gradients_match_finite_differences(variant):
+    # every dropout site active; re-seeding the mask generator for each
+    # evaluation keeps the masks fixed, so the loss is smooth in the params
+    params = make_params(seed=8)
+    for name in ("p_drop_embed", "p_drop_edge", "p_drop_label", "p_drop_bin"):
+        setattr(params.config, name, 0.3)
+    sent = make_sentence(4)
+
+    def loss(rng_seed=17):
+        rng = None if rng_seed is None else np.random.default_rng(rng_seed)
+        out, _, pv = sentence_loss(sent, params, variant, 2, 0.4, dropout_rng=rng)
+        return out, pv
+
+    out, pv = loss()
+    assert out.value != loss(None)[0].value  # the masks drop something
+    ad.backward(out)
+    fd = finite_diff_gradient(lambda p: float(loss()[0].value), params.tensors, eps=1e-6)
+    for name, var in pv.items():
+        denom = np.maximum(1.0, np.maximum(np.abs(var.grad), np.abs(fd[name])))
+        assert np.max(np.abs(var.grad - fd[name]) / denom) <= 1e-7, name
 
 
 def _bowl_config():
