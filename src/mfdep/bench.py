@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .decoder import mfvi
+from .decoder import VARIANTS, mfvi
 from .scorer import ScoreTensors, edge_mask, gp_mask, sib_mask
-
-VARIANTS = ("local1o", "single1o", "local2o", "single2o")
 
 # hardware-specific sentences/second reported for the original systems
 # (single GTX 1080 Ti); printed for reference only, never asserted.

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-VARIANTS = ("local1o", "single1o", "local2o", "single2o")
+from .decoder import VARIANTS
 
 
 def _log(msg):
@@ -112,27 +112,15 @@ def _cmd_train(args):
 
 def _cmd_parse(args):
     from .conllu import read_conllu_file, write_conllu_file
-    from .decoder import mfvi
-    from .scorer import label_distribution, score_sentence
-    from .tree import DecodeConfig, DecodeStats, decode
-    from .trainer import load_model
+    from .tree import DecodeStats
+    from .trainer import load_model, parse_sentences
 
     params = load_model(args.model)
-    variant, iterations = args.variant, args.iterations
-    if variant is None:
-        variant = params.config.variant
-    if iterations is None and variant == params.config.variant:
-        iterations = params.config.iterations
     sentences = read_conllu_file(args.input)
-    cfg = DecodeConfig(single_root=args.single_root == "on")
     stats = DecodeStats()
-    predicted = []
-    for sent in sentences:
-        scores = score_sentence(sent, params)
-        post = mfvi(scores, variant, iterations)
-        p_label = label_distribution(scores.s_label)
-        t = decode(post, p_label, cfg, stats)
-        predicted.append((t.heads.tolist(), [params.labels[i] for i in t.labels]))
+    trees = parse_sentences(params, sentences, args.variant, args.iterations,
+                            args.single_root == "on", stats)
+    predicted = [(t.heads.tolist(), [params.labels[i] for i in t.labels]) for t in trees]
     write_conllu_file(args.output, sentences, predicted)
     _log(f"parsed {stats.sentences} sentences ({stats.mst_calls} MST fallbacks)")
     return 0

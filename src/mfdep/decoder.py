@@ -26,6 +26,8 @@ from .scorer import edge_mask
 
 _NEG = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
 
+VARIANTS = ("local1o", "single1o", "local2o", "single2o")
+
 
 def _mfvi_messages(q, sib, gp):
     """Differentiable message op backed by ``kernels``."""
@@ -93,11 +95,11 @@ def mfvi_single(scores, T=3):
 
 
 def mfvi(scores, variant, T=None):
-    """Dispatch by variant name; first-order variants run with T=0."""
-    v = variant.lower()
-    T = 0 if v.endswith("1o") else 3 if T is None else T
-    if v.startswith("local"):
+    """Dispatch by variant name, one of ``VARIANTS`` exactly; first-order
+    variants run with T=0, second-order ones with T=3 unless given."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    T = 0 if variant.endswith("1o") else 3 if T is None else T
+    if variant.startswith("local"):
         return mfvi_local(scores, T)
-    if v.startswith("single"):
-        return mfvi_single(scores, T)
-    raise ValueError(f"unknown variant {variant!r}")
+    return mfvi_single(scores, T)

@@ -67,10 +67,6 @@ class ScoreTensors:
     def n(self):
         return ad.val(self.s_edge).shape[0] - 1
 
-    @property
-    def n_labels(self):
-        return ad.val(self.s_label).shape[2]
-
     def values(self):
         return (
             ad.val(self.s_edge),
@@ -90,10 +86,6 @@ class ModelParams:
     pos2id: dict
     labels: list
     tensors: dict = field(default_factory=dict)
-
-    @property
-    def n_labels(self):
-        return len(self.labels)
 
     def copy(self):
         return ModelParams(

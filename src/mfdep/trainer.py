@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import autodiff as ad
+from . import decoder
 from .conllu import filter_long, require_annotated
-from .decoder import mfvi
 from .evaluator import uas_las
 from .scorer import (
     ModelConfig,
@@ -22,7 +22,7 @@ from .scorer import (
     score_sentence,
     tensor_shapes,
 )
-from .tree import DecodeConfig, decode
+from .tree import decode
 
 LOG_FLOOR = -30.0  # per-term floor keeping losses finite on degenerate posteriors
 _P_FLOOR = float(np.exp(LOG_FLOOR))
@@ -52,12 +52,19 @@ class TrainConfig:
     single_root: bool = True
 
     def __post_init__(self):
+        if self.variant not in decoder.VARIANTS:
+            raise ValueError(
+                f"unknown variant {self.variant!r}; expected one of {', '.join(decoder.VARIANTS)}"
+            )
+        if self.dev_metric not in ("las", "uas"):
+            raise ValueError(f"dev_metric must be 'las' or 'uas', not {self.dev_metric!r}")
         if self.lam is None:
             self.lam = 0.07 if self.variant.startswith("single") else 0.40
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        if self.decay_step < 1:
-            raise ValueError("decay_step must be >= 1")
+        for name in ("max_iterations", "eval_every", "decay_step", "amsgrad_after", "early_stop"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.scale > 0:
             raise ValueError("scale must be > 0")
         if self.variant.endswith("1o"):
@@ -128,7 +135,7 @@ def sentence_loss(sentence, params, variant, T, lam, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.as_vars()
     scores = score_sentence(sentence, params, pv, dropout_rng)
-    post = mfvi(scores, variant, T)
+    post = decoder.mfvi(scores, variant, T)
     gold_heads = sentence.gold_heads
     if variant.startswith("local"):
         l_edge = edge_loss_local(post.final, gold_heads)
@@ -291,16 +298,28 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
     return total / k, grads
 
 
-def evaluate(params, sentences, variant=None, T=None, single_root=True, punct_mode="upos-punct"):
-    """Parse sentences with the current params and score against gold."""
-    variant = variant or params.config.variant
-    cfg = DecodeConfig(single_root=single_root)
+def parse_sentences(params, sentences, variant=None, T=None, single_root=True, stats=None):
+    """The one inference loop: score, MFVI, decode; one DependencyTree per
+    sentence. ``variant`` defaults to the checkpoint's, and ``T`` to the
+    checkpoint's when the variant is the checkpoint's (to ``mfvi``'s
+    default otherwise). ``stats``, a ``tree.DecodeStats``, counts
+    sentences and MST fallbacks."""
+    if variant is None:
+        variant = params.config.variant
+    if T is None and variant == params.config.variant:
+        T = params.config.iterations
     trees = []
     for sent in sentences:
         scores = score_sentence(sent, params)
-        post = mfvi(scores, variant, T)
+        post = decoder.mfvi(scores, variant, T)
         p_label = label_distribution(scores.s_label)
-        trees.append(decode(post, p_label, cfg))
+        trees.append(decode(post.head_probs(), p_label, single_root, stats))
+    return trees
+
+
+def evaluate(params, sentences, variant=None, T=None, single_root=True, punct_mode="upos-punct"):
+    """UAS, LAS and counts of ``parse_sentences`` (same defaults) against gold."""
+    trees = parse_sentences(params, sentences, variant, T, single_root)
     return uas_las(trees, sentences, punct_mode, label_names=params.labels)
 
 

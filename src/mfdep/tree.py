@@ -9,7 +9,7 @@ lexicographically smallest; results are deterministic either way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,21 +28,9 @@ class DecodeStats:
     mst_calls: int = 0
 
 
-@dataclass
-class DecodeConfig:
-    single_root: bool = True
-
-
-def _head_prob_matrix(q):
-    """Accept a posterior object or a raw n x (n+1) matrix."""
-    if hasattr(q, "head_probs"):
-        return q.head_probs()
-    return np.asarray(ad.val(q), dtype=np.float64)
-
-
-def argmax_heads(q):
-    """heads[j-1] = argmax_i Q_j(i); ties go to the smallest head index."""
-    hp = _head_prob_matrix(q)
+def argmax_heads(hp):
+    """heads[j-1] = argmax_i hp[j-1, i] for the n x (n+1) head-probability
+    matrix hp; ties go to the smallest head index."""
     return hp.argmax(axis=1).astype(np.intp)
 
 
@@ -193,14 +181,12 @@ def assign_labels(p_label, heads):
     return p[np.asarray(heads, dtype=np.intp), deps, :].argmax(axis=1).astype(np.intp)
 
 
-def decode(posterior, p_label, config=None, stats=None):
-    """argmax heads, MST fallback on log posteriors, then labels."""
-    if config is None:
-        config = DecodeConfig()
-    hp = _head_prob_matrix(posterior)
+def decode(hp, p_label, single_root=True, stats=None):
+    """argmax heads of the n x (n+1) head-probability matrix hp (a
+    posterior's ``head_probs()``), MST fallback on its logs, then labels."""
     heads = argmax_heads(hp)
     ok = is_tree(heads)
-    if ok and config.single_root and int(np.sum(heads == 0)) != 1:
+    if ok and single_root and int(np.sum(heads == 0)) != 1:
         ok = False
     if stats is not None:
         stats.sentences += 1
@@ -214,7 +200,7 @@ def decode(posterior, p_label, config=None, stats=None):
         logq[np.isneginf(logq)] = -745.0 * (n + 1)
         w = np.full((n + 1, n + 1), -np.inf)
         w[:, 1:] = logq
-        heads = chu_liu_edmonds(w, single_root=config.single_root)
+        heads = chu_liu_edmonds(w, single_root=single_root)
         if stats is not None:
             stats.mst_calls += 1
     labels = assign_labels(p_label, heads)

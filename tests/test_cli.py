@@ -8,7 +8,7 @@ import mfdep.decoder
 from mfdep.cli import run
 from mfdep.conllu import read_conllu_file, write_conllu_file
 from mfdep.scorer import ModelConfig, build_vocabs, init_params, load_embeddings
-from mfdep.trainer import TrainConfig, load_model, save_model, train
+from mfdep.trainer import TrainConfig, evaluate, load_model, save_model, train
 
 TINY_DIMS = dict(d_word=4, d_pos=2, d_hidden=3, d_edge=4, d_label=3, d_bin=2)
 # one training step at TINY_DIMS: a run that should have been refused ends quickly
@@ -251,6 +251,49 @@ def test_train_rejects_a_scale_that_is_not_positive(scale, workspace, tmp_path, 
                 "--scale", scale, "--model", str(model)]) == 1
     assert "error: scale must be > 0" in capsys.readouterr().err
     assert not model.exists()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("variant = Single2o", "unknown variant 'Single2o'"),
+        ("variant = LOCAL1O", "unknown variant 'LOCAL1O'"),
+        ("dev_metric = foo", "dev_metric must be 'las' or 'uas', not 'foo'"),
+        ("dev_metric = LAS", "dev_metric must be 'las' or 'uas', not 'LAS'"),
+        ("max_iterations = 0", "max_iterations must be >= 1"),
+        ("eval_every = 0", "eval_every must be >= 1"),
+        ("amsgrad_after = 0", "amsgrad_after must be >= 1"),
+        ("early_stop = -3", "early_stop must be >= 1"),
+    ],
+)
+def test_train_rejects_a_bad_config_value(line, message, workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG + line + "\n", encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--model", str(model)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_dev_evaluation_matches_parse_then_eval_on_the_checkpoints_iterations(
+        workspace, tmp_path, capsys):
+    # large binary weights at tiny dims: T = 1 and T = 3 give different trees
+    sentences = read_conllu_file(workspace["train"])
+    cfg = ModelConfig.for_variant("local2o", iterations=1, **TINY_DIMS)
+    params = init_params(cfg, *build_vocabs(sentences), seed=1)
+    params.tensors["W_sib"] *= 100.0
+    params.tensors["W_gp"] *= 100.0
+    model = str(tmp_path / "t1.bin")
+    save_model(params, model)
+    params = load_model(model)
+    assert evaluate(params, sentences, T=1)[:2] != evaluate(params, sentences, T=3)[:2]
+    out = str(tmp_path / "out.conllu")
+    assert run(["parse", "--model", model, "--input", workspace["train"], "--output", out]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--gold", workspace["train"], "--pred", out, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert evaluate(params, sentences)[:2] == (report["uas"], report["las"])
 
 
 def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):

@@ -25,7 +25,7 @@ from mfdep.scorer import (
     trilinear,
 )
 from mfdep.trainer import sentence_loss
-from mfdep.tree import DecodeConfig, decode
+from mfdep.tree import decode
 
 WORDS = ["the", "dog", "barks", "loudly", "cat"]
 POS = ["DET", "NOUN", "VERB", "ADV", "NOUN"]
@@ -419,7 +419,7 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
     params = make_params(seed=6)
     scores = score_sentence(make_sentence(4), params)
     post = mfvi(scores, variant, 2)
-    tree = decode(post, label_distribution(scores.s_label), DecodeConfig())
+    tree = decode(post.head_probs(), label_distribution(scores.s_label))
     assert len(tree.heads) == 4 and len(tree.labels) == 4
 
 

@@ -3,11 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scores
-from mfdep.decoder import mfvi_local
 from mfdep.oracle import best_arborescence_bruteforce
 from mfdep.tree import (
-    DecodeConfig,
     DecodeStats,
     argmax_heads,
     assign_labels,
@@ -158,7 +155,7 @@ def _peaked_posterior(heads):
 def test_decode_skips_mst_on_valid_tree():
     q = _peaked_posterior([0, 1, 1])
     stats = DecodeStats()
-    tree = decode(q, np.zeros((4, 4, 1)), DecodeConfig(single_root=True), stats)
+    tree = decode(q, np.zeros((4, 4, 1)), single_root=True, stats=stats)
     assert tree.heads.tolist() == [0, 1, 1]
     assert stats.mst_calls == 0
 
@@ -168,7 +165,7 @@ def test_decode_invokes_mst_on_cycle():
     q[:, 0] = 0.05
     q /= q.sum(axis=1, keepdims=True)
     stats = DecodeStats()
-    tree = decode(q, np.zeros((3, 3, 1)), DecodeConfig(single_root=True), stats)
+    tree = decode(q, np.zeros((3, 3, 1)), single_root=True, stats=stats)
     assert stats.mst_calls == 1
     assert is_tree(tree.heads)
 
@@ -176,11 +173,11 @@ def test_decode_invokes_mst_on_cycle():
 def test_decode_single_root_constraint_triggers_mst():
     q = _peaked_posterior([0, 0])  # two root children: a tree, but multi-root
     stats = DecodeStats()
-    tree = decode(q, np.zeros((3, 3, 1)), DecodeConfig(single_root=True), stats)
+    tree = decode(q, np.zeros((3, 3, 1)), single_root=True, stats=stats)
     assert stats.mst_calls == 1
     assert int(np.sum(tree.heads == 0)) == 1
     stats2 = DecodeStats()
-    tree2 = decode(q, np.zeros((3, 3, 1)), DecodeConfig(single_root=False), stats2)
+    tree2 = decode(q, np.zeros((3, 3, 1)), single_root=False, stats=stats2)
     assert stats2.mst_calls == 0
     assert tree2.heads.tolist() == [0, 0]
 
@@ -196,7 +193,7 @@ def test_decode_mst_path_matches_bruteforce_on_random_posteriors(n):
         q /= q.sum(axis=1, keepdims=True)
         stats = DecodeStats()
         tree = decode(q, rng.uniform(size=(n + 1, n + 1, 2)),
-                      DecodeConfig(single_root=True), stats)
+                      single_root=True, stats=stats)
         assert is_tree(tree.heads)
         if stats.mst_calls:
             with np.errstate(divide="ignore"):
@@ -206,20 +203,13 @@ def test_decode_mst_path_matches_bruteforce_on_random_posteriors(n):
             assert tree.heads.tolist() == ref.tolist()
 
 
-def test_decode_accepts_posterior_objects(rng):
-    scores = random_scores(3, rng)
-    post = mfvi_local(scores, T=2)
-    tree = decode(post, np.zeros((4, 4, 1)))
-    assert is_tree(tree.heads)
-
-
 def test_decode_zero_root_probabilities_still_gives_single_root_tree():
     # underflow can leave every word with root probability exactly 0
     q = _peaked_posterior([2, 0, 2])
     q[:, 0] = 0.0
     q /= q.sum(axis=1, keepdims=True)
     stats = DecodeStats()
-    tree = decode(q, np.zeros((4, 4, 1)), DecodeConfig(single_root=True), stats)
+    tree = decode(q, np.zeros((4, 4, 1)), single_root=True, stats=stats)
     assert stats.mst_calls == 1
     assert is_tree(tree.heads)
     assert int(np.sum(tree.heads == 0)) == 1
