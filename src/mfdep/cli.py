@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -24,7 +23,6 @@ def _build_parser():
     def common(sp, variant="local2o"):
         sp.add_argument("--variant", choices=VARIANTS, default=variant)
         sp.add_argument("--iterations", type=int, default=None, help="MFVI iterations T")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--single-root", choices=("on", "off"), default="on")
 
     tr = sub.add_parser("train", help="train a model")
@@ -32,6 +30,7 @@ def _build_parser():
     tr.add_argument("--train", required=True, metavar="FILE")
     tr.add_argument("--dev", metavar="FILE")
     tr.add_argument("--model", required=True, metavar="FILE")
+    tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--config", metavar="FILE", help="key = value overrides")
     tr.add_argument("--lambda", dest="lam", type=float, default=None)
     tr.add_argument("--scale", type=float, default=1.0)
@@ -66,8 +65,9 @@ def _build_parser():
 
 def _cmd_train(args):
     from .conllu import read_conllu_file, require_annotated
-    from .scorer import load_embeddings
-    from .trainer import TrainConfig, initial_params, parse_config_file, save_model, train
+    from .scorer import ModelConfig, load_embeddings
+    from .trainer import (MODEL_DIMS, TrainConfig, initial_params, parse_config_file,
+                          save_model, train)
 
     corpus = read_conllu_file(args.train)
     require_annotated(corpus, args.train)
@@ -77,28 +77,17 @@ def _cmd_train(args):
         if not dev:
             raise ValueError(f"{args.dev}: dev file has no sentences")
         require_annotated(dev, args.dev)
-    overrides = parse_config_file(args.config) if args.config else {}
     cfg_kwargs = dict(variant=args.variant, seed=args.seed, scale=args.scale,
                       single_root=args.single_root == "on")
     if args.lam is not None:
         cfg_kwargs["lam"] = args.lam
     if args.iterations is not None:
         cfg_kwargs["iterations"] = args.iterations
-    model_keys = {"d_word", "d_pos", "d_hidden", "d_edge", "d_label", "d_bin"}
-    known = model_keys | {f.name for f in dataclasses.fields(TrainConfig)}
-    for key in overrides:
-        if key not in known:
-            raise ValueError(f"{args.config}: unknown key {key!r}")
-    model_overrides = {k: v for k, v in overrides.items() if k in model_keys}
-    cfg_kwargs.update({k: v for k, v in overrides.items() if k not in model_keys})
+    if args.config:
+        cfg_kwargs.update(parse_config_file(args.config))
+    dims = {k: cfg_kwargs.pop(k) for k in MODEL_DIMS if k in cfg_kwargs}
     config = TrainConfig(**cfg_kwargs)
-
-    model_config = None
-    if model_overrides:
-        from .scorer import ModelConfig
-
-        model_config = ModelConfig.for_variant(config.variant, **model_overrides)
-    params = initial_params(corpus, config, model_config)
+    params = initial_params(corpus, config, ModelConfig.for_variant(config.variant, **dims))
     if args.embeddings:
         load_embeddings(args.embeddings, params)
     result = train(corpus, dev, config, params=params, log=_log)

@@ -25,23 +25,15 @@ def _is_punct(token, mode):
     return False
 
 
-def uas_las(pred, gold, punct_mode="upos-punct", label_names=None):
-    """UAS/LAS over aligned predicted trees and gold sentences.
-
-    ``pred`` items are DependencyTree (label ids, resolved through
-    ``label_names``) or (heads, labels) pairs with string labels when
-    label_names is None.
-    """
+def uas_las(pred, gold, punct_mode="upos-punct"):
+    """UAS/LAS over aligned predicted trees and gold sentences; ``pred``
+    items are (heads, label names) pairs."""
     if punct_mode not in PUNCT_MODES:
         raise ValueError(f"unknown punct_mode {punct_mode!r}")
     if len(pred) != len(gold):
         raise ValueError("pred/gold length mismatch")
     c = EvalCounts()
-    for tree, sent in zip(pred, gold):
-        if hasattr(tree, "heads"):
-            heads, labels = tree.heads, tree.labels
-        else:
-            heads, labels = tree
+    for (heads, labels), sent in zip(pred, gold):
         if len(heads) != len(sent):
             raise ValueError("sentence length mismatch")
         for j, tok in enumerate(sent.tokens):
@@ -52,10 +44,7 @@ def uas_las(pred, gold, punct_mode="upos-punct", label_names=None):
             if int(heads[j]) != tok.gold_head:
                 continue
             c.correct_heads += 1
-            plabel = labels[j]
-            if label_names is not None:
-                plabel = label_names[int(plabel)]
-            if plabel == tok.gold_label:
+            if labels[j] == tok.gold_label:
                 c.correct_labeled += 1
     if c.scored == 0:
         return 0.0, 0.0, c

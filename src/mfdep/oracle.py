@@ -51,10 +51,7 @@ def _pair_log_potential(s_sib, s_gp, hj, hl, j, l):
 def exact_marginals_local(scores, max_n=6):
     """Enumerate all head assignments of the head-selection CRF and
     return exact marginals, shape n x (n+1) (row j-1 = dependent j)."""
-    if hasattr(scores, "values"):
-        s_edge, s_sib, s_gp, _ = scores.values()
-    else:
-        s_edge, s_sib, s_gp = scores
+    s_edge, s_sib, s_gp, _ = scores.values()
     n = s_edge.shape[0] - 1
     if n > max_n:
         raise ValueError(f"n={n} too large for enumeration (max {max_n})")
@@ -97,10 +94,7 @@ def _single_log_weight(edges, present, s_edge, s_sib, s_gp):
 def exact_marginals_single(scores, max_edges=14):
     """Enumerate all subsets of candidate edges for the binary-variable
     CRF; returns edge marginals, shape (n+1) x (n+1) ([i, j] = P(i->j))."""
-    if hasattr(scores, "values"):
-        s_edge, s_sib, s_gp, _ = scores.values()
-    else:
-        s_edge, s_sib, s_gp = scores
+    s_edge, s_sib, s_gp, _ = scores.values()
     n = s_edge.shape[0] - 1
     edges = _candidate_edges(n)
     E = len(edges)

@@ -292,7 +292,7 @@ def encode(sentence, params, pv=None, dropout_rng=None):
         [ad.gather_rows(pv["emb_word"], wids), ad.gather_rows(pv["emb_pos"], pids)],
         axis=1,
     )
-    E = _dropout(E, params.config.p_drop_embed if dropout_rng is not None else 0.0, dropout_rng)
+    E = _dropout(E, params.config.p_drop_embed, dropout_rng)
     A = [_proj(E, pv, f"gru_{d}_{g}") for d in ("fw", "bw") for g in _GATES]
     return gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES])
 
@@ -310,7 +310,7 @@ def _proj(H, pv, role):
 def score_edges(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.tensors
-    p = params.config.p_drop_edge if dropout_rng is not None else 0.0
+    p = params.config.p_drop_edge
     hh = _aug(_proj(_dropout(H, p, dropout_rng), pv, "edge_head"))
     hd = _aug(_proj(_dropout(H, p, dropout_rng), pv, "edge_dep"))
     s = ad.matmul(ad.matmul(hh, pv["U_edge"]), ad.transpose(hd))
@@ -365,7 +365,7 @@ def trilinear(gh, gd, W):
 
 
 def _trilinear(H, pv, W_name, params, dropout_rng):
-    p = params.config.p_drop_bin if dropout_rng is not None else 0.0
+    p = params.config.p_drop_bin
     gh = _proj(_dropout(H, p, dropout_rng), pv, "bin_head")
     gd = _proj(_dropout(H, p, dropout_rng), pv, "bin_dep")
     return trilinear(gh, gd, pv[W_name])
@@ -407,7 +407,7 @@ def biaffine_labels(lh, ld, U):
 def score_labels(H, params, pv=None, dropout_rng=None):
     if pv is None:
         pv = params.tensors
-    p = params.config.p_drop_label if dropout_rng is not None else 0.0
+    p = params.config.p_drop_label
     lh = _aug(_proj(_dropout(H, p, dropout_rng), pv, "label_head"))
     ld = _aug(_proj(_dropout(H, p, dropout_rng), pv, "label_dep"))
     n = ad.val(H).shape[0] - 1

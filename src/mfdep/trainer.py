@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -320,7 +320,8 @@ def parse_sentences(params, sentences, variant=None, T=None, single_root=True, s
 def evaluate(params, sentences, variant=None, T=None, single_root=True, punct_mode="upos-punct"):
     """UAS, LAS and counts of ``parse_sentences`` (same defaults) against gold."""
     trees = parse_sentences(params, sentences, variant, T, single_root)
-    return uas_las(trees, sentences, punct_mode, label_names=params.labels)
+    pred = [(t.heads, [params.labels[i] for i in t.labels]) for t in trees]
+    return uas_las(pred, sentences, punct_mode)
 
 
 @dataclass
@@ -333,18 +334,19 @@ class TrainResult:
 
 def initial_params(corpus, config, model_config=None):
     """The parameters ``train`` starts from when given none: vocabularies
-    of the sentences it keeps, and the model config (default: the
-    variant's) with config's MFVI iteration count."""
+    of the sentences it keeps, and the dimensions of ``model_config``
+    (default: the variant's)."""
     if model_config is None:
         model_config = ModelConfig.for_variant(config.variant)
-    model_config.iterations = config.iterations
     w2i, p2i, labels = build_vocabs(filter_long(corpus, config.max_train_len))
     return init_params(model_config, w2i, p2i, labels, seed=config.seed)
 
 
 def train(corpus, dev, config, params=None, model_config=None, log=None, target_uas=None):
     """Token-budget batch training with LR decay, AMSGrad switch and
-    early stopping, all driven by dev-set improvement. Raises ConlluError
+    early stopping, all driven by dev-set improvement. The returned
+    params record ``config.variant`` and ``config.iterations``, and the
+    ModelConfig passed in is left as it was. Raises ConlluError
     before any work if a corpus or dev word lacks a valid gold HEAD or a
     DEPREL, and ValueError if the dev set is empty (no evaluation could
     pick a snapshot)."""
@@ -379,10 +381,6 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
             batches = make_batches(corpus, config.batch_tokens, rng)
         batch_ids = batches.pop(0)
         batch = [corpus[i] for i in sorted(batch_ids)]
-        if not batch:
-            if log:
-                log("warning: empty batch skipped")
-            continue
         iteration += 1
         loss, grads = batch_gradients(batch, params, config, dropout_rng)
         stepped = adam_step(params, grads, state, config, lr=lr)
@@ -428,6 +426,9 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
     result.iterations_run = iteration
     if result.params is None:  # dev never improved: keep final params
         result.params = params.copy()
+    result.params.config = replace(
+        result.params.config, variant=config.variant, iterations=config.iterations
+    )
     return result
 
 
@@ -512,9 +513,26 @@ def load_model(path):
     return ModelParams(cfg, header["word2id"], header["pos2id"], header["labels"], tensors)
 
 
+MODEL_DIMS = ("d_word", "d_pos", "d_hidden", "d_edge", "d_label", "d_bin")
+
+
+def _parse_bool(value):
+    if value.lower() not in ("true", "false"):
+        raise ValueError
+    return value.lower() == "true"
+
+
+_PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_KINDS = {"int": "an integer", "float": "a number", "bool": "true or false"}
+
+
 def parse_config_file(path):
-    """Line-based ``key = value`` file; values parsed as int/float/bool
-    when possible, else kept as strings."""
+    """Line-based ``key = value`` file of ``TrainConfig`` fields and the
+    ``MODEL_DIMS``; each value is parsed as its field's type (a bool is
+    ``true`` or ``false`` in any case). Raises ValueError, naming the
+    file, on an unknown key or a value its field's type cannot hold."""
+    types = {f.name: f.type for f in fields(TrainConfig)}
+    types.update((f.name, f.type) for f in fields(ModelConfig) if f.name in MODEL_DIMS)
     out = {}
     with open(path, encoding="utf-8") as f:
         for raw in f:
@@ -522,17 +540,14 @@ def parse_config_file(path):
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"bad config line: {raw.rstrip()}")
+                raise ValueError(f"{path}: bad config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if value.lower() in ("true", "false"):
-                out[key] = value.lower() == "true"
-                continue
-            for cast in (int, float):
-                try:
-                    out[key] = cast(value)
-                    break
-                except ValueError:
-                    continue
-            else:
-                out[key] = value
+            if key not in types:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            try:
+                out[key] = _PARSERS[types[key]](value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: {key} must be {_KINDS[types[key]]}, not {value!r}"
+                ) from None
     return out

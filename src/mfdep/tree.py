@@ -35,24 +35,12 @@ def argmax_heads(hp):
 
 
 def is_tree(heads):
-    """True iff every node reaches the root with no cycles. O(n) walk."""
-    n = len(heads)
-    state = np.zeros(n + 1, dtype=np.int8)  # 0 unseen, 1 on path, 2 done
-    state[0] = 2
-    for start in range(1, n + 1):
-        path = []
-        node = start
-        while state[node] == 0:
-            state[node] = 1
-            path.append(node)
-            node = int(heads[node - 1])
-            if node < 0 or node > n:
-                return False
-        if state[node] == 1:  # walked into the current path: cycle
-            return False
-        for p in path:
-            state[p] = 2
-    return True
+    """True iff every head lies in 0..n and every node reaches the root
+    with no cycles. O(n) walk."""
+    padded = [0] + np.asarray(heads).tolist()  # a list walks faster than an array
+    if min(padded) < 0 or max(padded) >= len(padded):
+        return False
+    return _find_cycle(padded) is None
 
 
 _NO_TREE = {

@@ -276,6 +276,30 @@ def test_train_rejects_a_bad_config_value(line, message, workspace, tmp_path, ca
     assert not model.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["single_root = off", "dropout = no", "max_iterations = 2.5", "seed = 1.5",
+     "d_hidden = 3.5", "lam = x", "batch_tokens = abc"],
+)
+def test_train_rejects_a_config_value_its_field_cannot_hold(line, workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG + line + "\n", encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--model", str(model)]) == 1
+    err = capsys.readouterr().err
+    key, value = line.split(" = ")
+    assert err.startswith("error: ") and str(cfg) in err and key in err and repr(value) in err
+    assert not model.exists()
+
+
+def test_parse_has_no_seed_option(workspace, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["parse", "--model", workspace["model"], "--input", workspace["train"],
+             "--output", str(tmp_path / "out.conllu"), "--seed", "0"])
+    assert exc.value.code == 2
+
+
 def test_dev_evaluation_matches_parse_then_eval_on_the_checkpoints_iterations(
         workspace, tmp_path, capsys):
     # large binary weights at tiny dims: T = 1 and T = 3 give different trees

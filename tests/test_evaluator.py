@@ -1,10 +1,8 @@
-import numpy as np
 import pytest
 
 from conftest import fixture_path
 from mfdep.conllu import parse_conllu, read_conllu_file
 from mfdep.evaluator import uas_las
-from mfdep.tree import DependencyTree
 
 
 def _sent(rows):
@@ -84,15 +82,6 @@ def test_sentence_order_invariance():
     a = uas_las(pred, gold)[:2]
     b = uas_las(pred[::-1], gold[::-1])[:2]
     assert a == b
-
-
-def test_dependency_tree_inputs_with_label_names():
-    gold = [_sent([
-        "1\ta\ta\tNOUN\tNN\t_\t0\troot\t_\t_",
-    ])]
-    tree = DependencyTree(heads=np.array([0]), labels=np.array([1]))
-    uas, las, _ = uas_las([tree], gold, label_names=["nsubj", "root"])
-    assert uas == 100.0 and las == 100.0
 
 
 def test_errors():

@@ -327,6 +327,8 @@ def test_make_batches_respects_token_budget():
         assert sum(len(sents[i]) for i in b) <= 7
     shuffled = make_batches(sents, batch_tokens=7, rng=np.random.default_rng(0))
     assert sorted(i for b in shuffled for i in b) == list(range(5))
+    for budget in range(1, 11):
+        assert all(make_batches(sents, budget, rng=np.random.default_rng(budget)))
 
 
 def test_batch_gradients_deterministic_and_order_invariant():
@@ -407,6 +409,37 @@ def test_train_overfits_one_sentence():
     uas, las, _ = evaluate(result.params, corpus, "local2o", 2)
     assert uas == 100.0
     assert len(result.history) == result.iterations_run
+
+
+TOY_DIMS = dict(d_word=4, d_pos=2, d_hidden=3, d_edge=5, d_label=3, d_bin=2)
+
+
+def test_trained_params_record_the_variant_they_were_trained_with():
+    corpus = read_conllu_file(TOY_TREEBANK)[:8]
+    mc = ModelConfig(**TOY_DIMS)  # its variant is local2o
+    result = train(corpus, corpus, TrainConfig(variant="single2o", max_iterations=3, eval_every=3),
+                   model_config=mc)
+    assert result.params.config.variant == "single2o"
+    uas, las, _ = evaluate(result.params, corpus)
+    last = result.history[-1]
+    assert (uas, las) == (last["dev_uas"], last["dev_las"])
+
+
+def test_trained_params_record_the_iterations_they_were_trained_with():
+    corpus = [make_sentence(3)]
+    params = make_params(seed=3)
+    assert params.config.iterations == 3
+    cfg = TrainConfig(variant="local2o", iterations=2, max_iterations=1, batch_tokens=50)
+    assert train(corpus, corpus, cfg, params=params).params.config.iterations == 2
+
+
+def test_train_and_initial_params_leave_the_model_config_alone():
+    corpus = [make_sentence(3)]
+    cfg = TrainConfig(variant="single2o", iterations=2, max_iterations=1, batch_tokens=50)
+    mc = ModelConfig(**TOY_DIMS)
+    trainer.initial_params(corpus, cfg, mc)
+    train(corpus, corpus, cfg, model_config=mc)
+    assert mc == ModelConfig(**TOY_DIMS)
 
 
 def _train_with_dev_metric(monkeypatch, metrics, max_iterations):
