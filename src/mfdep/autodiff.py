@@ -14,6 +14,8 @@ nothing else can reach becomes the parent's first ``grad`` as it is
 (see ``_adoptable``); any other result is copied first. Parents never
 point back at their children, so a graph is freed by reference counting
 as soon as its root goes out of scope.
+Model layers are ``custom_op``s in ``scorer`` and ``decoder``; this
+module holds only the elementwise, reduction and indexing ops.
 """
 from __future__ import annotations
 
@@ -114,13 +116,14 @@ def val(x):
 
 
 def _unbroadcast(g, shape):
-    """Sum gradient g down to the given (broadcast-source) shape."""
+    """Sum gradient g down to the given (broadcast-source) shape: g
+    itself when nothing is summed, else the fresh sum, never a view."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
     for ax, size in enumerate(shape):
         if size == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(shape)
+    return g
 
 
 def add(a, b):
@@ -147,15 +150,6 @@ def mul(a, b):
     return Var(
         y, (a, b), lambda g: (_unbroadcast(g * vb, va.shape), _unbroadcast(g * va, vb.shape))
     )
-
-
-def matmul(a, b):
-    """Product of two 2-D operands."""
-    va, vb = val(a), val(b)
-    y = va @ vb
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return y
-    return Var(y, (a, b), lambda g: (g @ vb.T, va.T @ g))
 
 
 def log(a):
@@ -238,19 +232,6 @@ def concat(parts, axis=0):
         return y
     cuts = np.cumsum([v.shape[axis] for v in vals[:-1]])
     return Var(y, tuple(parts), lambda g: np.split(g, cuts, axis=axis))
-
-
-def transpose(a):
-    if not isinstance(a, Var):
-        return val(a).T
-    return Var(a.value.T, (a,), lambda g: (g.T,))
-
-
-def permute(a, axes):
-    if not isinstance(a, Var):
-        return val(a).transpose(axes)
-    inv = tuple(np.argsort(axes))
-    return Var(a.value.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def custom_op(value, parents, vjp):

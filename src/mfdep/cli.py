@@ -9,6 +9,7 @@ import sys
 import numpy as np
 
 from .decoder import VARIANTS
+from .evaluator import PUNCT_MODES
 
 
 def _log(msg):
@@ -46,7 +47,7 @@ def _build_parser():
     ev = sub.add_parser("eval", help="score predictions against gold")
     ev.add_argument("--gold", required=True, metavar="FILE")
     ev.add_argument("--pred", required=True, metavar="FILE")
-    ev.add_argument("--punct", choices=("upos-punct", "ptb-pos-set", "none"), default="upos-punct")
+    ev.add_argument("--punct", choices=PUNCT_MODES, default="upos-punct")
     ev.add_argument("--json", action="store_true", help="machine-readable output")
 
     be = sub.add_parser("bench", help="decoder throughput benchmark")

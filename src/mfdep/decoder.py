@@ -9,7 +9,8 @@ Two variants:
 
 Both run the same unrolled loop over the same message computation (see
 ``kernels``) and retain all T+1 posterior iterates so gradients flow
-through the whole unrolled inference. The 2-D edge mask, and the Local
+through the whole unrolled inference; the messages and the sibling
+symmetrization s + s^T are one op each. The 2-D edge mask, and the Local
 variant's additive mask, are built at most once per sentence. When no
 score is a Var (parsing), every iterate is a plain array and no op
 builds a closure.
@@ -56,10 +57,15 @@ class Posterior:
 
 
 def _sym_sib(s_sib):
-    """Both orientations of a sibling pair are produced by the trilinear
-    scorer and both couple the same pair of variables, so the effective
-    coupling entering each message is their sum."""
-    return ad.add(s_sib, ad.permute(s_sib, (0, 2, 1)))
+    """s + s^T over the last two axes, differentiable (the VJP is
+    g + g^T likewise). Both orientations of a sibling pair are produced
+    by the trilinear scorer and both couple the same pair of variables,
+    so the effective coupling entering each message is their sum."""
+    v = ad.val(s_sib)
+    y = v + v.transpose(0, 2, 1)
+    if not isinstance(s_sib, ad.Var):
+        return y
+    return ad.custom_op(y, (s_sib,), lambda g: (g + g.transpose(0, 2, 1),))
 
 
 def _single_update(logits, mask):

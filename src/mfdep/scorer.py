@@ -1,6 +1,9 @@
 """Trainable scoring model: embeddings, a one-layer bidirectional GRU
 encoder, a biaffine edge scorer, trilinear sibling/grandparent scorers
-and a biaffine labeler.
+and a biaffine labeler. Each layer is one op over its parameters:
+``linear`` for every projection, ``gru``, ``biaffine`` for both edges and
+labels, and ``trilinear``; their VJPs return fresh arrays, which
+``autodiff.backward`` adopts as gradients without a copy.
 
 Score tensors follow the conventions:
     s_edge[i, j]     score of edge i -> j
@@ -28,6 +31,16 @@ from . import autodiff as ad
 
 ROOT = "<root>"
 UNK = "<unk>"
+MODEL_DIMS = ("d_word", "d_pos", "d_hidden", "d_edge", "d_label", "d_bin")
+
+
+def check_range(config, names, holds, rule):
+    """Raise ValueError, "<name> must <rule>", for the first named field
+    of config whose value fails ``holds``; each test in use is false for
+    NaN."""
+    for name in names:
+        if not holds(getattr(config, name)):
+            raise ValueError(f"{name} must {rule}")
 
 
 @dataclass
@@ -46,14 +59,17 @@ class ModelConfig:
     p_drop_label: float = 0.33
     p_drop_bin: float = 0.25
 
+    def __post_init__(self):
+        check_range(self, MODEL_DIMS, lambda v: v >= 1, "be >= 1")
+        check_range(self, ("iterations",), lambda v: v >= 0, "be >= 0")
+        check_range(self, ("p_drop_embed", "p_drop_edge", "p_drop_label", "p_drop_bin"),
+                    lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+
     @staticmethod
     def for_variant(variant, **kwargs):
         d_edge = 550 if variant.startswith("single") else 450
         it = 0 if variant.endswith("1o") else 3
-        cfg = ModelConfig(variant=variant, d_edge=d_edge, iterations=it)
-        for k, v in kwargs.items():
-            setattr(cfg, k, v)
-        return cfg
+        return ModelConfig(**{"variant": variant, "d_edge": d_edge, "iterations": it, **kwargs})
 
 
 @dataclass
@@ -284,8 +300,7 @@ def gru(A, U):
 
 def encode(sentence, params, pv=None, dropout_rng=None):
     """Contextual representations, one row per position (row 0 = root)."""
-    if pv is None:
-        pv = params.tensors
+    pv = params.tensors if pv is None else pv
     wids = [0] + [params.word2id.get(t.form, 1) for t in sentence.tokens]
     pids = [0] + [params.pos2id.get(t.upos, 1) for t in sentence.tokens]
     E = ad.concat(
@@ -303,19 +318,58 @@ def _aug(x):
     return ad.concat([x, ones], axis=1)
 
 
+def linear(x, W, b):
+    """x @ W.T + b, differentiable: the (m, d_in) rows of x projected by
+    the (d_out, d_in) W, plus the (d_out,) bias b."""
+    vx, vw, vb = ad.val(x), ad.val(W), ad.val(b)
+    y = vx @ vw.T + vb
+    if not ad.any_var((x, W, b)):
+        return y
+    return ad.custom_op(y, (x, W, b), lambda g: (g @ vw, g.T @ vx, g.sum(axis=0)))
+
+
 def _proj(H, pv, role):
-    return ad.add(ad.matmul(H, ad.transpose(pv[f"{role}_W"])), pv[f"{role}_b"])
+    return linear(H, pv[f"{role}_W"], pv[f"{role}_b"])
+
+
+def _head_dep(H, pv, role, p, dropout_rng):
+    """The head and the dependent projection of one scorer, each of H
+    under a dropout draw of its own."""
+    return [_proj(_dropout(H, p, dropout_rng), pv, f"{role}_{r}") for r in ("head", "dep")]
+
+
+def biaffine(lh, ld, U):
+    """s[i,j,l] = sum_ab lh[i,a] U[l,a,b] ld[j,b], differentiable.
+
+    lh is (m, a), ld (n, b) and U (L, a, b); s is (m, n, L). A 2-D U of
+    shape (a, b) counts as L = 1 and gives the (m, n) score s[i,j]. The
+    forward pass and the VJP are batched BLAS matmuls on reshaped views."""
+    vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
+    (m, a), (n, b) = vh.shape, vd.shape
+    u3 = vu.reshape(-1, a, b)
+    t1 = np.matmul(vh, u3).reshape(-1, b)  # t1[l*m+i, b]
+    s = t1 @ vd.T
+    if vu.ndim == 3:
+        s = np.ascontiguousarray(s.reshape(-1, m, n).transpose(1, 2, 0))
+    if not ad.any_var((lh, ld, U)):
+        return s
+
+    def vjp(g):
+        if vu.ndim == 3:
+            g = np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(-1, n)  # g[l*m+i, j]
+        dt1 = (g @ vd).reshape(-1, m, b)  # dt1[l,i,b]
+        dU = np.empty(vu.shape)  # an owning array, so backward adopts it
+        np.matmul(vh.T, dt1, out=dU.reshape(u3.shape))
+        return np.matmul(dt1, u3.transpose(0, 2, 1)).sum(axis=0), g.T @ t1, dU
+
+    return ad.custom_op(s, (lh, ld, U), vjp)
 
 
 def score_edges(H, params, pv=None, dropout_rng=None):
-    if pv is None:
-        pv = params.tensors
-    p = params.config.p_drop_edge
-    hh = _aug(_proj(_dropout(H, p, dropout_rng), pv, "edge_head"))
-    hd = _aug(_proj(_dropout(H, p, dropout_rng), pv, "edge_dep"))
-    s = ad.matmul(ad.matmul(hh, pv["U_edge"]), ad.transpose(hd))
+    pv = params.tensors if pv is None else pv
+    hh, hd = _head_dep(H, pv, "edge", params.config.p_drop_edge, dropout_rng)
     n = ad.val(H).shape[0] - 1
-    return ad.mul(s, edge_mask(n))
+    return ad.mul(biaffine(_aug(hh), _aug(hd), pv["U_edge"]), edge_mask(n))
 
 
 def _zero_invalid(s):
@@ -364,54 +418,21 @@ def trilinear(gh, gd, W):
     return ad.custom_op(s, (gh, gd, W), vjp)
 
 
-def _trilinear(H, pv, W_name, params, dropout_rng):
-    p = params.config.p_drop_bin
-    gh = _proj(_dropout(H, p, dropout_rng), pv, "bin_head")
-    gd = _proj(_dropout(H, p, dropout_rng), pv, "bin_dep")
-    return trilinear(gh, gd, pv[W_name])
-
-
 def score_siblings(H, params, pv=None, dropout_rng=None):
-    if pv is None:
-        pv = params.tensors
-    return _trilinear(H, pv, "W_sib", params, dropout_rng)
+    pv = params.tensors if pv is None else pv
+    return trilinear(*_head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng), pv["W_sib"])
 
 
 def score_grandparents(H, params, pv=None, dropout_rng=None):
-    if pv is None:
-        pv = params.tensors
-    return _trilinear(H, pv, "W_gp", params, dropout_rng)
-
-
-def biaffine_labels(lh, ld, U):
-    """s[i,j,l] = sum_ab lh[i,a] U[l,a,b] ld[j,b], differentiable.
-
-    lh is (m, a), ld (n, b) and U (L, a, b); s is (m, n, L). The forward
-    pass and the VJP are batched BLAS matmuls on reshaped views."""
-    vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
-    (m, a), (n, b), L = vh.shape, vd.shape, vu.shape[0]
-    t1 = np.matmul(vh, vu).reshape(L * m, b)  # t1[l*m+i, b]
-    s = np.ascontiguousarray((t1 @ vd.T).reshape(L, m, n).transpose(1, 2, 0))
-    if not ad.any_var((lh, ld, U)):
-        return s
-
-    def vjp(g):
-        gl = np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(L * m, n)  # gl[l*m+i, j]
-        dt1 = (gl @ vd).reshape(L, m, b)  # dt1[l,i,b]
-        return (np.matmul(dt1, vu.transpose(0, 2, 1)).sum(axis=0), gl.T @ t1,
-                np.matmul(vh.T, dt1))
-
-    return ad.custom_op(s, (lh, ld, U), vjp)
+    pv = params.tensors if pv is None else pv
+    return trilinear(*_head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng), pv["W_gp"])
 
 
 def score_labels(H, params, pv=None, dropout_rng=None):
-    if pv is None:
-        pv = params.tensors
-    p = params.config.p_drop_label
-    lh = _aug(_proj(_dropout(H, p, dropout_rng), pv, "label_head"))
-    ld = _aug(_proj(_dropout(H, p, dropout_rng), pv, "label_dep"))
+    pv = params.tensors if pv is None else pv
+    lh, ld = _head_dep(H, pv, "label", params.config.p_drop_label, dropout_rng)
     n = ad.val(H).shape[0] - 1
-    return ad.mul(biaffine_labels(lh, ld, pv["U_label"]), edge_mask(n)[:, :, None])
+    return ad.mul(biaffine(_aug(lh), _aug(ld), pv["U_label"]), edge_mask(n)[:, :, None])
 
 
 def label_distribution(s_label):
@@ -422,8 +443,7 @@ def label_distribution(s_label):
 def score_sentence(sentence, params, pv=None, dropout_rng=None):
     """Full scoring pass: Sentence -> ScoreTensors, differentiable with
     respect to the Vars in pv."""
-    if pv is None:
-        pv = params.tensors
+    pv = params.tensors if pv is None else pv
     H = encode(sentence, params, pv, dropout_rng)
     return ScoreTensors(
         s_edge=score_edges(H, params, pv, dropout_rng),

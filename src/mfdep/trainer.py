@@ -13,9 +13,11 @@ from . import decoder
 from .conllu import filter_long, require_annotated
 from .evaluator import uas_las
 from .scorer import (
+    MODEL_DIMS,
     ModelConfig,
     ModelParams,
     build_vocabs,
+    check_range,
     edge_mask,
     init_params,
     label_distribution,
@@ -62,11 +64,12 @@ class TrainConfig:
             self.lam = 0.07 if self.variant.startswith("single") else 0.40
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
-        for name in ("max_iterations", "eval_every", "decay_step", "amsgrad_after", "early_stop"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.scale > 0:
-            raise ValueError("scale must be > 0")
+        check_range(self, ("max_iterations", "eval_every", "decay_step", "amsgrad_after",
+                           "early_stop", "batch_tokens"), lambda v: v >= 1, "be >= 1")
+        check_range(self, ("iterations",), lambda v: v >= 0, "be >= 0")
+        check_range(self, ("scale", "learning_rate", "adam_eps"), lambda v: v > 0, "be > 0")
+        check_range(self, ("adam_beta1", "adam_beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
+        check_range(self, ("decay_rate",), lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
         if self.variant.endswith("1o"):
             self.iterations = 0
 
@@ -87,7 +90,7 @@ def edge_loss_local(q_final, gold_heads):
     """-sum_j log Q_j(gold head of j)."""
     n = len(gold_heads)
     deps = np.arange(1, n + 1)
-    picked = ad.take_at(q_final, (np.asarray(gold_heads, dtype=np.intp), deps))
+    picked = ad.take_at(q_final, (gold_heads, deps))
     return ad.mul(ad.sum_all(_floored_log(picked)), -1.0)
 
 
@@ -109,16 +112,8 @@ def edge_loss_single(q_final, gold_heads):
 
 def label_loss(p_label, gold_heads, gold_labels):
     """Cross-entropy of the gold label on gold-head edges only."""
-    n = len(gold_heads)
-    deps = np.arange(1, n + 1)
-    picked = ad.take_at(
-        p_label,
-        (
-            np.asarray(gold_heads, dtype=np.intp),
-            deps,
-            np.asarray(gold_labels, dtype=np.intp),
-        ),
-    )
+    deps = np.arange(1, len(gold_heads) + 1)
+    picked = ad.take_at(p_label, (gold_heads, deps, gold_labels))
     return ad.mul(ad.sum_all(_floored_log(picked)), -1.0)
 
 
@@ -511,9 +506,6 @@ def load_model(path):
                 )
             tensors[name] = arr.astype(np.float64, copy=False)
     return ModelParams(cfg, header["word2id"], header["pos2id"], header["labels"], tensors)
-
-
-MODEL_DIMS = ("d_word", "d_pos", "d_hidden", "d_edge", "d_label", "d_bin")
 
 
 def _parse_bool(value):

@@ -264,6 +264,15 @@ def test_train_rejects_a_scale_that_is_not_positive(scale, workspace, tmp_path, 
         ("eval_every = 0", "eval_every must be >= 1"),
         ("amsgrad_after = 0", "amsgrad_after must be >= 1"),
         ("early_stop = -3", "early_stop must be >= 1"),
+        ("d_hidden = 0", "d_hidden must be >= 1"),
+        ("d_hidden = -3", "d_hidden must be >= 1"),
+        ("learning_rate = -1", "learning_rate must be > 0"),
+        ("adam_beta1 = nan", "adam_beta1 must lie in [0, 1)"),
+        ("adam_beta2 = 2", "adam_beta2 must lie in [0, 1)"),
+        ("adam_eps = 0", "adam_eps must be > 0"),
+        ("decay_rate = 0", "decay_rate must lie in (0, 1]"),
+        ("batch_tokens = -5", "batch_tokens must be >= 1"),
+        ("iterations = -1", "iterations must be >= 0"),
     ],
 )
 def test_train_rejects_a_bad_config_value(line, message, workspace, tmp_path, capsys):

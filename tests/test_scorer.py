@@ -7,7 +7,7 @@ from mfdep.decoder import mfvi
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import (
     ModelConfig,
-    biaffine_labels,
+    biaffine,
     build_vocabs,
     edge_mask,
     encode,
@@ -15,6 +15,7 @@ from mfdep.scorer import (
     gru,
     init_params,
     label_distribution,
+    linear,
     load_embeddings,
     score_edges,
     score_grandparents,
@@ -343,7 +344,7 @@ def test_gru_op_gradient(n1, bw_only):
     def run():
         v = {k: ad.Var(a) for k, a in arrays.items()}
         keys = [f"{d}{g}" for d in "fb" for g in "zrh"]
-        A = [ad.add(ad.matmul(v["X"], ad.transpose(v[f"W_{k}"])), v[f"b_{k}"]) for k in keys]
+        A = [linear(v["X"], v[f"W_{k}"], v[f"b_{k}"]) for k in keys]
         H = gru(A, [v[f"U_{k}"] for k in keys])
         return ad.sum_all(ad.mul(H, weights)), v
 
@@ -366,7 +367,7 @@ def test_label_op_matches_einsum_at_default_dims():
     lh = rng.normal(size=(n + 1, d))
     ld = rng.normal(size=(n + 1, d))
     U = rng.normal(size=(L, d, d))
-    got = biaffine_labels(lh, ld, U)
+    got = biaffine(lh, ld, U)
     np.testing.assert_allclose(got, _labels_einsum(lh, ld, U), rtol=0, atol=1e-9)
 
 
@@ -383,7 +384,7 @@ def test_label_op_gradient_non_square():
 
     def run():
         leaves = {k: ad.Var(v) for k, v in arrays.items()}
-        s = biaffine_labels(leaves["lh"], leaves["ld"], leaves["U"])
+        s = biaffine(leaves["lh"], leaves["ld"], leaves["U"])
         return ad.sum_all(ad.mul(s, weights)), leaves
 
     out, leaves = run()
@@ -394,6 +395,55 @@ def test_label_op_gradient_non_square():
     fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
     for k in arrays:
         np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-6, err_msg=k)
+
+
+def _check_op_grad(op, arrays, expect, seed):
+    """op(*leaves) equals expect, and the gradient of a random weighting of
+    it matches central differences."""
+    weights = np.random.default_rng(seed).normal(size=expect.shape)
+
+    def run():
+        leaves = {k: ad.Var(v) for k, v in arrays.items()}
+        return ad.sum_all(ad.mul(op(*leaves.values()), weights)), leaves
+
+    out, leaves = run()
+    np.testing.assert_allclose(out.value, np.sum(expect * weights), atol=1e-12)
+    ad.backward(out)
+    fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
+    for k in arrays:
+        np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-6, err_msg=k)
+
+
+def test_linear_op_gradient_non_square():
+    # m, d_out and d_in all differ, so that no transposed operand passes
+    rng = np.random.default_rng(12)
+    x, W, b = rng.normal(size=(4, 3)), rng.normal(size=(5, 3)), rng.normal(size=5)
+    _check_op_grad(linear, {"x": x, "W": W, "b": b}, x @ W.T + b, seed=13)
+
+
+def test_biaffine_with_a_matrix_gradient_non_square():
+    # a 2-D U gives the (m, n) score of the one-label stack U[None]
+    m, n, a, b = 4, 5, 3, 2
+    rng = np.random.default_rng(14)
+    lh, ld, U = rng.normal(size=(m, a)), rng.normal(size=(n, b)), rng.normal(size=(a, b))
+    np.testing.assert_array_equal(biaffine(lh, ld, U), biaffine(lh, ld, U[None])[:, :, 0])
+    _check_op_grad(biaffine, {"lh": lh, "ld": ld, "U": U}, lh @ U @ ld.T, seed=15)
+
+
+def test_projection_and_biaffine_gradients_are_adopted(backward_copies):
+    # linear and biaffine return fresh adjoints, the weight gradients in
+    # their parameters' shapes: backward copies the seed and nothing else
+    rng = np.random.default_rng(16)
+    for U_shape in ((5, 5), (2, 5, 5)):
+        x = ad.Var(rng.normal(size=(4, 3)))
+        W, b = ad.Var(rng.normal(size=(5, 3))), ad.Var(rng.normal(size=5))
+        U = ad.Var(rng.normal(size=U_shape))
+        h = linear(x, W, b)
+        backward_copies.clear()
+        ad.backward(ad.sum_all(biaffine(h, h, U)))
+        assert len(backward_copies) == 1
+        for var in (x, W, b, U):
+            assert var.grad.shape == var.value.shape
 
 
 def test_scoring_plain_params_builds_no_graph_and_training_does():
@@ -421,6 +471,23 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
     post = mfvi(scores, variant, 2)
     tree = decode(post.head_probs(), label_distribution(scores.s_label))
     assert len(tree.heads) == 4 and len(tree.labels) == 4
+
+
+def test_training_loss_builds_one_node_per_layer(monkeypatch):
+    # Single2o at T = 3 on a 5-word sentence: every projection is one
+    # linear node, edges one biaffine node and the sibling symmetrization
+    # one node
+    nodes = []
+    init = ad.Var.__init__
+
+    def counting_init(self, value, parents=(), vjp=None):
+        init(self, value, parents, vjp)
+        if vjp is not None:
+            nodes.append(self)
+
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    sentence_loss(make_sentence(5), make_params(seed=6), "single2o", 3, 0.07)
+    assert len(nodes) == 63
 
 
 def test_label_distribution_uniform_and_degenerate():

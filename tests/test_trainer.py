@@ -651,6 +651,27 @@ def test_model_checkpoint_checks_tensor_names_and_shapes(tmp_path, edit, message
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("d_bin", 0, "d_bin must be >= 1"),
+        ("iterations", -1, "iterations must be >= 0"),
+        ("p_drop_edge", 1.0, r"p_drop_edge must lie in \[0, 1\)"),
+        ("p_drop_label", float("nan"), r"p_drop_label must lie in \[0, 1\)"),
+    ],
+)
+def test_model_config_range_checks_reach_for_variant_and_load_model(
+        tmp_path, field, value, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig.for_variant("local2o", **{field: value})
+    params = make_params(seed=9)
+    setattr(params.config, field, value)  # past the check, as a foreign writer might
+    path = str(tmp_path / "model.bin")
+    save_model(params, path)
+    with pytest.raises(ValueError, match=message):
+        load_model(path)
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
