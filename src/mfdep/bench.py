@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .decoder import VARIANTS, mfvi
-from .scorer import ScoreTensors, edge_mask, gp_mask, sib_mask
+from .decoder import mfvi
+from .scorer import VARIANTS, ScoreTensors, edge_mask, sib_mask, variant_row
 
 # hardware-specific sentences/second reported for the original systems
 # (single GTX 1080 Ti); printed for reference only, never asserted.
@@ -31,7 +31,7 @@ def random_scores(n, rng, n_labels=4, unary_std=1.0, binary_std=0.25):
     return ScoreTensors(
         s_edge=rng.normal(0.0, unary_std, (n + 1, n + 1)) * edge_mask(n),
         s_sib=rng.normal(0.0, binary_std, (n + 1,) * 3) * sib_mask(n),
-        s_gp=rng.normal(0.0, binary_std, (n + 1,) * 3) * gp_mask(n),
+        s_gp=rng.normal(0.0, binary_std, (n + 1,) * 3) * sib_mask(n),
         s_label=rng.normal(0.0, unary_std, (n + 1, n + 1, n_labels)),
     )
 
@@ -59,7 +59,7 @@ def benchmark(variants=VARIANTS, lengths=(10, 20, 40), repeats=5, seed=0):
     scores_by_n = {n: random_scores(n, rng) for n in lengths}
     rows = []
     for variant in variants:
-        T = 0 if variant.endswith("1o") else 3
+        T = variant_row(variant).iterations
         for n in lengths:
             sc = scores_by_n[n]
             mfvi(sc, variant, T)  # warmup

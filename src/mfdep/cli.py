@@ -8,13 +8,20 @@ import sys
 
 import numpy as np
 
-from .decoder import VARIANTS
 from .evaluator import PUNCT_MODES
+from .scorer import VARIANTS
 
 
 def _log(msg):
     if os.environ.get("MFDEP_LOG", "1") not in ("0", ""):
         print(msg, file=sys.stderr)
+
+
+def _count(text):
+    """argparse type of a count: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, not {text!r}")
+    return int(text)
 
 
 def _build_parser():
@@ -51,15 +58,15 @@ def _build_parser():
     ev.add_argument("--json", action="store_true", help="machine-readable output")
 
     be = sub.add_parser("bench", help="decoder throughput benchmark")
-    be.add_argument("--lengths", type=int, nargs="+", default=[10, 20, 40])
-    be.add_argument("--repeats", type=int, default=5)
+    be.add_argument("--lengths", type=_count, nargs="+", default=[10, 20, 40])
+    be.add_argument("--repeats", type=_count, default=5)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--csv", metavar="FILE", help="also write CSV")
 
     oc = sub.add_parser("oracle-check", help="decoder/MST deviation tables vs brute force")
     oc.add_argument("--seed", type=int, default=0)
-    oc.add_argument("--instances", type=int, default=50)
-    oc.add_argument("--iterations", type=int, default=3)
+    oc.add_argument("--instances", type=_count, default=50)
+    oc.add_argument("--iterations", type=int, default=None, help="MFVI iterations T")
 
     return p
 
@@ -78,19 +85,16 @@ def _cmd_train(args):
         if not dev:
             raise ValueError(f"{args.dev}: dev file has no sentences")
         require_annotated(dev, args.dev)
-    cfg_kwargs = dict(variant=args.variant, seed=args.seed, scale=args.scale,
-                      single_root=args.single_root == "on")
-    if args.lam is not None:
-        cfg_kwargs["lam"] = args.lam
-    if args.iterations is not None:
-        cfg_kwargs["iterations"] = args.iterations
+    cfg_kwargs = dict(variant=args.variant, lam=args.lam, iterations=args.iterations,
+                      seed=args.seed, scale=args.scale, single_root=args.single_root == "on")
     if args.config:
         cfg_kwargs.update(parse_config_file(args.config))
     dims = {k: cfg_kwargs.pop(k) for k in MODEL_DIMS if k in cfg_kwargs}
     config = TrainConfig(**cfg_kwargs)
-    params = initial_params(corpus, config, ModelConfig.for_variant(config.variant, **dims))
+    params = initial_params(corpus, config, ModelConfig(variant=config.variant, **dims))
     if args.embeddings:
-        load_embeddings(args.embeddings, params)
+        _log(f"loaded {load_embeddings(args.embeddings, params)} word vectors "
+             f"from {args.embeddings}")
     result = train(corpus, dev, config, params=params, log=_log)
     save_model(result.params, args.model)
     if args.history:
@@ -153,7 +157,7 @@ def _cmd_bench(args):
 def _cmd_oracle_check(args):
     from . import autodiff as ad
     from .bench import random_scores
-    from .decoder import mfvi_local, mfvi_single
+    from .decoder import mfvi
     from .oracle import best_arborescence_bruteforce, exact_marginals_local, exact_marginals_single
     from .tree import chu_liu_edmonds, tree_weight
 
@@ -161,10 +165,10 @@ def _cmd_oracle_check(args):
     dev_local, dev_single = [], []
     for _ in range(args.instances):
         sc = random_scores(4, rng)
-        q = mfvi_local(sc, args.iterations).head_probs()
+        q = mfvi(sc, "local2o", args.iterations).head_probs()
         dev_local.append(np.abs(q - exact_marginals_local(sc)).max())
         sc3 = random_scores(3, rng)
-        q = ad.val(mfvi_single(sc3, args.iterations).final)
+        q = ad.val(mfvi(sc3, "single2o", args.iterations).final)
         dev_single.append(np.abs(q - exact_marginals_single(sc3)).mean())
     mst_fail = 0
     for _ in range(args.instances):

@@ -23,11 +23,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .scorer import edge_mask
+from .scorer import VARIANTS, edge_mask, variant_row
 
 _NEG = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
-
-VARIANTS = ("local1o", "single1o", "local2o", "single2o")
 
 
 def _mfvi_messages(q, sib, gp):
@@ -87,7 +85,7 @@ def _unrolled(scores, T, update):
     return Posterior(qs)
 
 
-def mfvi_local(scores, T=3):
+def mfvi_local(scores, T=VARIANTS["local2o"].iterations):
     neg = (1.0 - edge_mask(scores.n)) * _NEG  # additive mask of the non-edges
 
     def local_update(logits, mask):
@@ -96,16 +94,14 @@ def mfvi_local(scores, T=3):
     return _unrolled(scores, T, local_update)
 
 
-def mfvi_single(scores, T=3):
+def mfvi_single(scores, T=VARIANTS["single2o"].iterations):
     return _unrolled(scores, T, _single_update)
 
 
 def mfvi(scores, variant, T=None):
-    """Dispatch by variant name, one of ``VARIANTS`` exactly; first-order
-    variants run with T=0, second-order ones with T=3 unless given."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    T = 0 if variant.endswith("1o") else 3 if T is None else T
-    if variant.startswith("local"):
-        return mfvi_local(scores, T)
-    return mfvi_single(scores, T)
+    """Dispatch by variant name, a key of ``VARIANTS`` exactly, to its
+    posterior family; T defaults to the variant's, and a first-order
+    variant (default T = 0) always runs with T = 0."""
+    row = variant_row(variant)
+    T = row.iterations if T is None or row.iterations == 0 else T
+    return {"local": mfvi_local, "single": mfvi_single}[row.posterior](scores, T)

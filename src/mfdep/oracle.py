@@ -123,11 +123,8 @@ def all_arborescences(n, single_root=True, max_n=5):
     if key not in _arbo_cache:
         out = []
         for heads in _head_assignments(n):
-            if not is_tree(heads):
-                continue
-            if single_root and int(np.sum(heads == 0)) != 1:
-                continue
-            out.append(heads)
+            if is_tree(heads, single_root):
+                out.append(heads)
         _arbo_cache[key] = np.array(out, dtype=np.intp)
     return _arbo_cache[key]
 

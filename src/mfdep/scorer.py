@@ -23,6 +23,7 @@ no op builds a closure or any other autodiff bookkeeping.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,16 +44,34 @@ def check_range(config, names, holds, rule):
             raise ValueError(f"{name} must {rule}")
 
 
+# The paper's four parsers by name: posterior family ("local": a categorical
+# head per word; "single": a Bernoulli per edge), default MFVI iterations T
+# (0: first order), edge-MLP width d_edge and label-loss weight lam.
+Variant = namedtuple("Variant", "posterior iterations d_edge lam")
+VARIANTS = {
+    family + order: Variant(family, T, d_edge, lam)
+    for order, T in (("1o", 0), ("2o", 3))
+    for family, d_edge, lam in (("local", 450, 0.40), ("single", 550, 0.07))
+}
+
+
+def variant_row(name):
+    """The ``VARIANTS`` row of name; ValueError if no parser has it."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; expected one of {', '.join(VARIANTS)}")
+    return VARIANTS[name]
+
+
 @dataclass
 class ModelConfig:
     d_word: int = 100
     d_pos: int = 50
     d_hidden: int = 100
-    d_edge: int = 450  # 550 for the Single variants
+    d_edge: int = None  # default: the variant's
     d_label: int = 150
     d_bin: int = 150
     variant: str = "local2o"
-    iterations: int = 3
+    iterations: int = None  # default: the variant's T
     # inverted-dropout probabilities; only used when dropout is enabled
     p_drop_embed: float = 0.20
     p_drop_edge: float = 0.25
@@ -60,6 +79,9 @@ class ModelConfig:
     p_drop_bin: float = 0.25
 
     def __post_init__(self):
+        row = variant_row(self.variant)
+        self.d_edge = row.d_edge if self.d_edge is None else self.d_edge
+        self.iterations = row.iterations if self.iterations is None else self.iterations
         check_range(self, MODEL_DIMS, lambda v: v >= 1, "be >= 1")
         check_range(self, ("iterations",), lambda v: v >= 0, "be >= 0")
         check_range(self, ("p_drop_embed", "p_drop_edge", "p_drop_label", "p_drop_bin"),
@@ -67,9 +89,7 @@ class ModelConfig:
 
     @staticmethod
     def for_variant(variant, **kwargs):
-        d_edge = 550 if variant.startswith("single") else 450
-        it = 0 if variant.endswith("1o") else 3
-        return ModelConfig(**{"variant": variant, "d_edge": d_edge, "iterations": it, **kwargs})
+        return ModelConfig(variant=variant, **kwargs)
 
 
 @dataclass
@@ -203,9 +223,6 @@ def sib_mask(n):
     j = idx[None, :, None]
     k = idx[None, None, :]
     return ((j >= 1) & (k >= 1) & (i != j) & (i != k) & (j != k)).astype(np.float64)
-
-
-gp_mask = sib_mask
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +471,32 @@ def score_sentence(sentence, params, pv=None, dropout_rng=None):
 
 
 def load_embeddings(path, params):
-    """Load plain-text word vectors (token then d floats per line) into
-    the word embedding rows of params, for tokens in the vocabulary."""
+    """Load plain-text word vectors (token then d_word numbers per line;
+    a line of another width, such as a word2vec header, is skipped) into
+    the word embedding rows of params, for tokens in the vocabulary, and
+    return how many rows were set. Raises ValueError naming the file and
+    line of a vector that holds a value which is no finite number, and
+    naming the file and d_word when no line has that width."""
     d = params.config.d_word
-    loaded = 0
+    loaded = matched = 0
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split()
             if len(parts) != d + 1:
                 continue
+            matched += 1
             idx = params.word2id.get(parts[0])
-            if idx is not None:
-                params.tensors["emb_word"][idx] = [float(x) for x in parts[1:]]
-                loaded += 1
+            if idx is None:
+                continue
+            try:
+                row = np.array([float(x) for x in parts[1:]])
+            except ValueError:
+                row = None
+            if row is None or not np.isfinite(row).all():
+                raise ValueError(f"{path}, line {lineno}: the vector of {parts[0]!r} "
+                                 "holds a value that is not a finite number")
+            params.tensors["emb_word"][idx] = row
+            loaded += 1
+    if not matched:
+        raise ValueError(f"{path}: no line holds a word and {d} numbers (d_word = {d})")
     return loaded

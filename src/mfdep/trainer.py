@@ -23,6 +23,7 @@ from .scorer import (
     label_distribution,
     score_sentence,
     tensor_shapes,
+    variant_row,
 )
 from .tree import decode
 
@@ -33,8 +34,8 @@ _P_FLOOR = float(np.exp(LOG_FLOOR))
 @dataclass
 class TrainConfig:
     variant: str = "local2o"
-    lam: float = None  # interpolation; default 0.40 Local / 0.07 Single
-    iterations: int = 3  # MFVI iterations T
+    lam: float = None  # interpolation; default: the variant's
+    iterations: int = None  # MFVI iterations T; default: the variant's
     learning_rate: float = 0.01
     adam_beta1: float = 0.0
     adam_beta2: float = 0.95
@@ -54,23 +55,21 @@ class TrainConfig:
     single_root: bool = True
 
     def __post_init__(self):
-        if self.variant not in decoder.VARIANTS:
-            raise ValueError(
-                f"unknown variant {self.variant!r}; expected one of {', '.join(decoder.VARIANTS)}"
-            )
+        row = variant_row(self.variant)
         if self.dev_metric not in ("las", "uas"):
             raise ValueError(f"dev_metric must be 'las' or 'uas', not {self.dev_metric!r}")
-        if self.lam is None:
-            self.lam = 0.07 if self.variant.startswith("single") else 0.40
+        self.lam = row.lam if self.lam is None else self.lam
+        self.iterations = row.iterations if self.iterations is None else self.iterations
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
         check_range(self, ("max_iterations", "eval_every", "decay_step", "amsgrad_after",
-                           "early_stop", "batch_tokens"), lambda v: v >= 1, "be >= 1")
+                           "early_stop", "batch_tokens", "max_train_len"),
+                    lambda v: v >= 1, "be >= 1")
         check_range(self, ("iterations",), lambda v: v >= 0, "be >= 0")
         check_range(self, ("scale", "learning_rate", "adam_eps"), lambda v: v > 0, "be > 0")
         check_range(self, ("adam_beta1", "adam_beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
         check_range(self, ("decay_rate",), lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
-        if self.variant.endswith("1o"):
+        if row.iterations == 0:  # a first-order parser runs no MFVI iteration
             self.iterations = 0
 
     def scaled(self, name):
@@ -132,10 +131,8 @@ def sentence_loss(sentence, params, variant, T, lam, pv=None, dropout_rng=None):
     scores = score_sentence(sentence, params, pv, dropout_rng)
     post = decoder.mfvi(scores, variant, T)
     gold_heads = sentence.gold_heads
-    if variant.startswith("local"):
-        l_edge = edge_loss_local(post.final, gold_heads)
-    else:
-        l_edge = edge_loss_single(post.final, gold_heads)
+    edge_loss = {"local": edge_loss_local, "single": edge_loss_single}
+    l_edge = edge_loss[variant_row(variant).posterior](post.final, gold_heads)
     p_label = label_distribution(scores.s_label)
     gold_labels = [params.labels.index(lbl) for lbl in sentence.gold_labels]
     l_label = label_loss(p_label, gold_heads, gold_labels)
@@ -332,7 +329,7 @@ def initial_params(corpus, config, model_config=None):
     of the sentences it keeps, and the dimensions of ``model_config``
     (default: the variant's)."""
     if model_config is None:
-        model_config = ModelConfig.for_variant(config.variant)
+        model_config = ModelConfig(variant=config.variant)
     w2i, p2i, labels = build_vocabs(filter_long(corpus, config.max_train_len))
     return init_params(model_config, w2i, p2i, labels, seed=config.seed)
 

@@ -34,11 +34,15 @@ def argmax_heads(hp):
     return hp.argmax(axis=1).astype(np.intp)
 
 
-def is_tree(heads):
-    """True iff every head lies in 0..n and every node reaches the root
-    with no cycles. O(n) walk."""
+def is_tree(heads, single_root=False):
+    """True iff every head lies in 0..n, every node reaches the root with
+    no cycles and, with ``single_root``, the root has exactly one child
+    (or none in an empty sentence, which has no word to attach). O(n)
+    walk."""
     padded = [0] + np.asarray(heads).tolist()  # a list walks faster than an array
     if min(padded) < 0 or max(padded) >= len(padded):
+        return False
+    if single_root and len(padded) > 1 and padded.count(0) != 2:  # padded[0] and one child
         return False
     return _find_cycle(padded) is None
 
@@ -171,14 +175,12 @@ def assign_labels(p_label, heads):
 
 def decode(hp, p_label, single_root=True, stats=None):
     """argmax heads of the n x (n+1) head-probability matrix hp (a
-    posterior's ``head_probs()``), MST fallback on its logs, then labels."""
+    posterior's ``head_probs()``), MST fallback on its logs, then labels.
+    An empty sentence (n = 0) decodes to the empty tree."""
     heads = argmax_heads(hp)
-    ok = is_tree(heads)
-    if ok and single_root and int(np.sum(heads == 0)) != 1:
-        ok = False
     if stats is not None:
         stats.sentences += 1
-    if not ok:
+    if not is_tree(heads, single_root):
         with np.errstate(divide="ignore"):
             logq = np.log(hp.T)  # (n+1) x n -> pad to (n+1) x (n+1)
         n = hp.shape[0]

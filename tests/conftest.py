@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
 
 import mfdep.autodiff as ad
-from mfdep.scorer import ScoreTensors, edge_mask, gp_mask, sib_mask
+import mfdep.bench
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TOY_TREEBANK = os.path.join(
@@ -16,12 +16,7 @@ TOY_TREEBANK = os.path.join(
 
 
 def random_scores(n, rng, n_labels=3, unary_std=1.0, binary_std=0.25):
-    return ScoreTensors(
-        s_edge=rng.normal(0.0, unary_std, (n + 1, n + 1)) * edge_mask(n),
-        s_sib=rng.normal(0.0, binary_std, (n + 1,) * 3) * sib_mask(n),
-        s_gp=rng.normal(0.0, binary_std, (n + 1,) * 3) * gp_mask(n),
-        s_label=rng.normal(0.0, unary_std, (n + 1, n + 1, n_labels)),
-    )
+    return mfdep.bench.random_scores(n, rng, n_labels, unary_std, binary_std)
 
 
 @pytest.fixture

@@ -147,6 +147,64 @@ def test_train_embeddings_are_the_starting_point(tmp_path):
     assert model.read_bytes() == expect.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("the 1 2 3 4\nfox 1 2 3 x\n", ", line 2: the vector of 'fox' holds a value"),
+        ("400000 4\nthe 1 2 3\n", ": no line holds a word and 4 numbers (d_word = 4)"),
+    ],
+)
+def test_train_rejects_embeddings_it_cannot_read(text, message, workspace, tmp_path, capsys):
+    emb = tmp_path / "vectors.txt"
+    emb.write_text(text, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--embeddings", str(emb), "--model", str(model)]) == 1
+    assert f"error: {emb}{message}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_train_logs_how_many_word_vectors_it_loaded(workspace, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MFDEP_LOG", "1")
+    emb = tmp_path / "vectors.txt"
+    emb.write_text("400000 4\nthe 1 2 3 4\nfox 1 2 3 4\nunseen 1 2 3 4\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--embeddings", str(emb), "--model", str(tmp_path / "m.bin")]) == 0
+    assert f"loaded 2 word vectors from {emb}" in capsys.readouterr().err
+
+
+COMMENT_BLOCK = "# newdoc id = d1\n# a block of comments alone reads as a sentence with no words\n\n"
+
+
+def test_parse_writes_a_comment_only_block_back(workspace, tmp_path):
+    with open(workspace["train"], encoding="utf-8") as f:
+        text = f.read()
+    with_block = tmp_path / "with_block.conllu"
+    with_block.write_text(COMMENT_BLOCK + text, encoding="utf-8")
+    plain_out, block_out = tmp_path / "plain.out", tmp_path / "block.out"
+    for src, out in ((workspace["train"], plain_out), (with_block, block_out)):
+        assert run(["parse", "--single-root", "on", "--model", workspace["model"],
+                    "--input", str(src), "--output", str(out)]) == 0
+    assert block_out.read_bytes() == COMMENT_BLOCK.encode() + plain_out.read_bytes()
+
+
+def test_train_reads_a_comment_only_block(workspace, tmp_path):
+    with open(workspace["train"], encoding="utf-8") as f:
+        text = f.read()
+    train_file = tmp_path / "train.conllu"
+    train_file.write_text(COMMENT_BLOCK + text, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")  # its one step ends with a dev evaluation
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", str(train_file), "--config", str(cfg),
+                "--model", str(model)]) == 0
+    assert model.exists()
+
+
 UNANNOTATED = (
     "# sent_id = raw-1\n"
     "1\tHe\the\tPRON\tPRP\t_\t_\t_\t_\t_\n"
@@ -273,6 +331,7 @@ def test_train_rejects_a_scale_that_is_not_positive(scale, workspace, tmp_path, 
         ("decay_rate = 0", "decay_rate must lie in (0, 1]"),
         ("batch_tokens = -5", "batch_tokens must be >= 1"),
         ("iterations = -1", "iterations must be >= 0"),
+        ("max_train_len = 0", "max_train_len must be >= 1"),
     ],
 )
 def test_train_rejects_a_bad_config_value(line, message, workspace, tmp_path, capsys):
@@ -436,6 +495,18 @@ def test_bench_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sents/s" in out
     assert csv.read_text().startswith("variant,n,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bench", "--repeats", "0"], ["bench", "--lengths", "0"],
+     ["bench", "--lengths", "4", "-2"], ["oracle-check", "--instances", "0"]],
+)
+def test_bench_and_oracle_check_reject_a_count_below_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
 
 
 def test_oracle_check_subcommand(capsys):

@@ -5,7 +5,7 @@ import mfdep.autodiff as ad
 from conftest import random_scores
 from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
-from mfdep.scorer import ScoreTensors, edge_mask, gp_mask, sib_mask
+from mfdep.scorer import ScoreTensors, edge_mask, sib_mask
 
 
 def zero_binary_scores(n, rng, n_labels=2):
@@ -159,7 +159,7 @@ def test_posterior_gradients_match_finite_differences(variant, rng):
     arrays = {
         "s_edge": rng.normal(size=(n + 1, n + 1)) * edge_mask(n),
         "s_sib": rng.normal(0, 0.25, (n + 1,) * 3) * sib_mask(n),
-        "s_gp": rng.normal(0, 0.25, (n + 1,) * 3) * gp_mask(n),
+        "s_gp": rng.normal(0, 0.25, (n + 1,) * 3) * sib_mask(n),
     }
     w = rng.normal(size=(n + 1, n + 1))
     run = mfvi_local if variant == "local" else mfvi_single

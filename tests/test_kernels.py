@@ -3,14 +3,14 @@ import pytest
 
 from conftest import random_scores
 from mfdep import kernels
-from mfdep.scorer import edge_mask, gp_mask, sib_mask
+from mfdep.scorer import edge_mask, sib_mask
 
 
 def _inputs(n, seed=0):
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.0, 1.0, (n + 1, n + 1)) * edge_mask(n)
     sib = rng.normal(0.0, 0.25, (n + 1,) * 3) * sib_mask(n)
-    gp = rng.normal(0.0, 0.25, (n + 1,) * 3) * gp_mask(n)
+    gp = rng.normal(0.0, 0.25, (n + 1,) * 3) * sib_mask(n)
     return q, sib, gp
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from mfdep.scorer import (
     build_vocabs,
     edge_mask,
     encode,
-    gp_mask,
     gru,
     init_params,
     label_distribution,
@@ -160,7 +161,6 @@ def test_trilinear_op_matches_einsum_at_default_dims():
 
 
 def test_trilinear_zeroes_exactly_the_sib_mask_cells():
-    assert gp_mask is sib_mask
     rng = np.random.default_rng(8)
     for n in range(1, 30):
         gh = rng.uniform(0.5, 1.0, size=(n + 1, 2))
@@ -513,7 +513,7 @@ def test_masked_cells_are_exactly_zero():
     n = 4
     assert not ad.val(scores.s_edge)[edge_mask(n) == 0].any()
     assert not ad.val(scores.s_sib)[sib_mask(n) == 0].any()
-    assert not ad.val(scores.s_gp)[gp_mask(n) == 0].any()
+    assert not ad.val(scores.s_gp)[sib_mask(n) == 0].any()
 
 
 def test_scores_deterministic():
@@ -568,3 +568,20 @@ def test_load_embeddings(tmp_path):
     np.testing.assert_allclose(
         params.tensors["emb_word"][params.word2id["dog"]], [1, 2, 3, 4]
     )
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("dog 1 2 3 4\ncat 1 2 x 4\n", r", line 2: the vector of 'cat' holds a value"),
+        ("dog 1 2 3 nan\n", r", line 1: the vector of 'dog' holds a value"),
+        ("dog 1 2 3\ncat 1 2 3 4 5\n", r": no line holds a word and 4 numbers \(d_word = 4\)"),
+        ("", r": no line holds a word and 4 numbers"),
+    ],
+)
+def test_load_embeddings_names_the_file_and_what_it_cannot_read(tmp_path, text, message):
+    params = make_params(d_word=4)
+    vec = tmp_path / "vectors.txt"
+    vec.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(str(vec)) + message):
+        load_embeddings(str(vec), params)

@@ -672,6 +672,32 @@ def test_model_config_range_checks_reach_for_variant_and_load_model(
         load_model(path)
 
 
+@pytest.mark.parametrize(
+    "variant,d_edge,T,lam",
+    [("local1o", 450, 0, 0.40), ("single1o", 550, 0, 0.07),
+     ("local2o", 450, 3, 0.40), ("single2o", 550, 3, 0.07)],
+)
+def test_model_and_train_configs_take_the_variants_defaults(variant, d_edge, T, lam):
+    config = ModelConfig(variant=variant)
+    assert config == ModelConfig.for_variant(variant)
+    assert (config.d_edge, config.iterations) == (d_edge, T)
+    train_config = TrainConfig(variant=variant)
+    assert (train_config.lam, train_config.iterations) == (lam, T)
+
+
+def test_model_config_and_load_model_refuse_an_unknown_variant(tmp_path):
+    with pytest.raises(ValueError, match="unknown variant 'Local2o'; expected one of local1o"):
+        ModelConfig(variant="Local2o")
+    with pytest.raises(ValueError, match="unknown variant 'nonsense'"):
+        ModelConfig.for_variant("nonsense")
+    params = make_params(seed=9)
+    params.config.variant = "Single2o"  # past the check, as a foreign writer might
+    path = str(tmp_path / "model.bin")
+    save_model(params, path)
+    with pytest.raises(ValueError, match="unknown variant 'Single2o'"):
+        load_model(path)
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

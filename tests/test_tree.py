@@ -38,6 +38,18 @@ def test_is_tree_enumerated_n2():
         assert is_tree(np.array(heads)) == ok
 
 
+def test_is_tree_single_root_allows_one_root_child_and_the_empty_tree():
+    assert is_tree(np.array([0, 0]))
+    assert not is_tree(np.array([0, 0]), single_root=True)
+    assert is_tree(np.array([0, 1]), single_root=True)
+    assert is_tree(np.array([], dtype=np.intp), single_root=True)
+
+
+def test_decode_empty_sentence_is_the_empty_tree():
+    tree = decode(np.zeros((0, 1)), np.zeros((1, 1, 3)), single_root=True)
+    assert tree.heads.size == 0 and tree.labels.size == 0
+
+
 def test_is_tree_rejects_unreachable_cycle():
     # 1 -> 2 -> 3 -> 1 cycle with nothing attached to root
     assert not is_tree(np.array([3, 1, 2]))
