@@ -78,6 +78,8 @@ def _cmd_train(args):
                           save_model, train)
 
     corpus = read_conllu_file(args.train)
+    if not any(len(s) for s in corpus):
+        raise ValueError(f"{args.train}: training file has no words")
     require_annotated(corpus, args.train)
     dev = corpus
     if args.dev:
@@ -106,17 +108,15 @@ def _cmd_train(args):
 
 def _cmd_parse(args):
     from .conllu import read_conllu_file, write_conllu_file
-    from .tree import DecodeStats
     from .trainer import load_model, parse_sentences
 
     params = load_model(args.model)
     sentences = read_conllu_file(args.input)
-    stats = DecodeStats()
     trees = parse_sentences(params, sentences, args.variant, args.iterations,
-                            args.single_root == "on", stats)
+                            args.single_root == "on")
     predicted = [(t.heads.tolist(), [params.labels[i] for i in t.labels]) for t in trees]
     write_conllu_file(args.output, sentences, predicted)
-    _log(f"parsed {stats.sentences} sentences ({stats.mst_calls} MST fallbacks)")
+    _log(f"parsed {len(trees)} sentences ({sum(t.mst for t in trees)} MST fallbacks)")
     return 0
 
 

@@ -51,7 +51,10 @@ class Sentence:
 
 
 def parse_conllu(text):
-    """Parse CoNLL-U text into a list of Sentences."""
+    """Parse CoNLL-U text into a list of Sentences. Raises ConlluError
+    naming the line of a word whose ID is not the next integer (1, 2, ...
+    in each sentence): the writer numbers words by position, so a gap or
+    a repeat would point a HEAD at another word."""
     sentences = []
     comments = []
     tokens = []
@@ -86,10 +89,10 @@ def parse_conllu(text):
             # multiword range or empty node: keep verbatim, skip for parsing
             raw.setdefault(len(tokens), []).append(line)
             continue
-        try:
-            int(tok_id)
-        except ValueError:
-            raise ConlluError(f"line {lineno}: bad token id {tok_id!r}") from None
+        if tok_id != str(len(tokens) + 1):  # written back renumbered
+            raise ConlluError(
+                f"line {lineno}: word ID {tok_id!r}, expected {len(tokens) + 1}"
+            )
         head = None
         if cols[6] != "_":
             try:

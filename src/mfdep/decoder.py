@@ -10,8 +10,10 @@ Two variants:
 Both run the same unrolled loop over the same message computation (see
 ``kernels``) and retain all T+1 posterior iterates so gradients flow
 through the whole unrolled inference; the messages and the sibling
-symmetrization s + s^T are one op each. The 2-D edge mask, and the Local
-variant's additive mask, are built at most once per sentence. When no
+symmetrization s + s^T are one op each. Each update alone masks the edges
+that are no candidate: q is 0 there whatever (finite) ``s_edge`` holds,
+and those cells of ``s_edge`` get a 0 adjoint. The 2-D edge mask, and the
+Local variant's additive mask, are built at most once per sentence. When no
 score is a Var (parsing), every iterate is a plain array and no op
 builds a closure.
 """
@@ -49,9 +51,9 @@ class Posterior:
     def final(self):
         return self.qs[-1]
 
-    def head_probs(self, t=-1):
-        """n x (n+1) array: row j-1 holds the beliefs in each head of word j."""
-        return ad.val(self.qs[t])[:, 1:].T.copy()
+    def head_probs(self):
+        """n x (n+1) array: row j-1 holds the final beliefs in each head of j."""
+        return ad.val(self.final)[:, 1:].T.copy()
 
 
 def _sym_sib(s_sib):

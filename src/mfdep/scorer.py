@@ -10,10 +10,10 @@ Score tensors follow the conventions:
     s_sib[i, j, k]   score of the edge pair {i -> j, i -> k}
     s_gp[i, j, k]    score of the chain i -> j -> k
     s_label[i, j, l] score of label l on edge i -> j
-Cells that cannot correspond to a valid configuration (root as a
-dependent, self-loops, repeated dependents) are fixed at 0: by a 2-D mask
-for edges and labels, and inside ``trilinear`` for sibling pairs and
-chains, so that no mask cube is built.
+``s_edge`` and ``s_label`` are unmasked: MFVI alone masks the edges that
+are no candidate (root as a dependent, self-loops), and the losses and the
+decoder read candidate cells only. ``trilinear`` zeroes the sibling and
+grandparent cells of no valid pair or chain, which the MFVI kernel needs.
 
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
@@ -385,8 +385,7 @@ def biaffine(lh, ld, U):
 def score_edges(H, params, pv=None, dropout_rng=None):
     pv = params.tensors if pv is None else pv
     hh, hd = _head_dep(H, pv, "edge", params.config.p_drop_edge, dropout_rng)
-    n = ad.val(H).shape[0] - 1
-    return ad.mul(biaffine(_aug(hh), _aug(hd), pv["U_edge"]), edge_mask(n))
+    return biaffine(_aug(hh), _aug(hd), pv["U_edge"])
 
 
 def _zero_invalid(s):
@@ -448,8 +447,7 @@ def score_grandparents(H, params, pv=None, dropout_rng=None):
 def score_labels(H, params, pv=None, dropout_rng=None):
     pv = params.tensors if pv is None else pv
     lh, ld = _head_dep(H, pv, "label", params.config.p_drop_label, dropout_rng)
-    n = ad.val(H).shape[0] - 1
-    return ad.mul(biaffine(_aug(lh), _aug(ld), pv["U_label"]), edge_mask(n)[:, :, None])
+    return biaffine(_aug(lh), _aug(ld), pv["U_label"])
 
 
 def label_distribution(s_label):

@@ -122,12 +122,12 @@ def total_loss(l_edge, l_label, lam):
     return ad.add(ad.mul(l_label, lam), ad.mul(l_edge, 1.0 - lam))
 
 
-def sentence_loss(sentence, params, variant, T, lam, pv=None, dropout_rng=None):
+def sentence_loss(sentence, params, variant, T, lam, dropout_rng=None):
     """Full differentiable pipeline: encode -> scores -> MFVI -> loss.
 
-    Returns (loss, tape, pv); ``tape.backward(loss)`` is ``ad.backward``."""
-    if pv is None:
-        pv = params.as_vars()
+    Returns (loss, tape, pv), pv the leaf Vars of ``params.as_vars()``;
+    ``tape.backward(loss)`` is ``ad.backward``."""
+    pv = params.as_vars()
     scores = score_sentence(sentence, params, pv, dropout_rng)
     post = decoder.mfvi(scores, variant, T)
     gold_heads = sentence.gold_heads
@@ -290,12 +290,11 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
     return total / k, grads
 
 
-def parse_sentences(params, sentences, variant=None, T=None, single_root=True, stats=None):
+def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
     """The one inference loop: score, MFVI, decode; one DependencyTree per
     sentence. ``variant`` defaults to the checkpoint's, and ``T`` to the
     checkpoint's when the variant is the checkpoint's (to ``mfvi``'s
-    default otherwise). ``stats``, a ``tree.DecodeStats``, counts
-    sentences and MST fallbacks."""
+    default otherwise)."""
     if variant is None:
         variant = params.config.variant
     if T is None and variant == params.config.variant:
@@ -304,16 +303,16 @@ def parse_sentences(params, sentences, variant=None, T=None, single_root=True, s
     for sent in sentences:
         scores = score_sentence(sent, params)
         post = decoder.mfvi(scores, variant, T)
-        p_label = label_distribution(scores.s_label)
-        trees.append(decode(post.head_probs(), p_label, single_root, stats))
+        trees.append(decode(post.head_probs(), scores.s_label, single_root))
     return trees
 
 
-def evaluate(params, sentences, variant=None, T=None, single_root=True, punct_mode="upos-punct"):
-    """UAS, LAS and counts of ``parse_sentences`` (same defaults) against gold."""
+def evaluate(params, sentences, variant=None, T=None, single_root=True):
+    """UAS, LAS and counts of ``parse_sentences`` (same defaults) against
+    gold, punctuation skipped by UPOS (``uas_las``'s default)."""
     trees = parse_sentences(params, sentences, variant, T, single_root)
     pred = [(t.heads, [params.labels[i] for i in t.labels]) for t in trees]
-    return uas_las(pred, sentences, punct_mode)
+    return uas_las(pred, sentences)
 
 
 @dataclass
@@ -341,14 +340,15 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
     ModelConfig passed in is left as it was. Raises ConlluError
     before any work if a corpus or dev word lacks a valid gold HEAD or a
     DEPREL, and ValueError if the dev set is empty (no evaluation could
-    pick a snapshot)."""
+    pick a snapshot) or the training sentences it keeps hold no word."""
     require_annotated(corpus, "training corpus")
     require_annotated(dev, "dev set")
     if not dev:
         raise ValueError("empty dev set")
     corpus = filter_long(corpus, config.max_train_len)
-    if not corpus:
-        raise ValueError("empty training corpus")
+    if not any(len(s) for s in corpus):
+        raise ValueError(f"training corpus has no words (sentences longer than "
+                         f"max_train_len = {config.max_train_len} are dropped)")
     if params is None:
         params = initial_params(corpus, config, model_config)
 
@@ -471,6 +471,29 @@ def _check_tensor_shapes(header, cfg):
             )
 
 
+_HEADER = {"config": (dict, "an object"), "word2id": (dict, "an object"),
+           "pos2id": (dict, "an object"), "labels": (list, "an array"),
+           "tensors": (list, "an array")}
+
+
+def _check_header(header, path):
+    """Raise ValueError, naming path and the key, unless the decoded JSON
+    header is an object holding each key of ``_HEADER`` with its type, and
+    each 'tensors' entry is a [name, shape] pair, shape a list of integers."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    for key, (kind, name) in _HEADER.items():
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
+        if not isinstance(header[key], kind):
+            raise ValueError(f"{path}: checkpoint header {key!r} must be {name}")
+    for entry in header["tensors"]:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], list) and all(type(d) is int for d in entry[1])):
+            raise ValueError(f"{path}: checkpoint header 'tensors' entry {entry!r} "
+                             f"is no [name, shape] pair")
+
+
 def load_model(path):
     with open(path, "rb") as f:
         preamble = f.read(12)
@@ -484,7 +507,11 @@ def load_model(path):
         if version != _VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(f.read(hlen).decode("utf-8"))
-        cfg = ModelConfig(**header["config"])
+        _check_header(header, path)
+        source = f"{path}: checkpoint config"
+        types = {fd.name: fd.type for fd in fields(ModelConfig)}
+        cfg = ModelConfig(**{k: _field_value(source, types, k, v, _json_value)
+                             for k, v in header["config"].items()})
         _check_tensor_shapes(header, cfg)
         size = os.fstat(f.fileno()).st_size
         expected = 12 + hlen + sum(8 * int(np.prod(shape)) for _, shape in header["tensors"])
@@ -512,7 +539,29 @@ def _parse_bool(value):
 
 
 _PARSERS = {"int": int, "float": float, "str": str, "bool": _parse_bool}
-_KINDS = {"int": "an integer", "float": "a number", "bool": "true or false"}
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_KINDS = {"int": "an integer", "float": "a number", "str": "a string", "bool": "true or false"}
+
+
+def _json_value(kind, value):
+    """A JSON value that already has the type named kind (a bool is no
+    integer, an integer is a number)."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError
+    return value
+
+
+def _field_value(source, types, key, value, convert):
+    """The one rule that types config from outside: ``convert(kind,
+    value)``, kind the type of key's field in ``types``. Raises
+    ValueError naming source and key on a key no field has, or a value
+    the field's type cannot hold."""
+    if key not in types:
+        raise ValueError(f"{source}: unknown key {key!r}")
+    try:
+        return convert(types[key], value)
+    except ValueError:
+        raise ValueError(f"{source}: {key} must be {_KINDS[types[key]]}, not {value!r}") from None
 
 
 def parse_config_file(path):
@@ -531,12 +580,5 @@ def parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}: bad config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in types:
-                raise ValueError(f"{path}: unknown key {key!r}")
-            try:
-                out[key] = _PARSERS[types[key]](value)
-            except ValueError:
-                raise ValueError(
-                    f"{path}: {key} must be {_KINDS[types[key]]}, not {value!r}"
-                ) from None
+            out[key] = _field_value(path, types, key, value, lambda kind, v: _PARSERS[kind](v))
     return out

@@ -20,12 +20,7 @@ from . import autodiff as ad
 class DependencyTree:
     heads: np.ndarray  # length n, heads[j-1] in 0..n
     labels: np.ndarray  # length n, label ids
-
-
-@dataclass
-class DecodeStats:
-    sentences: int = 0
-    mst_calls: int = 0
+    mst: bool  # the argmax heads were no tree, so MST chose these
 
 
 def argmax_heads(hp):
@@ -165,22 +160,23 @@ def chu_liu_edmonds(weights, single_root=True):
     return _cle(w, single_root)[1:].copy()
 
 
-def assign_labels(p_label, heads):
-    """labels[j-1] = argmax_l P[heads[j-1], j, l]; ties to smallest id."""
-    p = np.asarray(ad.val(p_label), dtype=np.float64)
+def assign_labels(s_label, heads):
+    """labels[j-1] = argmax_l s[heads[j-1], j, l] over label scores or their
+    softmax (the same argmax, but for scores whose probabilities round
+    equal); ties to smallest id."""
+    s = np.asarray(ad.val(s_label), dtype=np.float64)
     n = len(heads)
     deps = np.arange(1, n + 1)
-    return p[np.asarray(heads, dtype=np.intp), deps, :].argmax(axis=1).astype(np.intp)
+    return s[np.asarray(heads, dtype=np.intp), deps, :].argmax(axis=1).astype(np.intp)
 
 
-def decode(hp, p_label, single_root=True, stats=None):
+def decode(hp, s_label, single_root=True):
     """argmax heads of the n x (n+1) head-probability matrix hp (a
-    posterior's ``head_probs()``), MST fallback on its logs, then labels.
-    An empty sentence (n = 0) decodes to the empty tree."""
+    posterior's ``head_probs()``), MST fallback on its logs (``mst``), then
+    ``assign_labels``. An empty sentence (n = 0) decodes to the empty tree."""
     heads = argmax_heads(hp)
-    if stats is not None:
-        stats.sentences += 1
-    if not is_tree(heads, single_root):
+    mst = not is_tree(heads, single_root)
+    if mst:
         with np.errstate(divide="ignore"):
             logq = np.log(hp.T)  # (n+1) x n -> pad to (n+1) x (n+1)
         n = hp.shape[0]
@@ -191,7 +187,4 @@ def decode(hp, p_label, single_root=True, stats=None):
         w = np.full((n + 1, n + 1), -np.inf)
         w[:, 1:] = logq
         heads = chu_liu_edmonds(w, single_root=single_root)
-        if stats is not None:
-            stats.mst_calls += 1
-    labels = assign_labels(p_label, heads)
-    return DependencyTree(heads=np.asarray(heads), labels=labels)
+    return DependencyTree(np.asarray(heads), assign_labels(s_label, heads), mst)

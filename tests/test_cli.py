@@ -1,4 +1,6 @@
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import mfdep.decoder
 from mfdep.cli import run
 from mfdep.conllu import read_conllu_file, write_conllu_file
 from mfdep.scorer import ModelConfig, build_vocabs, init_params, load_embeddings
-from mfdep.trainer import TrainConfig, evaluate, load_model, save_model, train
+from mfdep.trainer import (TrainConfig, evaluate, load_model, parse_sentences, save_model,
+                           train)
 
 TINY_DIMS = dict(d_word=4, d_pos=2, d_hidden=3, d_edge=4, d_label=3, d_bin=2)
 # one training step at TINY_DIMS: a run that should have been refused ends quickly
@@ -485,6 +488,70 @@ def test_mismatched_checkpoint_exits_1_naming_the_tensor(edit, message, workspac
         "--output", str(tmp_path / "out.conllu"),
     ]) == 1
     assert message in capsys.readouterr().err
+
+
+def _edit_header(src, dst, edit):
+    """Copy the checkpoint src to dst with edit applied to its JSON header."""
+    data = src.read_bytes()
+    hlen = struct.unpack_from("<I", data, 8)[0]
+    header = json.loads(data[12:12 + hlen])
+    edit(header)
+    hbytes = json.dumps(header).encode("utf-8")
+    dst.write_bytes(data[:8] + struct.pack("<I", len(hbytes)) + hbytes + data[12 + hlen:])
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda h: h["config"].update(foo=1), "checkpoint config: unknown key 'foo'"),
+        (lambda h: h["config"].update(d_word="4"),
+         "checkpoint config: d_word must be an integer, not '4'"),
+        (lambda h: h["config"].update(p_drop_bin=False),
+         "checkpoint config: p_drop_bin must be a number, not False"),
+        (lambda h: h.update(config=[1]), "checkpoint header 'config' must be an object"),
+        (lambda h: h.pop("word2id"), "checkpoint header lacks 'word2id'"),
+        (lambda h: h["tensors"].__setitem__(0, ["x"]),
+         "checkpoint header 'tensors' entry ['x'] is no [name, shape] pair"),
+        (lambda h: h["tensors"].__setitem__(0, ["W", [2.0]]),
+         "checkpoint header 'tensors' entry ['W', [2.0]] is no [name, shape] pair"),
+    ],
+    ids=["unknown-key", "string-for-int", "bool-for-float", "config-not-object", "no-word2id",
+         "tensor-not-a-pair", "float-dimension"],
+)
+def test_parse_names_the_file_and_key_of_a_malformed_checkpoint_header(
+    edit, message, workspace, tmp_path, capsys
+):
+    bad = tmp_path / "bad.bin"
+    _edit_header(Path(workspace["model"]), bad, edit)
+    assert run(["parse", "--model", str(bad), "--input", workspace["train"],
+                "--output", str(tmp_path / "out.conllu")]) == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+def test_parse_logs_the_mst_fallbacks_of_its_trees(workspace, tmp_path, capsys, monkeypatch):
+    # a random checkpoint: its argmax heads are rarely a single-root tree
+    sentences = read_conllu_file(workspace["train"])
+    w2i, p2i, labels = build_vocabs(sentences)
+    params = init_params(ModelConfig(**TINY_DIMS), w2i, p2i, labels, seed=0)
+    model = str(tmp_path / "random.bin")
+    save_model(params, model)
+    fallbacks = sum(t.mst for t in parse_sentences(params, sentences))
+    assert 0 < fallbacks < len(sentences)
+    monkeypatch.setenv("MFDEP_LOG", "1")
+    assert run(["parse", "--model", model, "--input", workspace["train"],
+                "--output", str(tmp_path / "out.conllu")]) == 0
+    err = capsys.readouterr().err
+    assert err == f"parsed {len(sentences)} sentences ({fallbacks} MST fallbacks)\n"
+
+
+@pytest.mark.parametrize("text", ["", COMMENT_BLOCK], ids=["empty", "comment-only"])
+def test_train_names_a_training_file_with_no_words(text, tmp_path, capsys):
+    train_file = tmp_path / "train.conllu"
+    train_file.write_text(text, encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", str(train_file), "--model", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {train_file}: training file has no words\n"
+    assert not model.exists()
 
 
 def test_bench_subcommand(tmp_path, capsys):

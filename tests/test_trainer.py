@@ -562,6 +562,18 @@ def test_train_rejects_an_empty_dev_set(monkeypatch):
     assert not steps
 
 
+@pytest.mark.parametrize("corpus,max_len", [("comment-only", 90), ("too-long", 2)])
+def test_train_rejects_a_corpus_with_no_words(corpus, max_len, monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer, "batch_gradients", lambda *a, **kw: steps.append(a))
+    sentences = {"comment-only": parse_conllu("# newdoc\n\n"), "too-long": [make_sentence(3)]}
+    cfg = TrainConfig(variant="local2o", max_iterations=2, eval_every=1, max_train_len=max_len)
+    message = rf"training corpus has no words .*max_train_len = {max_len}\b"
+    with pytest.raises(ValueError, match=message):
+        train(sentences[corpus], [make_sentence(3)], cfg, params=make_params(seed=3))
+    assert not steps
+
+
 def test_train_lr_decay_arithmetic():
     corpus = [make_sentence(2)]
     cfg = TrainConfig(

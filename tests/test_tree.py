@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfdep.autodiff as ad
 from mfdep.oracle import best_arborescence_bruteforce
+from mfdep.scorer import label_distribution
 from mfdep.tree import (
-    DecodeStats,
     argmax_heads,
     assign_labels,
     chu_liu_edmonds,
@@ -146,6 +147,17 @@ def test_assign_labels():
     assert assign_labels(p4, np.array([0, 1, 1])).tolist() == [2, 3, 1]
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_assign_labels_reads_scores_as_their_softmax(seed):
+    # decode reads label scores: the argmax of a score is that of its softmax
+    rng = np.random.default_rng(seed)
+    n, L = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+    s = rng.normal(0.0, 3.0, size=(n + 1, n + 1, L))
+    heads = rng.integers(0, n + 1, size=n)
+    probs = ad.val(label_distribution(s))
+    assert assign_labels(s, heads).tolist() == assign_labels(probs, heads).tolist()
+
+
 def test_assign_labels_matches_naive_scan(rng):
     n, L = 5, 6
     p = rng.uniform(size=(n + 1, n + 1, L))
@@ -166,31 +178,27 @@ def _peaked_posterior(heads):
 
 def test_decode_skips_mst_on_valid_tree():
     q = _peaked_posterior([0, 1, 1])
-    stats = DecodeStats()
-    tree = decode(q, np.zeros((4, 4, 1)), single_root=True, stats=stats)
+    tree = decode(q, np.zeros((4, 4, 1)), single_root=True)
     assert tree.heads.tolist() == [0, 1, 1]
-    assert stats.mst_calls == 0
+    assert not tree.mst
 
 
 def test_decode_invokes_mst_on_cycle():
     q = _peaked_posterior([2, 1])  # mutual cycle, nothing on root
     q[:, 0] = 0.05
     q /= q.sum(axis=1, keepdims=True)
-    stats = DecodeStats()
-    tree = decode(q, np.zeros((3, 3, 1)), single_root=True, stats=stats)
-    assert stats.mst_calls == 1
+    tree = decode(q, np.zeros((3, 3, 1)), single_root=True)
+    assert tree.mst
     assert is_tree(tree.heads)
 
 
 def test_decode_single_root_constraint_triggers_mst():
     q = _peaked_posterior([0, 0])  # two root children: a tree, but multi-root
-    stats = DecodeStats()
-    tree = decode(q, np.zeros((3, 3, 1)), single_root=True, stats=stats)
-    assert stats.mst_calls == 1
+    tree = decode(q, np.zeros((3, 3, 1)), single_root=True)
+    assert tree.mst
     assert int(np.sum(tree.heads == 0)) == 1
-    stats2 = DecodeStats()
-    tree2 = decode(q, np.zeros((3, 3, 1)), single_root=False, stats=stats2)
-    assert stats2.mst_calls == 0
+    tree2 = decode(q, np.zeros((3, 3, 1)), single_root=False)
+    assert not tree2.mst
     assert tree2.heads.tolist() == [0, 0]
 
 
@@ -203,11 +211,9 @@ def test_decode_mst_path_matches_bruteforce_on_random_posteriors(n):
             q[j, j + 1] = 0.0
         q[:, 0] *= 0.2
         q /= q.sum(axis=1, keepdims=True)
-        stats = DecodeStats()
-        tree = decode(q, rng.uniform(size=(n + 1, n + 1, 2)),
-                      single_root=True, stats=stats)
+        tree = decode(q, rng.uniform(size=(n + 1, n + 1, 2)), single_root=True)
         assert is_tree(tree.heads)
-        if stats.mst_calls:
+        if tree.mst:
             with np.errstate(divide="ignore"):
                 w = np.full((n + 1, n + 1), -np.inf)
                 w[:, 1:] = np.log(q.T)
@@ -220,9 +226,8 @@ def test_decode_zero_root_probabilities_still_gives_single_root_tree():
     q = _peaked_posterior([2, 0, 2])
     q[:, 0] = 0.0
     q /= q.sum(axis=1, keepdims=True)
-    stats = DecodeStats()
-    tree = decode(q, np.zeros((4, 4, 1)), single_root=True, stats=stats)
-    assert stats.mst_calls == 1
+    tree = decode(q, np.zeros((4, 4, 1)), single_root=True)
+    assert tree.mst
     assert is_tree(tree.heads)
     assert int(np.sum(tree.heads == 0)) == 1
     # the one root child is the word whose best finite tree is the heaviest
