@@ -237,96 +237,131 @@ def _dropout(x, p, rng):
     return ad.mul(x, mask)
 
 
-def _by_position(x):
-    """(n1, 2, ...) in step order -> (2, n1, ...) in position order."""
-    return np.stack((x[:, 0], x[::-1, 1]))
+def _rows(x, d):
+    """Direction d of an (n1, 2, B, k) array in step order, as an owning
+    (B n1, k) array in position order: row b n1 + t is position t of
+    column b."""
+    steps = x[:, 0] if d == 0 else x[::-1, 1]
+    n1, B, k = steps.shape
+    out = np.empty((B * n1, k))
+    out.reshape(B, n1, k)[...] = steps.transpose(1, 0, 2)
+    return out
 
 
-def gru(A, U):
-    """Both GRU directions over precomputed input projections, in
-    lockstep, differentiable.
+def gru(A, U, B=1):
+    """Both GRU directions over precomputed input projections of B
+    sentences of one length, in lockstep, differentiable.
 
     A = (A_z, A_r, A_h) of the forward direction followed by those of the
-    backward one: the (n1, dh) input projections x_t W_g^T + b_g of the
-    update gate, the reset gate and the candidate state. U likewise holds
+    backward one: the (B n1, dh) input projections x_t W_g^T + b_g of the
+    update gate, the reset gate and the candidate state, sentence after
+    sentence (row b n1 + t is position t of sentence b). U likewise holds
     the six (dh, dh) recurrent matrices (U_z, U_r, U_h). From h = 0, each
     step of a direction computes
         z = sigmoid(A_z[t] + U_z h),  r = sigmoid(A_r[t] + U_r h),
         c = tanh(A_h[t] + U_h (r * h)),  h = (1 - z) * h + z * c,
     the forward direction for t = 0 .. n1-1 and the backward one for
-    t = n1-1 .. 0. Row t of the (n1, 2 dh) result is both h at t, forward
-    first. Step s runs forward position s and backward position n1-1-s
-    together: the state is both directions' h as a (2, dh, 1) stack of
-    columns, each recurrent product one np.matmul over the directions'
-    stacked matrices, and the gate arithmetic one pass over stacked
-    arrays. Per element the arithmetic is that of one direction at a
-    time, so the result is bit-identical to it. The VJP is hand-written
-    backpropagation through time in the same lockstep."""
+    t = n1-1 .. 0. Row b n1 + t of the (B n1, 2 dh) result is both h of
+    sentence b at t, forward first. Step s runs forward position s and
+    backward position n1-1-s of every sentence together: the state is
+    both directions' h as a (2, dh, B) stack of B columns, each recurrent
+    product one np.matmul over the directions' stacked matrices, and the
+    gate arithmetic one pass over stacked arrays. Per element the
+    arithmetic is that of one direction of one sentence at a time; at
+    B = 1 the result is bit-identical to it, and at B > 1 a product of B
+    columns may round otherwise than B products of one (GEMM against
+    GEMV). The VJP is hand-written backpropagation through time in the
+    same lockstep; every adjoint it returns owns its data."""
     a = [ad.val(x) for x in A]
     u = [ad.val(x) for x in U]
-    n1, dh = a[0].shape
-    # step order, states as columns: [s, 0] is forward position s and
-    # [s, 1] backward position n1-1-s; z and r side by side, so that one
-    # elementwise logistic serves both gates
-    azr = np.concatenate((a[0], a[1], a[3][::-1], a[4][::-1]), axis=1).reshape(n1, 2, 2 * dh, 1)
-    ah = np.concatenate((a[2], a[5][::-1]), axis=1).reshape(n1, 2, dh, 1)
+    dh = a[0].shape[1]
+    n1 = a[0].shape[0] // B
+    a = [x.reshape(B, n1, dh) for x in a]
+
+    def columns(*parts):
+        # step order, states as columns: [s, 0, :, b] is forward position s
+        # of sentence b and [s, 1, :, b] its backward position n1-1-s
+        x = np.concatenate(parts, axis=2)
+        return np.ascontiguousarray(x.reshape(B, n1, 2, -1).transpose(1, 2, 3, 0))
+
+    # z and r side by side, so that one elementwise logistic serves both gates
+    azr = columns(a[0], a[1], a[3][:, ::-1], a[4][:, ::-1])
+    ah = columns(a[2], a[5][:, ::-1])
     # C-ordered stacks (np.concatenate would keep a Fortran-ordered input's
     # layout, and BLAS rounds a transposed operand differently)
     uzr = np.array((u[0], u[1], u[3], u[4])).reshape(2, 2 * dh, dh)
     uh = np.array((u[2], u[5]))
-    ZR, C, H = np.empty((n1, 2, 2 * dh, 1)), np.empty((n1, 2, dh, 1)), np.empty((n1, 2, dh, 1))
-    h = np.zeros((2, dh, 1))
+    ZR, C, H = np.empty((n1, 2, 2 * dh, B)), np.empty((n1, 2, dh, B)), np.empty((n1, 2, dh, B))
+    h = np.zeros((2, dh, B))
     for s in range(n1):
         zr = ad.logistic(azr[s] + np.matmul(uzr, h), out=ZR[s])
         z, r = zr[:, :dh], zr[:, dh:]
         c = np.tanh(ah[s] + np.matmul(uh, r * h), out=C[s])
         h = np.add((1.0 - z) * h, z * c, out=H[s])
-    out = np.concatenate((H[:, 0, :, 0], H[::-1, 1, :, 0]), axis=1)
+    out = np.empty((B * n1, 2 * dh))
+    by_sentence = out.reshape(B, n1, 2 * dh)
+    by_sentence[..., :dh] = H[:, 0].transpose(2, 0, 1)
+    by_sentence[..., dh:] = H[::-1, 1].transpose(2, 0, 1)
     parents = (*A, *U)
     if not ad.any_var(parents):
         return out
-    ZR, C, H = ZR[..., 0], C[..., 0], H[..., 0]
-    Hp = np.zeros((n1, 2, dh))  # the state each step started from
+    # the backward pass works on rows: [s, d, b] is column b's state
+    ZR, C, H = (np.ascontiguousarray(x.transpose(0, 1, 3, 2)) for x in (ZR, C, H))
+    Hp = np.zeros((n1, 2, B, dh))  # the state each step started from
     Hp[1:] = H[:-1]
 
     def bptt(g):
-        G = np.empty((n1, 2, dh))
-        G[:, 0], G[:, 1] = g[:, :dh], g[::-1, dh:]
-        dZR, dC = np.empty((n1, 2, 2 * dh)), np.empty((n1, 2, dh))
-        carry = np.zeros((2, dh))  # dL/dh flowing back from later steps
+        g = g.reshape(B, n1, 2 * dh)
+        G = np.empty((n1, 2, B, dh))
+        G[:, 0] = g[:, :, :dh].transpose(1, 0, 2)
+        G[:, 1] = g[:, ::-1, dh:].transpose(1, 0, 2)
+        dZR, dC = np.empty((n1, 2, B, 2 * dh)), np.empty((n1, 2, B, dh))
+        carry = np.zeros((2, B, dh))  # dL/dh flowing back from later steps
         for s in range(n1 - 1, -1, -1):
             dh_s = G[s] + carry
             zr, c, hp = ZR[s], C[s], Hp[s]
-            z, r = zr[:, :dh], zr[:, dh:]
+            z, r = zr[..., :dh], zr[..., dh:]
             dC[s] = dcs = dh_s * z * (1.0 - c * c)
-            drh = np.matmul(dcs[:, None, :], uh)[:, 0]
-            dZR[s, :, :dh] = dh_s * (c - hp)
-            dZR[s, :, dh:] = drh * hp
+            drh = np.matmul(dcs, uh)
+            dZR[s, ..., :dh] = dh_s * (c - hp)
+            dZR[s, ..., dh:] = drh * hp
             dZR[s] *= zr * (1.0 - zr)
-            carry = dh_s * (1.0 - z) + drh * r + np.matmul(dZR[s][:, None, :], uzr)[:, 0]
-        dZR, dC, Hp_, R = (_by_position(x) for x in (dZR, dC, Hp, ZR[:, :, dh:]))
-        dz, dr = dZR[:, :, :dh], dZR[:, :, dh:]
-        dUz = np.matmul(dz.transpose(0, 2, 1), Hp_)
-        dUr = np.matmul(dr.transpose(0, 2, 1), Hp_)
-        dUh = np.matmul(dC.transpose(0, 2, 1), R * Hp_)
-        return (dz[0], dr[0], dC[0], dz[1], dr[1], dC[1],
-                dUz[0], dUr[0], dUh[0], dUz[1], dUr[1], dUh[1])
+            carry = dh_s * (1.0 - z) + drh * r + np.matmul(dZR[s], uzr)
+        dA, dU = [], []
+        for d in (0, 1):
+            dz, dr, dc = _rows(dZR[..., :dh], d), _rows(dZR[..., dh:], d), _rows(dC, d)
+            hp = _rows(Hp, d)
+            dA += (dz, dr, dc)
+            dU += (dz.T @ hp, dr.T @ hp, dc.T @ (_rows(ZR[..., dh:], d) * hp))
+        return (*dA, *dU)
 
     return ad.custom_op(out, parents, bptt)
 
 
-def encode(sentence, params, pv=None, dropout_rng=None):
-    """Contextual representations, one row per position (row 0 = root)."""
+def encode(sentences, params, pv=None, dropout_rng=None):
+    """Contextual representations of B sentences of one length n: one
+    (n+1, 2 d_hidden) array per sentence, one row per position (row 0 =
+    root). The embeddings of all B (n+1) rows are gathered, projected by
+    each GRU gate and run through ``gru`` as one group of B columns. A
+    group of one returns the GRU's output itself."""
     pv = params.tensors if pv is None else pv
-    wids = [0] + [params.word2id.get(t.form, 1) for t in sentence.tokens]
-    pids = [0] + [params.pos2id.get(t.upos, 1) for t in sentence.tokens]
+    n = len(sentences[0])
+    if any(len(s) != n for s in sentences):
+        raise ValueError("encode takes sentences of one length")
+    wids, pids = [], []
+    for sent in sentences:
+        wids += [0] + [params.word2id.get(t.form, 1) for t in sent.tokens]
+        pids += [0] + [params.pos2id.get(t.upos, 1) for t in sent.tokens]
     E = ad.concat(
         [ad.gather_rows(pv["emb_word"], wids), ad.gather_rows(pv["emb_pos"], pids)],
         axis=1,
     )
     E = _dropout(E, params.config.p_drop_embed, dropout_rng)
     A = [_proj(E, pv, f"gru_{d}_{g}") for d in ("fw", "bw") for g in _GATES]
-    return gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES])
+    H = gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES], len(sentences))
+    if len(sentences) == 1:
+        return [H]
+    return [ad.gather_rows(H, rows) for rows in np.arange(len(wids)).reshape(len(sentences), n + 1)]
 
 
 def _aug(x):
@@ -434,14 +469,22 @@ def trilinear(gh, gd, W):
     return ad.custom_op(s, (gh, gd, W), vjp)
 
 
-def score_siblings(H, params, pv=None, dropout_rng=None):
+def _bin_scores(H, params, pv, dropout_rng, bins, weight):
+    """The trilinear scores of weight over ``bins``, the bin head and
+    dependent projections of H, or over a pair projected here under
+    dropout draws of its own."""
     pv = params.tensors if pv is None else pv
-    return trilinear(*_head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng), pv["W_sib"])
+    if bins is None:
+        bins = _head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng)
+    return trilinear(*bins, pv[weight])
 
 
-def score_grandparents(H, params, pv=None, dropout_rng=None):
-    pv = params.tensors if pv is None else pv
-    return trilinear(*_head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng), pv["W_gp"])
+def score_siblings(H, params, pv=None, dropout_rng=None, bins=None):
+    return _bin_scores(H, params, pv, dropout_rng, bins, "W_sib")
+
+
+def score_grandparents(H, params, pv=None, dropout_rng=None, bins=None):
+    return _bin_scores(H, params, pv, dropout_rng, bins, "W_gp")
 
 
 def score_labels(H, params, pv=None, dropout_rng=None):
@@ -455,15 +498,26 @@ def label_distribution(s_label):
     return ad.softmax(s_label, axis=2)
 
 
-def score_sentence(sentence, params, pv=None, dropout_rng=None):
+_BIN_PROJ = ("bin_head_W", "bin_head_b", "bin_dep_W", "bin_dep_b")
+
+
+def score_sentence(sentence, params, pv=None, dropout_rng=None, H=None):
     """Full scoring pass: Sentence -> ScoreTensors, differentiable with
-    respect to the Vars in pv."""
+    respect to the Vars in pv. H is the sentence's encoding, as a group
+    ``encode`` gives it; by default the sentence is encoded alone. With
+    no Var and no dropout, the sibling and grandparent scorers share one
+    pair of bin projections; otherwise each projects H itself, under
+    dropout draws of its own."""
     pv = params.tensors if pv is None else pv
-    H = encode(sentence, params, pv, dropout_rng)
+    if H is None:
+        H = encode([sentence], params, pv, dropout_rng)[0]
+    bins = None
+    if dropout_rng is None and not ad.any_var((H, *(pv[k] for k in _BIN_PROJ))):
+        bins = _head_dep(H, pv, "bin", 0.0, None)
     return ScoreTensors(
         s_edge=score_edges(H, params, pv, dropout_rng),
-        s_sib=score_siblings(H, params, pv, dropout_rng),
-        s_gp=score_grandparents(H, params, pv, dropout_rng),
+        s_sib=score_siblings(H, params, pv, dropout_rng, bins),
+        s_gp=score_grandparents(H, params, pv, dropout_rng, bins),
         s_label=score_labels(H, params, pv, dropout_rng),
     )
 

@@ -19,6 +19,7 @@ from .scorer import (
     build_vocabs,
     check_range,
     edge_mask,
+    encode,
     init_params,
     label_distribution,
     score_sentence,
@@ -290,20 +291,48 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
     return total / k, grads
 
 
+PARSE_WINDOW = 512  # encoder rows, n + 1 per sentence, that a parse holds at once
+
+
+def _windows(sentences):
+    """Runs of consecutive sentences, in input order, each of at most
+    ``PARSE_WINDOW`` encoder rows, or of one sentence that has more."""
+    window, rows = [], 0
+    for sent in sentences:
+        if window and rows + len(sent) + 1 > PARSE_WINDOW:
+            yield window
+            window, rows = [], 0
+        window.append(sent)
+        rows += len(sent) + 1
+    if window:
+        yield window
+
+
 def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
-    """The one inference loop: score, MFVI, decode; one DependencyTree per
-    sentence. ``variant`` defaults to the checkpoint's, and ``T`` to the
-    checkpoint's when the variant is the checkpoint's (to ``mfvi``'s
-    default otherwise)."""
+    """The one inference loop: encode, score, MFVI, decode; one
+    DependencyTree per sentence, in input order. The input is walked in
+    windows (``_windows``). In each window, the sentences of one length
+    are encoded as one group (``encode``) when the first of them is
+    reached; scoring, MFVI and decoding run per sentence. ``variant``
+    defaults to the checkpoint's, and ``T`` to the checkpoint's when the
+    variant is the checkpoint's (to ``mfvi``'s default otherwise)."""
     if variant is None:
         variant = params.config.variant
     if T is None and variant == params.config.variant:
         T = params.config.iterations
     trees = []
-    for sent in sentences:
-        scores = score_sentence(sent, params)
-        post = decoder.mfvi(scores, variant, T)
-        trees.append(decode(post.head_probs(), scores.s_label, single_root))
+    for window in _windows(sentences):
+        groups = {}
+        for sent in window:
+            groups.setdefault(len(sent), []).append(sent)
+        encoded = {}  # length -> the group's encodings, in input order
+        for sent in window:
+            n = len(sent)
+            if n not in encoded:
+                encoded[n] = iter(encode(groups[n], params))
+            scores = score_sentence(sent, params, H=next(encoded[n]))
+            post = decoder.mfvi(scores, variant, T)
+            trees.append(decode(post.head_probs(), scores.s_label, single_root))
     return trees
 
 
@@ -476,59 +505,71 @@ _HEADER = {"config": (dict, "an object"), "word2id": (dict, "an object"),
            "tensors": (list, "an array")}
 
 
-def _check_header(header, path):
-    """Raise ValueError, naming path and the key, unless the decoded JSON
-    header is an object holding each key of ``_HEADER`` with its type, and
-    each 'tensors' entry is a [name, shape] pair, shape a list of integers."""
+def _check_header(header):
+    """Raise ValueError, naming the key, unless the decoded JSON header
+    is an object holding each key of ``_HEADER`` with its type, and each
+    'tensors' entry is a [name, shape] pair, shape a list of integers."""
     if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+        raise ValueError("checkpoint header is not a JSON object")
     for key, (kind, name) in _HEADER.items():
         if key not in header:
-            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
+            raise ValueError(f"checkpoint header lacks {key!r}")
         if not isinstance(header[key], kind):
-            raise ValueError(f"{path}: checkpoint header {key!r} must be {name}")
+            raise ValueError(f"checkpoint header {key!r} must be {name}")
     for entry in header["tensors"]:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                 and isinstance(entry[1], list) and all(type(d) is int for d in entry[1])):
-            raise ValueError(f"{path}: checkpoint header 'tensors' entry {entry!r} "
+            raise ValueError(f"checkpoint header 'tensors' entry {entry!r} "
                              f"is no [name, shape] pair")
 
 
 def load_model(path):
+    """The ModelParams of the checkpoint at path. Raises ValueError,
+    naming path, on a file that is no checkpoint ``save_model`` could
+    have written: bad magic, a truncated preamble or tensor, another
+    version, a header that is no valid JSON or lacks a key, a config
+    that ``ModelConfig`` refuses, tensors other than the config implies,
+    or a size other than the header implies."""
     with open(path, "rb") as f:
-        preamble = f.read(12)
-        if preamble[:4] != _MAGIC:
-            raise ValueError("not a model checkpoint (bad magic)")
-        if len(preamble) < 12:
-            raise ValueError(
-                f"checkpoint truncated: {len(preamble)} bytes, header needs 12"
-            )
-        version, hlen = struct.unpack_from("<II", preamble, 4)
-        if version != _VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+        try:
+            return _read_model(f)
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+
+
+def _read_model(f):
+    preamble = f.read(12)
+    if preamble[:4] != _MAGIC:
+        raise ValueError("not a model checkpoint (bad magic)")
+    if len(preamble) < 12:
+        raise ValueError(f"checkpoint truncated: {len(preamble)} bytes, header needs 12")
+    version, hlen = struct.unpack_from("<II", preamble, 4)
+    if version != _VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    try:
         header = json.loads(f.read(hlen).decode("utf-8"))
-        _check_header(header, path)
-        source = f"{path}: checkpoint config"
-        types = {fd.name: fd.type for fd in fields(ModelConfig)}
-        cfg = ModelConfig(**{k: _field_value(source, types, k, v, _json_value)
-                             for k, v in header["config"].items()})
-        _check_tensor_shapes(header, cfg)
-        size = os.fstat(f.fileno()).st_size
-        expected = 12 + hlen + sum(8 * int(np.prod(shape)) for _, shape in header["tensors"])
-        if size != expected:
+    except ValueError:
+        raise ValueError("checkpoint header is no valid UTF-8 JSON") from None
+    _check_header(header)
+    types = {fd.name: fd.type for fd in fields(ModelConfig)}
+    cfg = ModelConfig(**{k: _field_value("checkpoint config", types, k, v, _json_value)
+                         for k, v in header["config"].items()})
+    _check_tensor_shapes(header, cfg)
+    size = os.fstat(f.fileno()).st_size
+    expected = 12 + hlen + sum(8 * int(np.prod(shape)) for _, shape in header["tensors"])
+    if size != expected:
+        raise ValueError(
+            f"checkpoint size mismatch: header implies {expected} bytes, file has {size}"
+        )
+    tensors = {}
+    for name, shape in header["tensors"]:
+        arr = np.empty(shape, dtype="<f8")
+        got = f.readinto(arr)
+        if got != arr.nbytes:
             raise ValueError(
-                f"checkpoint size mismatch: header implies {expected} bytes, "
-                f"file has {size}"
+                f"checkpoint truncated: tensor {name!r} has {got} of {arr.nbytes} bytes"
             )
-        tensors = {}
-        for name, shape in header["tensors"]:
-            arr = np.empty(shape, dtype="<f8")
-            got = f.readinto(arr)
-            if got != arr.nbytes:
-                raise ValueError(
-                    f"checkpoint truncated: tensor {name!r} has {got} of {arr.nbytes} bytes"
-                )
-            tensors[name] = arr.astype(np.float64, copy=False)
+        tensors[name] = arr.astype(np.float64, copy=False)
     return ModelParams(cfg, header["word2id"], header["pos2id"], header["labels"], tensors)
 
 

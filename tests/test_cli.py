@@ -423,7 +423,15 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     assert run(["parse", "--model", workspace["model"], "--input", workspace["train"],
                 "--output", str(tmp_path / "out.conllu")]) == 0
     assert [args[0] for args in calls["score_sentence"]] == sentences
-    for name in ("encode", "score_edges", "score_siblings", "score_grandparents",
+    # the input fits one window, so encode runs once per length group: each
+    # call holds sentences of one length, and the calls together hold every
+    # input sentence once
+    groups = [args[0] for args in calls["encode"]]
+    assert len(groups) == len({len(s) for s in sentences})
+    assert all(len({len(s) for s in group}) == 1 for group in groups)
+    encoded = [s for group in groups for s in group]
+    assert sorted(encoded, key=repr) == sorted(sentences, key=repr)
+    for name in ("score_edges", "score_siblings", "score_grandparents",
                  "score_labels", "mfvi", "decode"):
         assert len(calls[name]) == len(sentences), name
     # the workspace model runs T = 2 iterations: two (q, sib, gp) calls per sentence
@@ -468,6 +476,36 @@ def test_corrupt_model_exits_1(tmp_path, workspace):
         "parse", "--model", str(bad), "--input", workspace["train"],
         "--output", str(tmp_path / "out.conllu"),
     ]) == 1
+
+
+def _with_tensor_of_wrong_shape(model, bad):
+    params = load_model(model)
+    params.tensors["W_sib"] = np.zeros((1, 2, 4))
+    save_model(params, bad)
+
+
+@pytest.mark.parametrize(
+    "make_bad,message",
+    [
+        (lambda model, bad: Path(bad).write_text("this is no model file\n"),
+         "not a model checkpoint (bad magic)"),
+        (lambda model, bad: Path(bad).write_bytes(Path(model).read_bytes()[:10]),
+         "checkpoint truncated: 10 bytes, header needs 12"),
+        (lambda model, bad: Path(bad).write_bytes(Path(model).read_bytes() + b"\0"),
+         "checkpoint size mismatch: header implies"),
+        (_with_tensor_of_wrong_shape, "checkpoint tensor 'W_sib' has shape (1, 2, 4)"),
+    ],
+)
+def test_unreadable_checkpoint_exits_1_naming_the_file(make_bad, message, workspace, tmp_path,
+                                                       capsys):
+    bad = str(tmp_path / "notmodel.bin")
+    make_bad(workspace["model"], bad)
+    assert run([
+        "parse", "--model", bad, "--input", workspace["train"],
+        "--output", str(tmp_path / "out.conllu"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}"), err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mfdep.autodiff as ad
+import mfdep.scorer as scorer
 from mfdep.conllu import parse_conllu
 from mfdep.decoder import mfvi
 from mfdep.oracle import finite_diff_gradient
@@ -32,10 +33,10 @@ WORDS = ["the", "dog", "barks", "loudly", "cat"]
 POS = ["DET", "NOUN", "VERB", "ADV", "NOUN"]
 
 
-def make_sentence(n):
+def make_sentence(n, shift=0):
     rows = []
     for i in range(1, n + 1):
-        w, p = WORDS[(i - 1) % 5], POS[(i - 1) % 5]
+        w, p = WORDS[(i - 1 + shift) % 5], POS[(i - 1 + shift) % 5]
         head = 0 if i == 1 else 1
         rows.append(f"{i}\t{w}\t{w}\t{p}\t{p}\t_\t{head}\tl{i % 3}\t_\t_")
     return parse_conllu("\n".join(rows) + "\n\n")[0]
@@ -58,7 +59,7 @@ def make_params(seed=0, n_labels=3, **dims):
 def test_encode_shapes():
     params = make_params()
     for n in (1, 4):
-        H = encode(make_sentence(n), params)
+        H = encode([make_sentence(n)], params)[0]
         assert ad.val(H).shape == (n + 1, 2 * params.config.d_hidden)
 
 
@@ -66,14 +67,14 @@ def test_all_zero_weights_give_zero_representations():
     params = make_params()
     for k in params.tensors:
         params.tensors[k][:] = 0.0
-    H = encode(make_sentence(3), params)
+    H = encode([make_sentence(3)], params)[0]
     assert not ad.val(H).any()
 
 
 def test_zero_unary_weights_zero_edge_scores():
     params = make_params()
     params.tensors["U_edge"][:] = 0.0
-    H = encode(make_sentence(3), params)
+    H = encode([make_sentence(3)], params)[0]
     assert not ad.val(score_edges(H, params)).any()
 
 
@@ -84,7 +85,7 @@ def test_identity_biaffine_is_bias_augmented_inner_product():
         params.tensors[f"{role}_W"] = np.eye(params.config.d_edge, enc)
         params.tensors[f"{role}_b"][:] = 0.0
     params.tensors["U_edge"] = np.eye(params.config.d_edge + 1)
-    Hv = ad.val(encode(make_sentence(1), params))
+    Hv = ad.val(encode([make_sentence(1)], params)[0])
     s = ad.val(score_edges(ad.Var(Hv), params))
     np.testing.assert_allclose(s[0, 1], Hv[0] @ Hv[1] + 1.0, atol=1e-12)
 
@@ -93,7 +94,7 @@ def test_zero_trilinear_weights_zero_triple_scores():
     params = make_params()
     params.tensors["W_sib"][:] = 0.0
     params.tensors["W_gp"][:] = 0.0
-    H = encode(make_sentence(3), params)
+    H = encode([make_sentence(3)], params)[0]
     assert not ad.val(score_siblings(H, params)).any()
     assert not ad.val(score_grandparents(H, params)).any()
 
@@ -106,7 +107,7 @@ def test_constant_trilinear_closed_form():
     params.tensors["bin_head_b"][:] = 1.0
     params.tensors["bin_dep_b"][:] = 1.0
     n = 3
-    H = encode(make_sentence(n), params)
+    H = encode([make_sentence(n)], params)[0]
     s = ad.val(score_siblings(H, params))
     np.testing.assert_allclose(s, 2.0 * sib_mask(n), atol=1e-12)
 
@@ -114,7 +115,7 @@ def test_constant_trilinear_closed_form():
 def test_trilinear_matches_naive_loops():
     params = make_params(seed=5)
     n = 3
-    H = encode(make_sentence(n), params)
+    H = encode([make_sentence(n)], params)[0]
     Hv = ad.val(H)
     got = ad.val(score_siblings(H, params))
     W = params.tensors["W_sib"]
@@ -323,20 +324,18 @@ def test_gru_op_matches_reference_loop(n1, dh, views):
     np.testing.assert_array_equal(got, expect)
 
 
-@pytest.mark.parametrize("bw_only", [False, True])
-@pytest.mark.parametrize("n1", [1, 3, 5])
-def test_gru_op_gradient(n1, bw_only):
+def _check_gru_gradient(B, n1, bw_only):
     # inputs reach the op through W x + b with d_in != dh, as in encode;
     # bw_only: the loss reads only the backward half, so every forward
     # parameter must get an exactly zero gradient
     d_in, dh = 4, 3
-    rng = np.random.default_rng(10 * n1 + bw_only)
-    arrays = {"X": rng.normal(size=(n1, d_in))}
+    rng = np.random.default_rng(100 * B + 10 * n1 + bw_only)
+    arrays = {"X": rng.normal(size=(B * n1, d_in))}
     for k in (f"{d}{g}" for d in "fb" for g in "zrh"):
         arrays[f"W_{k}"] = rng.normal(size=(dh, d_in))
         arrays[f"b_{k}"] = rng.normal(size=dh)
         arrays[f"U_{k}"] = rng.normal(size=(dh, dh))
-    weights = rng.normal(size=(n1, 2 * dh))
+    weights = rng.normal(size=(B * n1, 2 * dh))
     if bw_only:
         weights[:, :dh] = 0.0
 
@@ -344,7 +343,7 @@ def test_gru_op_gradient(n1, bw_only):
         v = {k: ad.Var(a) for k, a in arrays.items()}
         keys = [f"{d}{g}" for d in "fb" for g in "zrh"]
         A = [linear(v["X"], v[f"W_{k}"], v[f"b_{k}"]) for k in keys]
-        H = gru(A, [v[f"U_{k}"] for k in keys])
+        H = gru(A, [v[f"U_{k}"] for k in keys], B)
         return ad.sum_all(ad.mul(H, weights)), v
 
     out, leaves = run()
@@ -354,6 +353,74 @@ def test_gru_op_gradient(n1, bw_only):
         np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-8, err_msg=k)
         if bw_only and k[2:3] == "f":
             assert not leaves[k].grad.any(), k
+
+
+@pytest.mark.parametrize("bw_only", [False, True])
+@pytest.mark.parametrize("n1", [1, 3, 5])
+def test_gru_op_gradient(n1, bw_only):
+    _check_gru_gradient(1, n1, bw_only)
+
+
+@pytest.mark.parametrize("bw_only", [False, True])
+def test_gru_op_gradient_over_a_group(bw_only):
+    # B = 3 sentences in lockstep: a state of 3 columns, one BPTT pass
+    _check_gru_gradient(3, 4, bw_only)
+
+
+def test_gru_group_matches_each_sentence_run_alone(backward_copies):
+    # the group's rows are each sentence's rows, to GEMM-against-GEMV
+    # rounding, and so are its adjoints; every adjoint owns its data, so
+    # backward copies the seed alone
+    B, n1, dh = 4, 6, 24
+    rng = np.random.default_rng(21)
+    A = [rng.normal(size=(B * n1, dh)) for _ in range(6)]
+    U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(6)]
+    g = rng.normal(size=(B * n1, 2 * dh))
+
+    def run(A, g, B):
+        leaves = [ad.Var(x) for x in (*A, *U)]
+        backward_copies.clear()
+        ad.backward(gru(leaves[:6], leaves[6:], B), g)
+        assert len(backward_copies) == 1
+        return [v.grad for v in leaves]
+
+    group = run(A, g, B)
+    out = gru(A, U, B)
+    dU = np.zeros((6, dh, dh))
+    for b in range(B):
+        rows = slice(b * n1, (b + 1) * n1)
+        A_b = [x[rows] for x in A]
+        np.testing.assert_allclose(out[rows], gru(A_b, U), rtol=0, atol=1e-15)
+        alone = run(A_b, g[rows], 1)
+        for k in range(6):
+            np.testing.assert_allclose(group[k][rows], alone[k], rtol=0, atol=1e-14)
+        dU += alone[6:]
+    np.testing.assert_allclose(group[6:], dU, rtol=0, atol=1e-13)
+
+
+def test_group_encode_matches_each_sentence_encoded_alone():
+    params = make_params(seed=4, d_hidden=24)
+    group = [make_sentence(4, shift=k) for k in range(5)]
+    together = encode(group, params)
+    assert len(together) == len(group)
+    for sent, H in zip(group, together):
+        alone = encode([sent], params)
+        assert len(alone) == 1 and H.shape == alone[0].shape == (5, 48)
+        np.testing.assert_allclose(H, alone[0], rtol=0, atol=1e-15)
+    # a group of one is the step-by-step recurrence of each direction, bit for bit
+    t = params.tensors
+    sent = group[2]
+    E = np.concatenate([t["emb_word"][[0] + [params.word2id[tok.form] for tok in sent.tokens]],
+                        t["emb_pos"][[0] + [params.pos2id[tok.upos] for tok in sent.tokens]]],
+                       axis=1)
+    proj = {k: E @ t[f"gru_{k}_W"].T + t[f"gru_{k}_b"] for k in
+            (f"{d}_{g}" for d in ("fw", "bw") for g in "zrh")}
+    expect = np.concatenate([
+        _gru_reference([proj[f"{d}_{g}"] for g in "zrh"], [t[f"gru_{d}_{g}_U"] for g in "zrh"],
+                       d == "bw") for d in ("fw", "bw")], axis=1)
+    np.testing.assert_array_equal(encode([sent], params)[0], expect)
+    with pytest.raises(ValueError, match="one length"):
+        encode([make_sentence(3), make_sentence(4)], params)
 
 
 def _labels_einsum(lh, ld, U):
@@ -501,9 +568,27 @@ def test_label_distribution_uniform_and_degenerate():
 
 def test_label_distribution_normalizes():
     params = make_params(n_labels=3, seed=2)
-    H = encode(make_sentence(3), params)
+    H = encode([make_sentence(3)], params)[0]
     p = ad.val(label_distribution(score_labels(H, params)))
     np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-12)
+
+
+def test_inference_shares_one_pair_of_bin_projections(monkeypatch):
+    # with plain arrays and no dropout the sibling and grandparent scorers
+    # read one bin_head/bin_dep projection of H; training keeps one each
+    params = make_params(seed=8)
+    sent = make_sentence(4)
+    calls = []
+    linear_op = scorer.linear
+    monkeypatch.setattr(scorer, "linear", lambda *args: calls.append(1) or linear_op(*args))
+    scores = score_sentence(sent, params)
+    assert len(calls) == 6 + 3 * 2  # the GRU gates; head and dependent of edges, bins, labels
+    H = encode([sent], params)[0]
+    np.testing.assert_array_equal(scores.s_sib, score_siblings(H, params))
+    np.testing.assert_array_equal(scores.s_gp, score_grandparents(H, params))
+    calls.clear()
+    sentence_loss(sent, params, "local2o", 2, 0.4)
+    assert len(calls) == 6 + 4 * 2
 
 
 def test_masked_cells_are_exactly_zero():

@@ -10,9 +10,9 @@ import pytest
 import mfdep.autodiff as ad
 from conftest import TOY_TREEBANK, random_scores
 from mfdep.conllu import ConlluError, parse_conllu, read_conllu_file
-from mfdep.decoder import mfvi_local, mfvi_single
+from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
-from mfdep.scorer import ModelConfig, build_vocabs, edge_mask, init_params
+from mfdep.scorer import ModelConfig, build_vocabs, edge_mask, init_params, score_sentence
 import mfdep.trainer as trainer
 from mfdep.trainer import (
     _ADAM_BLOCK,
@@ -32,6 +32,7 @@ from mfdep.trainer import (
     total_loss,
     train,
 )
+from mfdep.tree import decode
 from test_scorer import make_params, make_sentence
 
 
@@ -725,3 +726,35 @@ def test_parse_config_file(tmp_path):
     bad.write_text("no equals sign here\n", encoding="utf-8")
     with pytest.raises(ValueError):
         parse_config_file(str(bad))
+
+
+def test_parse_windows_run_in_input_order_within_the_row_budget(monkeypatch):
+    monkeypatch.setattr(trainer, "PARSE_WINDOW", 12)
+    sentences = [[None] * n for n in (3, 5, 0, 4, 20, 2, 2, 2, 2)]  # only len() is read
+    windows = list(trainer._windows(sentences))
+    assert [len(s) for w in windows for s in w] == [len(s) for s in sentences]
+    assert [sum(len(s) + 1 for s in w) for w in windows] == [11, 5, 21, 12]
+
+
+@pytest.mark.parametrize("window", [20, trainer.PARSE_WINDOW])
+@pytest.mark.parametrize("variant", ["local2o", "single2o"])
+def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, monkeypatch):
+    # lengths 3, 5 and 6 interleaved, and a sentence with no words; a
+    # window of 20 rows splits the input and its length groups across
+    # windows
+    sentences = read_conllu_file(TOY_TREEBANK)[:20]
+    sentences.insert(7, parse_conllu("# newdoc\n\n")[0])
+    cfg = ModelConfig(variant=variant, d_word=6, d_pos=4, d_hidden=5, d_edge=6, d_label=5,
+                      d_bin=4)
+    params = init_params(cfg, *build_vocabs(sentences), seed=2)
+    monkeypatch.setattr(trainer, "PARSE_WINDOW", window)
+    trees = trainer.parse_sentences(params, sentences)
+    assert len(trees) == len(sentences)
+    for sent, tree in zip(sentences, trees):
+        scores = score_sentence(sent, params)
+        alone = decode(mfvi(scores, variant, cfg.iterations).head_probs(), scores.s_label)
+        np.testing.assert_array_equal(tree.heads, alone.heads)
+        np.testing.assert_array_equal(tree.labels, alone.labels)
+        assert tree.mst == alone.mst
+    assert len(trees[7].heads) == 0
+    assert any(t.mst for t in trees) and not all(t.mst for t in trees)
