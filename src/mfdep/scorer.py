@@ -1,9 +1,10 @@
 """Trainable scoring model: embeddings, a one-layer bidirectional GRU
 encoder, a biaffine edge scorer, trilinear sibling/grandparent scorers
-and a biaffine labeler. Each layer is one op over its parameters:
-``linear`` for every projection, ``gru``, ``biaffine`` for both edges and
-labels, and ``trilinear``; their VJPs return fresh arrays, which
-``autodiff.backward`` adopts as gradients without a copy.
+with weights factored at rank d_bin, and a biaffine labeler. Each layer
+is one op over its parameters: ``linear`` for every projection, ``gru``,
+``biaffine`` for both edges and labels, and ``trilinear``; their VJPs
+return fresh arrays, which ``autodiff.backward`` adopts as gradients
+without a copy.
 
 Score tensors follow the conventions:
     s_edge[i, j]     score of edge i -> j
@@ -172,16 +173,18 @@ def tensor_shapes(config, n_words, n_pos, n_labels):
         shapes[f"{role}_b"] = (d,)
     shapes["U_edge"] = (config.d_edge + 1, config.d_edge + 1)
     shapes["U_label"] = (n_labels, config.d_label + 1, config.d_label + 1)
-    shapes["W_sib"] = (config.d_bin,) * 3
-    shapes["W_gp"] = (config.d_bin,) * 3
+    shapes["W_sib"] = (3, config.d_bin, config.d_bin)
+    shapes["W_gp"] = (3, config.d_bin, config.d_bin)
     return shapes
 
 
 def init_params(config, word2id, pos2id, labels, seed=0):
     """Initialize all tensors.
 
-    Biases are 0, biaffine (unary) tensors N(0, 1) and trilinear (binary)
-    tensors N(0, 0.25); everything else uses 1/sqrt(fan_in) scaling.
+    Biases are 0, biaffine (unary) tensors N(0, 1) and each factor of a
+    trilinear (binary) weight N(0, (0.0625 / d_bin)^(1/6)): at that scale
+    a score has the variance of a dense d_bin^3 weight drawn N(0, 0.25).
+    Everything else uses 1/sqrt(fan_in) scaling.
     """
     rng = np.random.default_rng(seed)
     t = {}
@@ -191,7 +194,7 @@ def init_params(config, word2id, pos2id, labels, seed=0):
         elif name in ("U_edge", "U_label"):
             t[name] = rng.normal(0.0, 1.0, size=shape)
         elif name in ("W_sib", "W_gp"):
-            t[name] = rng.normal(0.0, 0.25, size=shape)
+            t[name] = rng.normal(0.0, (0.0625 / config.d_bin) ** (1 / 6), size=shape)
         else:
             t[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), size=shape)
     return ModelParams(config, word2id, pos2id, list(labels), t)
@@ -271,7 +274,8 @@ def gru(A, U, B=1):
     B = 1 the result is bit-identical to it, and at B > 1 a product of B
     columns may round otherwise than B products of one (GEMM against
     GEMV). The VJP is hand-written backpropagation through time in the
-    same lockstep; every adjoint it returns owns its data."""
+    same lockstep; every adjoint it returns owns its data. With no Var
+    operand, every step writes its gates into one reused buffer."""
     a = [ad.val(x) for x in A]
     u = [ad.val(x) for x in U]
     dh = a[0].shape[1]
@@ -291,19 +295,23 @@ def gru(A, U, B=1):
     # layout, and BLAS rounds a transposed operand differently)
     uzr = np.array((u[0], u[1], u[3], u[4])).reshape(2, 2 * dh, dh)
     uh = np.array((u[2], u[5]))
-    ZR, C, H = np.empty((n1, 2, 2 * dh, B)), np.empty((n1, 2, dh, B)), np.empty((n1, 2, dh, B))
+    parents = (*A, *U)
+    keep = ad.any_var(parents)  # only the VJP reads the gates of every step
+    gates = n1 if keep else 1
+    ZR, C = np.empty((gates, 2, 2 * dh, B)), np.empty((gates, 2, dh, B))
+    H = np.empty((n1, 2, dh, B))
     h = np.zeros((2, dh, B))
     for s in range(n1):
-        zr = ad.logistic(azr[s] + np.matmul(uzr, h), out=ZR[s])
+        slot = s if keep else 0
+        zr = ad.logistic(azr[s] + np.matmul(uzr, h), out=ZR[slot])
         z, r = zr[:, :dh], zr[:, dh:]
-        c = np.tanh(ah[s] + np.matmul(uh, r * h), out=C[s])
+        c = np.tanh(ah[s] + np.matmul(uh, r * h), out=C[slot])
         h = np.add((1.0 - z) * h, z * c, out=H[s])
     out = np.empty((B * n1, 2 * dh))
     by_sentence = out.reshape(B, n1, 2 * dh)
     by_sentence[..., :dh] = H[:, 0].transpose(2, 0, 1)
     by_sentence[..., dh:] = H[::-1, 1].transpose(2, 0, 1)
-    parents = (*A, *U)
-    if not ad.any_var(parents):
+    if not keep:
         return out
     # the backward pass works on rows: [s, d, b] is column b's state
     ZR, C, H = (np.ascontiguousarray(x.transpose(0, 1, 3, 2)) for x in (ZR, C, H))
@@ -437,19 +445,21 @@ def _zero_invalid(s):
 
 
 def trilinear(gh, gd, W):
-    """s[i,j,k] = sum_abc gh[i,a] W[a,b,c] gd[j,b] gd[k,c] on valid
-    cells and 0 elsewhere, differentiable.
+    """s[i,j,k] = sum_r (gh W[0])[i,r] (gd W[1])[j,r] (gd W[2])[k,r] on
+    valid cells and 0 elsewhere, differentiable: the trilinear form of
+    Wang, Huang & Tu (2019), its weight tensor factored at rank r.
 
-    gh is (m, e), gd (n, d) and W (e, d, d); s is (m, n, n). A cell is
+    gh is (m, d), gd (n, d) and W the (3, d, r) stack of the head, the
+    dependent and the second-dependent factor; s is (m, n, n). A cell is
     valid when j, k >= 1 and i, j, k are pairwise distinct; the op zeroes
-    the others in its output, and in the adjoint before its VJP. The
-    forward pass and the VJP are BLAS matmuls on reshaped views."""
+    the others in its output, and in the adjoint before its VJP. The cost
+    is O((m + n) d r + m n^2 r) in time and O(m n r) in memory beside s."""
     vh, vd, vw = ad.val(gh), ad.val(gd), ad.val(W)
-    (m, e), (n, d) = vh.shape, vd.shape
-    t1 = (vh @ vw.reshape(e, d * d)).reshape(m, d, d)  # t1[i,b,c]
-    t2 = np.matmul(vd, t1)  # t2[i,j,c]
-    # m GEMMs: one (m*n, d) GEMM touches more BLAS buffer (parse-long +7 MB RSS)
-    s = t2 @ vd.T
+    m, n, r = vh.shape[0], vd.shape[0], vw.shape[2]
+    a = vh @ vw[0]  # a[i,r]
+    b, c = np.matmul(vd, vw[1:])  # b[j,r], c[k,r]
+    ab = a[:, None, :] * b  # ab[i,j,r]
+    s = (ab.reshape(m * n, r) @ c.T).reshape(m, n, n)
     _zero_invalid(s)
     if not ad.any_var((gh, gd, W)):
         return s
@@ -457,14 +467,16 @@ def trilinear(gh, gd, W):
     def vjp(g):
         g = g.copy()
         _zero_invalid(g)
-        dt2 = (g.reshape(m * n, n) @ vd).reshape(m, n, d)  # dt2[i,j,c]
-        dt1 = np.matmul(vd.T, dt2)  # dt1[i,b,c]
-        d_gh = dt1.reshape(m, d * d) @ vw.reshape(e, d * d).T
-        as_k = g.reshape(m * n, n).T @ t2.reshape(m * n, d)
-        as_j = np.matmul(dt2, t1.transpose(0, 2, 1)).sum(axis=0)
-        dW = np.empty((e, d, d))  # an owning array, so backward adopts it
-        np.matmul(vh.T, dt1.reshape(m, d * d), out=dW.reshape(e, d * d))
-        return d_gh, as_k + as_j, dW
+        g = g.reshape(m * n, n)
+        d_ab = (g @ c).reshape(m, n, r)
+        da = np.einsum("ijr,jr->ir", d_ab, b)
+        db = np.einsum("ijr,ir->jr", d_ab, a)
+        dc = g.T @ ab.reshape(m * n, r)
+        dW = np.empty(vw.shape)  # an owning array, so backward adopts it
+        np.matmul(vh.T, da, out=dW[0])
+        np.matmul(vd.T, db, out=dW[1])
+        np.matmul(vd.T, dc, out=dW[2])
+        return da @ vw[0].T, db @ vw[1].T + dc @ vw[2].T, dW
 
     return ad.custom_op(s, (gh, gd, W), vjp)
 

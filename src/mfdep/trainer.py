@@ -458,7 +458,7 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"MFD1"
-_VERSION = 1
+_VERSION = 2  # 1 held dense (d_bin, d_bin, d_bin) W_sib and W_gp
 
 
 def save_model(params, path):
@@ -527,9 +527,10 @@ def load_model(path):
     """The ModelParams of the checkpoint at path. Raises ValueError,
     naming path, on a file that is no checkpoint ``save_model`` could
     have written: bad magic, a truncated preamble or tensor, another
-    version, a header that is no valid JSON or lacks a key, a config
-    that ``ModelConfig`` refuses, tensors other than the config implies,
-    or a size other than the header implies."""
+    version (version 1, which held dense trilinear weights, says that the
+    model must be retrained), a header that is no valid JSON or lacks a
+    key, a config that ``ModelConfig`` refuses, tensors other than the
+    config implies, or a size other than the header implies."""
     with open(path, "rb") as f:
         try:
             return _read_model(f)
@@ -544,6 +545,10 @@ def _read_model(f):
     if len(preamble) < 12:
         raise ValueError(f"checkpoint truncated: {len(preamble)} bytes, header needs 12")
     version, hlen = struct.unpack_from("<II", preamble, 4)
+    if version == 1:
+        raise ValueError("checkpoint version 1 holds the dense d_bin^3 trilinear weights "
+                         "W_sib and W_gp, which are now factored at rank d_bin; "
+                         "the model must be retrained")
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     try:

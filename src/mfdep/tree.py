@@ -93,39 +93,51 @@ def _find_cycle(heads):
 
 def _cle(w, single_root):
     """Maximum spanning arborescence rooted at node 0 on a dense matrix
-    that is -inf on the diagonal and in column 0."""
-    n1 = w.shape[0]
-    heads = _greedy_heads(w, single_root)
-    cycle = _find_cycle(heads)
-    if cycle is None:
-        if single_root and np.count_nonzero(heads[1:] == 0) != 1:
-            raise ValueError(_NO_TREE[True])
-        return heads
-    cycle = np.sort(cycle)  # argmax over cycle nodes then favours the smallest
-    in_cycle = np.zeros(n1, dtype=bool)
-    in_cycle[cycle] = True
-    outside = np.flatnonzero(~in_cycle)  # outside[0] == 0, the root
-    cyc_id = len(outside)  # the contracted node gets the last index
+    that is -inf on the diagonal and in column 0.
 
-    # u -> c replaces the cycle edge into c; v's best head inside the cycle
-    enter = w[np.ix_(outside, cycle)] - w[heads[cycle], cycle]
-    leave = w[np.ix_(cycle, outside)]
-    wc = np.full((cyc_id + 1, cyc_id + 1), -np.inf)
-    wc[:cyc_id, :cyc_id] = w[np.ix_(outside, outside)]
-    wc[:cyc_id, cyc_id] = enter.max(axis=1)
-    wc[cyc_id, :cyc_id] = leave.max(axis=0)
+    Each pass contracts the smallest-index cycle of the greedy heads into
+    one node, the last of a smaller matrix, until the greedy heads form a
+    tree; the passes are then undone in reverse order. A pass keeps only
+    what its expansion reads (the cycle, the nodes outside it, its greedy
+    heads and, per outside node, the best cycle node to enter and to
+    leave by), so memory stays O(n^2) at any number of contractions."""
+    levels = []
+    while True:
+        heads = _greedy_heads(w, single_root)
+        cycle = _find_cycle(heads)
+        if cycle is None:
+            break
+        cycle = np.sort(cycle)  # argmax over cycle nodes then favours the smallest
+        in_cycle = np.zeros(w.shape[0], dtype=bool)
+        in_cycle[cycle] = True
+        outside = np.flatnonzero(~in_cycle)  # outside[0] == 0, the root
+        cyc_id = len(outside)  # the contracted node gets the last index
 
-    sub = _cle(wc, single_root)
+        # u -> c replaces the cycle edge into c; v's best head inside the cycle
+        enter = w[np.ix_(outside, cycle)] - w[heads[cycle], cycle]
+        leave = w[np.ix_(cycle, outside)]
+        wc = np.full((cyc_id + 1, cyc_id + 1), -np.inf)
+        wc[:cyc_id, :cyc_id] = w[np.ix_(outside, outside)]
+        wc[:cyc_id, cyc_id] = enter.max(axis=1)
+        wc[cyc_id, :cyc_id] = leave.max(axis=0)
+        levels.append((cycle, outside, heads[cycle],
+                       cycle[enter.argmax(axis=1)], cycle[leave.argmax(axis=0)]))
+        w = wc
+    if single_root and np.count_nonzero(heads[1:] == 0) != 1:
+        raise ValueError(_NO_TREE[True])
 
-    heads_out = np.empty(n1, dtype=np.intp)
-    heads_out[cycle] = heads[cycle]
-    u = sub[cyc_id]
-    heads_out[cycle[enter[u].argmax()]] = outside[u]
-    expand = np.append(outside, -1)[sub[:cyc_id]]  # -1: head is the cycle
-    from_cycle = expand < 0
-    expand[from_cycle] = cycle[leave.argmax(axis=0)][from_cycle]
-    heads_out[outside] = expand
-    return heads_out
+    for cycle, outside, cycle_heads, entered, left in reversed(levels):
+        cyc_id = len(outside)
+        sub = heads
+        heads = np.empty(len(outside) + len(cycle), dtype=np.intp)
+        heads[cycle] = cycle_heads
+        u = sub[cyc_id]
+        heads[entered[u]] = outside[u]
+        expand = np.append(outside, -1)[sub[:cyc_id]]  # -1: head is the cycle
+        from_cycle = expand < 0
+        expand[from_cycle] = left[from_cycle]
+        heads[outside] = expand
+    return heads
 
 
 def tree_weight(weights, heads):

@@ -484,9 +484,23 @@ def _with_tensor_of_wrong_shape(model, bad):
     save_model(params, bad)
 
 
+def _dense_version_1(model, bad):
+    # the checkpoint format before the trilinear weights were factored
+    params = load_model(model)
+    d = params.config.d_bin
+    params.tensors.update(W_sib=np.zeros((d, d, d)), W_gp=np.zeros((d, d, d)))
+    save_model(params, bad)
+    data = bytearray(Path(bad).read_bytes())
+    struct.pack_into("<I", data, 4, 1)
+    Path(bad).write_bytes(data)
+
+
 @pytest.mark.parametrize(
     "make_bad,message",
     [
+        (_dense_version_1, "checkpoint version 1 holds the dense d_bin^3 trilinear weights "
+                           "W_sib and W_gp, which are now factored at rank d_bin; "
+                           "the model must be retrained"),
         (lambda model, bad: Path(bad).write_text("this is no model file\n"),
          "not a model checkpoint (bad magic)"),
         (lambda model, bad: Path(bad).write_bytes(Path(model).read_bytes()[:10]),

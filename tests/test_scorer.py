@@ -101,7 +101,7 @@ def test_zero_trilinear_weights_zero_triple_scores():
 
 def test_constant_trilinear_closed_form():
     params = make_params(d_bin=1)
-    params.tensors["W_sib"] = np.full((1, 1, 1), 2.0)
+    params.tensors["W_sib"] = np.array([2.0, 1.0, 1.0]).reshape(3, 1, 1)
     params.tensors["bin_head_W"][:] = 0.0
     params.tensors["bin_dep_W"][:] = 0.0
     params.tensors["bin_head_b"][:] = 1.0
@@ -127,16 +127,25 @@ def test_trilinear_matches_naive_loops():
         for j in range(n + 1):
             for k in range(n + 1):
                 acc = 0.0
-                for a in range(d):
-                    for b in range(d):
-                        for c in range(d):
-                            acc += W[a, b, c] * gh[i, a] * gd[j, b] * gd[k, c]
+                for r in range(d):
+                    a = b = c = 0.0
+                    for x in range(d):
+                        a += gh[i, x] * W[0, x, r]
+                        b += gd[j, x] * W[1, x, r]
+                        c += gd[k, x] * W[2, x, r]
+                    acc += a * b * c
                 naive[i, j, k] = acc
     np.testing.assert_allclose(got, naive * sib_mask(n), atol=1e-10)
 
 
+def _dense(W):
+    """The (d, d, d) trilinear tensor whose rank-r factors W stacks."""
+    return np.einsum("ar,br,cr->abc", *W)
+
+
 def _trilinear_einsum(gh, gd, W):
-    t1 = np.einsum("ia,abc->ibc", gh, W)
+    """The unmasked trilinear form of the dense tensor of W."""
+    t1 = np.einsum("ia,abc->ibc", gh, _dense(W))
     t2 = np.einsum("ibc,jb->ijc", t1, gd)
     return np.einsum("ijc,kc->ijk", t2, gd)
 
@@ -152,7 +161,7 @@ def test_trilinear_op_matches_einsum_at_default_dims():
     n, d = 40, ModelConfig().d_bin
     gh = rng.normal(size=(n + 1, d))
     gd = rng.normal(size=(n + 1, d))
-    W = rng.normal(0.0, 0.25, size=(d, d, d))
+    W = rng.normal(0.0, (0.0625 / d) ** (1 / 6), size=(3, d, d))
     got = ad.val(trilinear(gh, gd, W))
     np.testing.assert_allclose(
         got, _trilinear_einsum(gh, gd, W) * sib_mask(n), rtol=0, atol=1e-9
@@ -165,20 +174,20 @@ def test_trilinear_zeroes_exactly_the_sib_mask_cells():
     for n in range(1, 30):
         gh = rng.uniform(0.5, 1.0, size=(n + 1, 2))
         gd = rng.uniform(0.5, 1.0, size=(n + 1, 2))
-        s = trilinear(gh, gd, rng.uniform(0.5, 1.0, size=(2, 2, 2)))
+        s = trilinear(gh, gd, rng.uniform(0.5, 1.0, size=(3, 2, 2)))
         np.testing.assert_array_equal(s != 0, sib_mask(n) == 1)
         np.testing.assert_array_equal(sib_mask(n) == 1, _valid_cells(n + 1, n + 1))
 
 
-@pytest.mark.parametrize("m,e,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
-def test_trilinear_op_gradient_non_square(m, e, n, d):
-    # n != d (and m != n, e != d in the second case) so that a transposed
-    # gd, dt1 or W reshape cannot pass by symmetry
+@pytest.mark.parametrize("m,r,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
+def test_trilinear_op_gradient_non_square(m, r, n, d):
+    # m != n and r != d in the second case, so that a transposed gd, factor
+    # or reshape cannot pass by symmetry; the three factors of W differ
     rng = np.random.default_rng(m * 100 + n)
     arrays = {
-        "gh": rng.normal(size=(m, e)),
+        "gh": rng.normal(size=(m, d)),
         "gd": rng.normal(size=(n, d)),
-        "W": rng.normal(size=(e, d, d)),
+        "W": rng.normal(size=(3, d, r)),
     }
     weights = rng.normal(size=(m, n, n))
 
@@ -200,24 +209,33 @@ def test_trilinear_op_gradient_non_square(m, e, n, d):
 
 
 def _trilinear_vjp_einsum(gh, gd, W, g):
-    """VJP of the unmasked trilinear form for the adjoint g."""
+    """VJP of the unmasked factored trilinear form for the adjoint g."""
+    u, v, z = W
+
+    def contract(spec, *ops):
+        return np.einsum(spec, g, *ops, optimize=True)
+
     return {
-        "gh": np.einsum("ijk,abc,jb,kc->ia", g, W, gd, gd),
-        "gd": np.einsum("ijk,abc,ia,kc->jb", g, W, gh, gd)
-        + np.einsum("ijk,abc,ia,jb->kc", g, W, gh, gd),
-        "W": np.einsum("ijk,ia,jb,kc->abc", g, gh, gd, gd),
+        "gh": contract("ijk,ar,jb,br,kc,cr->ia", u, gd, v, gd, z),
+        "gd": contract("ijk,ia,ar,br,kc,cr->jb", gh, u, v, gd, z)
+        + contract("ijk,ia,ar,jb,br,cr->kc", gh, u, gd, v, z),
+        "W": np.array((
+            contract("ijk,ia,jb,br,kc,cr->ar", gh, gd, v, gd, z),
+            contract("ijk,ia,ar,jb,kc,cr->br", gh, u, gd, gd, z),
+            contract("ijk,ia,ar,jb,br,kc->cr", gh, u, gd, v, gd),
+        )),
     }
 
 
-@pytest.mark.parametrize("m,e,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
-def test_masked_trilinear_gradient(m, e, n, d):
+@pytest.mark.parametrize("m,r,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
+def test_masked_trilinear_gradient(m, r, n, d):
     # the op's gradient is the unmasked VJP of the adjoint with its invalid
     # cells zeroed: adjoint mass on invalid cells moves nothing
     rng = np.random.default_rng(m * 10 + n)
     arrays = {
-        "gh": rng.normal(size=(m, e)),
+        "gh": rng.normal(size=(m, d)),
         "gd": rng.normal(size=(n, d)),
-        "W": rng.normal(size=(e, d, d)),
+        "W": rng.normal(size=(3, d, r)),
     }
     valid = _valid_cells(m, n)
     dense = rng.normal(size=(m, n, n))
@@ -244,7 +262,7 @@ def test_trilinear_op_second_backward_uses_new_adjoint():
     # plain array whose adjoint backward discards
     rng = np.random.default_rng(7)
     gh0, gd0 = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-    W = rng.normal(size=(2, 2, 2))
+    W = rng.normal(size=(3, 2, 2))
     g1, g2 = rng.normal(size=(2, 3, 4, 4))
 
     gh, gd = ad.Var(gh0), ad.Var(gd0)
@@ -261,11 +279,10 @@ def test_trilinear_op_second_backward_uses_new_adjoint():
 
 def test_trilinear_weight_gradient_is_adopted_not_copied():
     # the VJP returns dW as an array of its own in W's shape, so backward
-    # makes it W's grad as it is: the (d_bin^3) weight gradients are never
-    # copied
+    # makes it W's grad as it is: the weight gradients are never copied
     rng = np.random.default_rng(11)
-    gh, gd = ad.Var(rng.normal(size=(4, 3))), ad.Var(rng.normal(size=(5, 2)))
-    W = ad.Var(rng.normal(size=(3, 2, 2)))
+    gh, gd = ad.Var(rng.normal(size=(4, 3))), ad.Var(rng.normal(size=(5, 3)))
+    W = ad.Var(rng.normal(size=(3, 3, 2)))
     s = trilinear(gh, gd, W)
     returned = []
     vjp = s._vjp
@@ -278,7 +295,7 @@ def test_trilinear_weight_gradient_is_adopted_not_copied():
     s._vjp = recording_vjp
     ad.backward(s, rng.normal(size=(4, 5, 5)))
     assert W.grad is returned[0]
-    assert W.grad.base is None and W.grad.shape == (3, 2, 2)
+    assert W.grad.base is None and W.grad.shape == (3, 3, 2)
 
 
 def _gru_reference(A, U, reverse):
@@ -633,13 +650,33 @@ def test_parameter_gradients_match_finite_differences(tensor):
 
 
 def test_unary_and_binary_init_scales():
+    d = 6
     stats = []
     for seed in range(30):
-        p = make_params(seed=seed, d_edge=8, d_bin=6)
-        stats.append((p.tensors["U_edge"].std(), p.tensors["W_sib"].std()))
-    unary, binary = np.array(stats).mean(axis=0)
+        p = make_params(seed=seed, d_edge=8, d_bin=d)
+        W = p.tensors["W_sib"]
+        # E[s^2] of a valid cell over gh, gd ~ N(0, I): rows i, j, k are
+        # independent, so it is sum_rr' of the factors' Gram products; a
+        # dense d^3 tensor drawn N(0, 0.25) gives 0.0625 d^3 in expectation
+        gram = W.transpose(0, 2, 1) @ W
+        stats.append((p.tensors["U_edge"].std(), W.std(),
+                      np.sum(gram[0] * gram[1] * gram[2]) / (0.0625 * d**3)))
+    unary, binary, score_variance = np.array(stats).mean(axis=0)
     assert 0.9 < unary < 1.1
-    assert 0.22 < binary < 0.28
+    assert 0.95 < binary / (0.0625 / d) ** (1 / 6) < 1.05
+    assert 0.8 < score_variance < 1.2
+
+
+def test_trilinear_score_variance_is_the_gram_product_of_its_factors():
+    # the identity test_unary_and_binary_init_scales relies on, by sampling
+    rng = np.random.default_rng(4)
+    d, n = 3, 5
+    W = rng.normal(size=(3, d, d))
+    gram = W.transpose(0, 2, 1) @ W
+    cells = [trilinear(rng.normal(size=(n + 1, d)), rng.normal(size=(n + 1, d)), W)[
+        sib_mask(n) == 1] for _ in range(4000)]
+    np.testing.assert_allclose(np.mean(np.square(cells)), np.sum(gram[0] * gram[1] * gram[2]),
+                               rtol=0.05)
 
 
 def test_load_embeddings(tmp_path):

@@ -1,3 +1,7 @@
+import inspect
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +129,44 @@ def test_cle_matches_bruteforce(n, single_root):
         ref, total = best_arborescence_bruteforce(w, single_root=single_root)
         assert abs(tree_weight(w, heads) - total) < 1e-9
         assert heads.tolist() == ref.tolist()
+
+
+def _greedy_two_cycles(n, seed):
+    """Weights under which words 2t-1 and 2t are each other's best head,
+    for every t: n/2 greedy 2-cycles to contract, one after another."""
+    w = np.random.default_rng(seed).uniform(size=(n + 1, n + 1))
+    for a in range(1, n, 2):
+        w[a, a + 1] = w[a + 1, a] = 10.0
+    return w
+
+
+@pytest.mark.parametrize("single_root", [True, False])
+def test_cle_on_greedy_two_cycles_matches_bruteforce(single_root):
+    for n in (4, 5):
+        for seed in range(20):
+            w = _greedy_two_cycles(n, seed)
+            heads = chu_liu_edmonds(w, single_root=single_root)
+            ref, _ = best_arborescence_bruteforce(w, single_root=single_root)
+            assert heads.tolist() == ref.tolist()
+
+
+def test_cle_contracts_hundreds_of_cycles_in_a_loop_in_quadratic_memory():
+    # n = 400 takes about 300 contractions: a CLE that recursed once per
+    # contraction needed that many frames, and held every level's
+    # matrices (153 MB); the loop keeps O(n) records per level
+    n = 400
+    w = _greedy_two_cycles(n, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    tracemalloc.start()
+    try:
+        heads = chu_liu_edmonds(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sys.setrecursionlimit(limit)
+    assert is_tree(heads, single_root=True)
+    assert peak < 8 * w.nbytes
 
 
 def test_dependent_constant_shift_leaves_argmax_tree_unchanged(rng):
