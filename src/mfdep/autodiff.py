@@ -208,14 +208,6 @@ def _scatter_add(va, index, g):
     return out
 
 
-def gather_rows(a, idx):
-    va = val(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    if not isinstance(a, Var):
-        return va[idx]
-    return Var(va[idx], (a,), lambda g: (_scatter_add(va, idx, g),))
-
-
 def take_at(a, index):
     """Fancy indexing with a tuple of integer index arrays."""
     va = val(a)

@@ -17,11 +17,13 @@ def _log(msg):
         print(msg, file=sys.stderr)
 
 
-def _count(text):
-    """argparse type of a count: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, not {text!r}")
-    return int(text)
+def _at_least(low):
+    """argparse type of an integer >= low."""
+    def parse(text):
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, not {text!r}")
+        return int(text)
+    return parse
 
 
 def _build_parser():
@@ -30,7 +32,8 @@ def _build_parser():
 
     def common(sp, variant="local2o"):
         sp.add_argument("--variant", choices=VARIANTS, default=variant)
-        sp.add_argument("--iterations", type=int, default=None, help="MFVI iterations T")
+        sp.add_argument("--iterations", type=_at_least(0), default=None,
+                        help="MFVI iterations T")
         sp.add_argument("--single-root", choices=("on", "off"), default="on")
 
     tr = sub.add_parser("train", help="train a model")
@@ -58,15 +61,15 @@ def _build_parser():
     ev.add_argument("--json", action="store_true", help="machine-readable output")
 
     be = sub.add_parser("bench", help="decoder throughput benchmark")
-    be.add_argument("--lengths", type=_count, nargs="+", default=[10, 20, 40])
-    be.add_argument("--repeats", type=_count, default=5)
+    be.add_argument("--lengths", type=_at_least(1), nargs="+", default=[10, 20, 40])
+    be.add_argument("--repeats", type=_at_least(1), default=5)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--csv", metavar="FILE", help="also write CSV")
 
     oc = sub.add_parser("oracle-check", help="decoder/MST deviation tables vs brute force")
     oc.add_argument("--seed", type=int, default=0)
-    oc.add_argument("--instances", type=_count, default=50)
-    oc.add_argument("--iterations", type=int, default=None, help="MFVI iterations T")
+    oc.add_argument("--instances", type=_at_least(1), default=50)
+    oc.add_argument("--iterations", type=_at_least(0), default=None, help="MFVI iterations T")
 
     return p
 
@@ -129,7 +132,7 @@ def _cmd_eval(args):
     pred = read_conllu_file(args.pred)
     require_annotated(pred, args.pred)
     pairs = [(s.gold_heads, s.gold_labels) for s in pred]
-    uas, las, counts = uas_las(pairs, gold, args.punct)
+    uas, las, counts = uas_las(pairs, gold, args.punct, (args.pred, args.gold))
     if args.json:
         print(json.dumps({
             "uas": uas, "las": las, "scored": counts.scored,
@@ -196,8 +199,9 @@ def run(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as e:
-        print(f"error: file not found: {e.filename}", file=sys.stderr)
+    except OSError as e:  # a missing file, a directory where a file belongs, ...
+        print(f"error: {e.filename}: {e.strerror}" if e.filename else f"error: {e}",
+              file=sys.stderr)
         return 2
     except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)

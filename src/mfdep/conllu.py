@@ -9,6 +9,7 @@ a line (CRLF text) is dropped on reading; output always uses LF.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 
@@ -190,8 +191,19 @@ def filter_long(sentences, max_len):
     return [s for s in sentences if len(s) <= max_len]
 
 
+@contextlib.contextmanager
+def open_text(path):
+    """open(path) for UTF-8 text; bytes that are not UTF-8 raise ValueError naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield f
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason}: "
+                             f"byte 0x{e.object[e.start:e.start + 1].hex()})") from None
+
+
 def read_conllu_file(path):
-    with open(path, encoding="utf-8") as f:  # strict codec: encoding errors fatal
+    with open_text(path) as f:
         return parse_conllu(f.read())
 
 

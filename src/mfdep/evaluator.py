@@ -25,17 +25,21 @@ def _is_punct(token, mode):
     return False
 
 
-def uas_las(pred, gold, punct_mode="upos-punct"):
+def uas_las(pred, gold, punct_mode="upos-punct", sources=("pred", "gold")):
     """UAS/LAS over aligned predicted trees and gold sentences; ``pred``
-    items are (heads, label names) pairs."""
+    items are (heads, label names) pairs. A sentence or word count that
+    differs raises ValueError naming both ``sources``, pred first."""
     if punct_mode not in PUNCT_MODES:
         raise ValueError(f"unknown punct_mode {punct_mode!r}")
+    p_src, g_src = sources
     if len(pred) != len(gold):
-        raise ValueError("pred/gold length mismatch")
+        raise ValueError(f"{p_src} has {len(pred)} sentences, {g_src} has {len(gold)}")
     c = EvalCounts()
-    for (heads, labels), sent in zip(pred, gold):
+    for s_idx, ((heads, labels), sent) in enumerate(zip(pred, gold), start=1):
         if len(heads) != len(sent):
-            raise ValueError("sentence length mismatch")
+            sid = f" (sent_id {sent.sentence_id})" if sent.sentence_id else ""
+            raise ValueError(f"sentence {s_idx}{sid}: {p_src} has {len(heads)} words, "
+                             f"{g_src} has {len(sent)}")
         for j, tok in enumerate(sent.tokens):
             if _is_punct(tok, punct_mode):
                 c.skipped_punct += 1

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .conllu import open_text
 
 ROOT = "<root>"
 UNK = "<unk>"
@@ -361,7 +362,7 @@ def encode(sentences, params, pv=None, dropout_rng=None):
         wids += [0] + [params.word2id.get(t.form, 1) for t in sent.tokens]
         pids += [0] + [params.pos2id.get(t.upos, 1) for t in sent.tokens]
     E = ad.concat(
-        [ad.gather_rows(pv["emb_word"], wids), ad.gather_rows(pv["emb_pos"], pids)],
+        [ad.take_at(pv["emb_word"], (wids,)), ad.take_at(pv["emb_pos"], (pids,))],
         axis=1,
     )
     E = _dropout(E, params.config.p_drop_embed, dropout_rng)
@@ -369,7 +370,7 @@ def encode(sentences, params, pv=None, dropout_rng=None):
     H = gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES], len(sentences))
     if len(sentences) == 1:
         return [H]
-    return [ad.gather_rows(H, rows) for rows in np.arange(len(wids)).reshape(len(sentences), n + 1)]
+    return [ad.take_at(H, (rows,)) for rows in np.arange(len(wids)).reshape(len(sentences), n + 1)]
 
 
 def _aug(x):
@@ -481,22 +482,14 @@ def trilinear(gh, gd, W):
     return ad.custom_op(s, (gh, gd, W), vjp)
 
 
-def _bin_scores(H, params, pv, dropout_rng, bins, weight):
-    """The trilinear scores of weight over ``bins``, the bin head and
-    dependent projections of H, or over a pair projected here under
-    dropout draws of its own."""
+def score_siblings(bins, params, pv=None):
     pv = params.tensors if pv is None else pv
-    if bins is None:
-        bins = _head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng)
-    return trilinear(*bins, pv[weight])
+    return trilinear(*bins, pv["W_sib"])
 
 
-def score_siblings(H, params, pv=None, dropout_rng=None, bins=None):
-    return _bin_scores(H, params, pv, dropout_rng, bins, "W_sib")
-
-
-def score_grandparents(H, params, pv=None, dropout_rng=None, bins=None):
-    return _bin_scores(H, params, pv, dropout_rng, bins, "W_gp")
+def score_grandparents(bins, params, pv=None):
+    pv = params.tensors if pv is None else pv
+    return trilinear(*bins, pv["W_gp"])
 
 
 def score_labels(H, params, pv=None, dropout_rng=None):
@@ -510,26 +503,20 @@ def label_distribution(s_label):
     return ad.softmax(s_label, axis=2)
 
 
-_BIN_PROJ = ("bin_head_W", "bin_head_b", "bin_dep_W", "bin_dep_b")
-
-
 def score_sentence(sentence, params, pv=None, dropout_rng=None, H=None):
     """Full scoring pass: Sentence -> ScoreTensors, differentiable with
     respect to the Vars in pv. H is the sentence's encoding, as a group
-    ``encode`` gives it; by default the sentence is encoded alone. With
-    no Var and no dropout, the sibling and grandparent scorers share one
-    pair of bin projections; otherwise each projects H itself, under
-    dropout draws of its own."""
+    ``encode`` gives it; by default the sentence is encoded alone. The
+    sibling and grandparent scorers read one pair of bin projections of
+    H, the head and the dependent each under one dropout draw."""
     pv = params.tensors if pv is None else pv
     if H is None:
         H = encode([sentence], params, pv, dropout_rng)[0]
-    bins = None
-    if dropout_rng is None and not ad.any_var((H, *(pv[k] for k in _BIN_PROJ))):
-        bins = _head_dep(H, pv, "bin", 0.0, None)
+    bins = _head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng)
     return ScoreTensors(
         s_edge=score_edges(H, params, pv, dropout_rng),
-        s_sib=score_siblings(H, params, pv, dropout_rng, bins),
-        s_gp=score_grandparents(H, params, pv, dropout_rng, bins),
+        s_sib=score_siblings(bins, params, pv),
+        s_gp=score_grandparents(bins, params, pv),
         s_label=score_labels(H, params, pv, dropout_rng),
     )
 
@@ -543,7 +530,7 @@ def load_embeddings(path, params):
     naming the file and d_word when no line has that width."""
     d = params.config.d_word
     loaded = matched = 0
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split()
             if len(parts) != d + 1:

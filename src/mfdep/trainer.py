@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoder
-from .conllu import filter_long, require_annotated
+from .conllu import filter_long, open_text, require_annotated
 from .evaluator import uas_las
 from .scorer import (
     MODEL_DIMS,
@@ -618,7 +618,7 @@ def parse_config_file(path):
     types = {f.name: f.type for f in fields(TrainConfig)}
     types.update((f.name, f.type) for f in fields(ModelConfig) if f.name in MODEL_DIMS)
     out = {}
-    with open(path, encoding="utf-8") as f:
+    with open_text(path) as f:
         for raw in f:
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -1,5 +1,8 @@
+import ast
+import importlib
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -391,13 +394,10 @@ def test_dev_evaluation_matches_parse_then_eval_on_the_checkpoints_iterations(
     assert evaluate(params, sentences)[:2] == (report["uas"], report["las"])
 
 
-def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):
-    # perfbench counts tokens and times layers by rebinding these functions
-    # in every mfdep module; a parse that bypassed a binding would go uncounted
-    import sys
-
-    from mfdep import decoder, kernels, scorer, tree
-
+def _count_calls(monkeypatch, targets):
+    """Rebind each (module, name) of targets, as perfbench's worker does,
+    in every mfdep module that binds the function; the returned dict
+    collects the positional arguments of each call by name."""
     calls = {}
 
     def rebind(module, name):
@@ -413,12 +413,21 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
                     if value is original:
                         monkeypatch.setattr(mod, attr, counted)
 
-    for module, name in [
+    for module, name in targets:
+        rebind(module, name)
+    return calls
+
+
+def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):
+    # perfbench counts tokens and times layers by rebinding these functions
+    # in every mfdep module; a parse that bypassed a binding would go uncounted
+    from mfdep import decoder, kernels, scorer, tree
+
+    calls = _count_calls(monkeypatch, [
         (scorer, "score_sentence"), (scorer, "encode"), (scorer, "score_edges"),
         (scorer, "score_siblings"), (scorer, "score_grandparents"), (scorer, "score_labels"),
         (decoder, "mfvi"), (kernels, "messages_forward"), (tree, "decode"),
-    ]:
-        rebind(module, name)
+    ])
     sentences = read_conllu_file(workspace["train"])
     assert run(["parse", "--model", workspace["model"], "--input", workspace["train"],
                 "--output", str(tmp_path / "out.conllu")]) == 0
@@ -438,6 +447,48 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     sizes = [len(s) + 1 for s in sentences for _ in range(2)]
     assert [len(args) for args in calls["messages_forward"]] == [3] * len(sizes)
     assert [args[0].shape for args in calls["messages_forward"]] == [(k, k) for k in sizes]
+
+
+def test_train_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):
+    # the training counterpart: perfbench counts training tokens at
+    # sentence_loss and the end of set-up at the first score_sentence
+    from mfdep import scorer, trainer
+
+    calls = _count_calls(monkeypatch, [
+        (trainer, "sentence_loss"), (scorer, "score_sentence"), (scorer, "score_siblings"),
+        (scorer, "score_grandparents"), (trainer, "adam_step"),
+    ])
+    corpus = read_conllu_file(workspace["train"])
+    dev_file = str(tmp_path / "dev.conllu")
+    dev = read_conllu_file(TOY_TREEBANK)[6:8]
+    write_conllu_file(dev_file, dev)
+    cfg = tmp_path / "run.cfg"
+    # two batches of the whole corpus, one dev evaluation after the second
+    cfg.write_text(TINY_RUN_CFG.replace("max_iterations = 1", "max_iterations = 2")
+                   + "eval_every = 2\nbatch_tokens = 10000\n", encoding="utf-8")
+    assert run(["train", "--train", workspace["train"], "--dev", dev_file,
+                "--config", str(cfg), "--model", str(tmp_path / "m.bin")]) == 0
+    losses = [args[0] for args in calls["sentence_loss"]]
+    assert losses == corpus * 2
+    # one scoring pass per training sentence, then one per dev sentence
+    assert [args[0] for args in calls["score_sentence"]] == losses + dev
+    for name in ("score_siblings", "score_grandparents"):
+        assert len(calls[name]) == len(losses + dev), name
+    assert len(calls["adam_step"]) == 2
+
+
+def test_every_function_perfbench_traces_resolves():
+    # perfbench/worker.py rebinds each (module, function) of its TRACED
+    # table by name; a rename in mfdep would break traced runs
+    worker = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+    tree = ast.parse(worker.read_text(encoding="utf-8"))
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    entries = [(row.elts[0].id, row.elts[1].value) for row in table.elts]
+    assert entries
+    for module, name in entries:
+        assert callable(getattr(importlib.import_module(f"mfdep.{module}"), name, None)), \
+            (module, name)
 
 
 def test_eval_text_output(workspace, capsys):
@@ -467,6 +518,73 @@ def test_missing_file_exits_2(workspace, tmp_path):
         "--input", str(tmp_path / "absent.conllu"),
         "--output", str(tmp_path / "out.conllu"),
     ]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--model", "--input", "--output"])
+def test_parse_names_a_directory_given_as_a_file(flag, workspace, tmp_path, capsys):
+    paths = {"--model": workspace["model"], "--input": workspace["train"],
+             "--output": str(tmp_path / "out.conllu")}
+    paths[flag] = str(tmp_path)
+    argv = ["parse"] + [x for item in paths.items() for x in item]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("flag", ["--model", "--history"])
+def test_train_names_a_directory_given_as_an_output(flag, workspace, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    argv = ["train", "--train", workspace["train"], "--config", str(cfg),
+            "--model", str(tmp_path / "m.bin"), flag, str(tmp_path)]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.endswith(f"\nerror: {tmp_path}: Is a directory\n")
+
+
+@pytest.mark.parametrize("flag", ["--input", "--config", "--embeddings"])
+def test_a_file_that_is_not_utf8_exits_1_naming_it(flag, workspace, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("# caf\u00e9 = 1\n".encode("latin-1"))
+    if flag == "--input":
+        argv = ["parse", "--model", workspace["model"], "--input", str(bad),
+                "--output", str(tmp_path / "out.conllu")]
+    else:
+        argv = ["train", "--train", workspace["train"], "--model", str(tmp_path / "m.bin"),
+                flag, str(bad)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid continuation byte: byte 0xe9)\n")
+
+
+@pytest.mark.parametrize("command", [["parse", "--model", "m", "--input", "i", "--output", "o"],
+                                     ["train", "--train", "t", "--model", "m"],
+                                     ["oracle-check"]])
+def test_a_negative_iterations_flag_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--iterations", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and "--iterations: expected an integer >= 0, not '-1'" in err
+
+
+def test_eval_names_the_files_and_counts_of_a_sentence_count_mismatch(workspace, tmp_path,
+                                                                      capsys):
+    pred = tmp_path / "pred.conllu"
+    write_conllu_file(str(pred), read_conllu_file(workspace["train"])[:5])
+    assert run(["eval", "--gold", workspace["train"], "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred} has 5 sentences, {workspace['train']} has 6\n")
+
+
+def test_eval_names_the_sentence_and_lengths_of_a_word_count_mismatch(workspace, tmp_path,
+                                                                      capsys):
+    gold = read_conllu_file(workspace["train"])
+    other = next(s for s in read_conllu_file(TOY_TREEBANK) if len(s) != len(gold[2]))
+    pred = tmp_path / "pred.conllu"
+    write_conllu_file(str(pred), gold[:2] + [other] + gold[3:])
+    assert run(["eval", "--gold", workspace["train"], "--pred", str(pred)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: sentence 3 (sent_id {gold[2].sentence_id}): {pred} has {len(other)} words, "
+        f"{workspace['train']} has {len(gold[2])}\n")
 
 
 def test_corrupt_model_exits_1(tmp_path, workspace):

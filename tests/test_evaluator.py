@@ -86,9 +86,9 @@ def test_sentence_order_invariance():
 
 def test_errors():
     gold = [_sent(["1\ta\ta\tNOUN\tNN\t_\t0\troot\t_\t_"])]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pred has 0 sentences, gold has 1$"):
         uas_las([], gold)
-    with pytest.raises(ValueError):
-        uas_las([([0, 0], ["root", "root"])], gold)
+    with pytest.raises(ValueError, match="^sentence 1: p.conllu has 2 words, g.conllu has 1$"):
+        uas_las([([0, 0], ["root", "root"])], gold, sources=("p.conllu", "g.conllu"))
     with pytest.raises(ValueError):
         uas_las([([0], ["root"])], gold, punct_mode="mystery")

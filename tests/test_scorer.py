@@ -90,13 +90,19 @@ def test_identity_biaffine_is_bias_augmented_inner_product():
     np.testing.assert_allclose(s[0, 1], Hv[0] @ Hv[1] + 1.0, atol=1e-12)
 
 
+def _bins(H, params):
+    """The bin head and dependent projections of H, with no dropout."""
+    return [linear(H, params.tensors[f"bin_{r}_W"], params.tensors[f"bin_{r}_b"])
+            for r in ("head", "dep")]
+
+
 def test_zero_trilinear_weights_zero_triple_scores():
     params = make_params()
     params.tensors["W_sib"][:] = 0.0
     params.tensors["W_gp"][:] = 0.0
-    H = encode([make_sentence(3)], params)[0]
-    assert not ad.val(score_siblings(H, params)).any()
-    assert not ad.val(score_grandparents(H, params)).any()
+    bins = _bins(encode([make_sentence(3)], params)[0], params)
+    assert not ad.val(score_siblings(bins, params)).any()
+    assert not ad.val(score_grandparents(bins, params)).any()
 
 
 def test_constant_trilinear_closed_form():
@@ -108,7 +114,7 @@ def test_constant_trilinear_closed_form():
     params.tensors["bin_dep_b"][:] = 1.0
     n = 3
     H = encode([make_sentence(n)], params)[0]
-    s = ad.val(score_siblings(H, params))
+    s = ad.val(score_siblings(_bins(H, params), params))
     np.testing.assert_allclose(s, 2.0 * sib_mask(n), atol=1e-12)
 
 
@@ -117,7 +123,7 @@ def test_trilinear_matches_naive_loops():
     n = 3
     H = encode([make_sentence(n)], params)[0]
     Hv = ad.val(H)
-    got = ad.val(score_siblings(H, params))
+    got = ad.val(score_siblings(_bins(H, params), params))
     W = params.tensors["W_sib"]
     gh = Hv @ params.tensors["bin_head_W"].T + params.tensors["bin_head_b"]
     gd = Hv @ params.tensors["bin_dep_W"].T + params.tensors["bin_dep_b"]
@@ -570,7 +576,7 @@ def test_training_loss_builds_one_node_per_layer(monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     sentence_loss(make_sentence(5), make_params(seed=6), "single2o", 3, 0.07)
-    assert len(nodes) == 61
+    assert len(nodes) == 59
 
 
 def test_label_distribution_uniform_and_degenerate():
@@ -590,9 +596,9 @@ def test_label_distribution_normalizes():
     np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-12)
 
 
-def test_inference_shares_one_pair_of_bin_projections(monkeypatch):
-    # with plain arrays and no dropout the sibling and grandparent scorers
-    # read one bin_head/bin_dep projection of H; training keeps one each
+def test_training_and_parsing_share_one_pair_of_bin_projections(monkeypatch):
+    # the sibling and grandparent scorers read one bin_head/bin_dep
+    # projection of H, in parsing as in training
     params = make_params(seed=8)
     sent = make_sentence(4)
     calls = []
@@ -600,12 +606,12 @@ def test_inference_shares_one_pair_of_bin_projections(monkeypatch):
     monkeypatch.setattr(scorer, "linear", lambda *args: calls.append(1) or linear_op(*args))
     scores = score_sentence(sent, params)
     assert len(calls) == 6 + 3 * 2  # the GRU gates; head and dependent of edges, bins, labels
-    H = encode([sent], params)[0]
-    np.testing.assert_array_equal(scores.s_sib, score_siblings(H, params))
-    np.testing.assert_array_equal(scores.s_gp, score_grandparents(H, params))
+    bins = _bins(encode([sent], params)[0], params)
+    np.testing.assert_array_equal(scores.s_sib, score_siblings(bins, params))
+    np.testing.assert_array_equal(scores.s_gp, score_grandparents(bins, params))
     calls.clear()
     sentence_loss(sent, params, "local2o", 2, 0.4)
-    assert len(calls) == 6 + 4 * 2
+    assert len(calls) == 6 + 3 * 2
 
 
 def test_masked_cells_are_exactly_zero():
