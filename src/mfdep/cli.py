@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -24,6 +25,20 @@ def _at_least(low):
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, not {text!r}")
         return int(text)
     return parse
+
+
+def _check_output(path):
+    """Raise the OSError that writing ``path`` would meet when it is a
+    directory or its directory is missing, before any work is done;
+    nothing is created or truncated."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _build_parser():
@@ -80,6 +95,9 @@ def _cmd_train(args):
     from .trainer import (MODEL_DIMS, TrainConfig, initial_params, parse_config_file,
                           save_model, train)
 
+    for path in (args.model, args.history):
+        if path is not None:
+            _check_output(path)
     corpus = read_conllu_file(args.train)
     if not any(len(s) for s in corpus):
         raise ValueError(f"{args.train}: training file has no words")
@@ -113,6 +131,7 @@ def _cmd_parse(args):
     from .conllu import read_conllu_file, write_conllu_file
     from .trainer import load_model, parse_sentences
 
+    _check_output(args.output)
     params = load_model(args.model)
     sentences = read_conllu_file(args.input)
     trees = parse_sentences(params, sentences, args.variant, args.iterations,
@@ -149,6 +168,8 @@ def _cmd_eval(args):
 def _cmd_bench(args):
     from .bench import benchmark, format_csv, format_table
 
+    if args.csv:
+        _check_output(args.csv)
     rows, slopes = benchmark(lengths=args.lengths, repeats=args.repeats, seed=args.seed)
     print(format_table(rows, slopes), end="")
     if args.csv:

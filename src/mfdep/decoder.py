@@ -13,9 +13,16 @@ through the whole unrolled inference; the messages and the sibling
 symmetrization s + s^T are one op each. Each update alone masks the edges
 that are no candidate: q is 0 there whatever (finite) ``s_edge`` holds,
 and those cells of ``s_edge`` get a 0 adjoint. The 2-D edge mask, and the
-Local variant's additive mask, are built at most once per sentence. When no
+Local variant's additive mask, are built at most once per call. When no
 score is a Var (parsing), every iterate is a plain array and no op
 builds a closure.
+
+The score tensors may carry one leading batch axis: B sentences of one
+length n stacked as (B, n+1, n+1) edge and (B, n+1, n+1, n+1) sibling
+and grandparent scores run as one call, the masks broadcast over the
+batch, and every posterior row is bit-identical to that sentence's own
+call. A single sentence is a stack with no leading axis. Only parsing
+stacks; training passes one sentence's Vars.
 """
 from __future__ import annotations
 
@@ -44,16 +51,17 @@ def _mfvi_messages(q, sib, gp):
 
 @dataclass
 class Posterior:
-    qs: list  # T+1 Vars (arrays when no score is a Var), each (n+1) x (n+1):
-    # ad.val(qs[t])[i, j] = belief in edge i -> j
+    qs: list  # T+1 Vars (arrays when no score is a Var), each (..., n+1, n+1):
+    # ad.val(qs[t])[..., i, j] = belief in edge i -> j
 
     @property
     def final(self):
         return self.qs[-1]
 
     def head_probs(self):
-        """n x (n+1) array: row j-1 holds the final beliefs in each head of j."""
-        return ad.val(self.final)[:, 1:].T.copy()
+        """(..., n, n+1) array: row j-1 holds the final beliefs in each
+        head of j."""
+        return np.swapaxes(ad.val(self.final)[..., 1:], -1, -2).copy()
 
 
 def _sym_sib(s_sib):
@@ -62,10 +70,10 @@ def _sym_sib(s_sib):
     by the trilinear scorer and both couple the same pair of variables,
     so the effective coupling entering each message is their sum."""
     v = ad.val(s_sib)
-    y = v + v.transpose(0, 2, 1)
+    y = v + np.swapaxes(v, -1, -2)
     if not isinstance(s_sib, ad.Var):
         return y
-    return ad.custom_op(y, (s_sib,), lambda g: (g + g.transpose(0, 2, 1),))
+    return ad.custom_op(y, (s_sib,), lambda g: (g + np.swapaxes(g, -1, -2),))
 
 
 def _single_update(logits, mask):
@@ -91,7 +99,7 @@ def mfvi_local(scores, T=VARIANTS["local2o"].iterations):
     neg = (1.0 - edge_mask(scores.n)) * _NEG  # additive mask of the non-edges
 
     def local_update(logits, mask):
-        return ad.mul(ad.softmax(ad.add(logits, neg), axis=0), mask)
+        return ad.mul(ad.softmax(ad.add(logits, neg), axis=-2), mask)
 
     return _unrolled(scores, T, local_update)
 

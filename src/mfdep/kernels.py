@@ -18,8 +18,14 @@ terms with k = i or k = j being 0, and no mask is built or applied: the
 message on a cell that is no candidate edge is a sum of signed zeros, and
 ``messages_backward`` passes the adjoint on such a cell to dq only
 through those zeros, and to dsib and dgp only on cells that are not valid
-either. It returns dsib and dgp on invalid cells too: they are the derivatives of the unrestricted sums, and
-``trilinear`` zeroes them.
+either. It returns dsib and dgp on invalid cells too: they are the
+derivatives of the unrestricted sums, and ``trilinear`` zeroes them.
+
+Both directions take any number of leading axes, the same on every
+operand: a stack of B sentences of one length is a (B, n+1, n+1) ``q``
+with (B, n+1, n+1, n+1) cubes, and each row of the result is
+bit-identical to that sentence's own call. Below n of about 15 a stack
+costs a fraction of B calls, which are mostly numpy dispatch.
 """
 from __future__ import annotations
 
@@ -32,19 +38,19 @@ def backend_name():
 
 
 def messages_forward(q, sib, gp):
-    t1 = np.einsum("ik,ijk->ij", q, sib)
-    t2 = np.einsum("jk,ijk->ij", q, gp)
-    t3 = np.einsum("ki,kij->ij", q, gp)
+    t1 = np.einsum("...ik,...ijk->...ij", q, sib)
+    t2 = np.einsum("...jk,...ijk->...ij", q, gp)
+    t3 = np.einsum("...ki,...kij->...ij", q, gp)
     return t1 + t2 + t3
 
 
 def messages_backward(dm, q, sib, gp):
-    dq = np.einsum("ij,ijk->ik", dm, sib)
-    dq += np.einsum("ij,ijk->jk", dm, gp)
-    dq += np.einsum("ij,kij->ki", dm, gp)
-    dsib = dm[:, :, None] * q[:, None, :]
-    dgp = dm[:, :, None] * q[None, :, :]
-    dgp += q[:, :, None] * dm[None, :, :]
+    dq = np.einsum("...ij,...ijk->...ik", dm, sib)
+    dq += np.einsum("...ij,...ijk->...jk", dm, gp)
+    dq += np.einsum("...ij,...kij->...ki", dm, gp)
+    dsib = dm[..., :, :, None] * q[..., :, None, :]
+    dgp = dm[..., :, :, None] * q[..., None, :, :]
+    dgp += q[..., :, :, None] * dm[..., None, :, :]
     return dq, dsib, dgp
 
 

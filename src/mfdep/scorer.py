@@ -96,14 +96,14 @@ class ModelConfig:
 
 @dataclass
 class ScoreTensors:
-    s_edge: object  # Var or ndarray, (n+1, n+1)
-    s_sib: object  # (n+1, n+1, n+1)
-    s_gp: object  # (n+1, n+1, n+1)
-    s_label: object  # (n+1, n+1, L)
+    s_edge: object  # Var or ndarray, (..., n+1, n+1)
+    s_sib: object  # (..., n+1, n+1, n+1)
+    s_gp: object  # (..., n+1, n+1, n+1)
+    s_label: object  # (n+1, n+1, L); None in a stack that only MFVI reads
 
     @property
     def n(self):
-        return ad.val(self.s_edge).shape[0] - 1
+        return ad.val(self.s_edge).shape[-1] - 1
 
     def values(self):
         return (

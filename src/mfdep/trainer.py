@@ -16,6 +16,7 @@ from .scorer import (
     MODEL_DIMS,
     ModelConfig,
     ModelParams,
+    ScoreTensors,
     build_vocabs,
     check_range,
     edge_mask,
@@ -292,6 +293,7 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
 
 
 PARSE_WINDOW = 512  # encoder rows, n + 1 per sentence, that a parse holds at once
+PARSE_CELLS = 1 << 16  # cube cells, B (n+1)^3, of one MFVI call over B sentences
 
 
 def _windows(sentences):
@@ -308,31 +310,56 @@ def _windows(sentences):
         yield window
 
 
+def _parse_chunk(params, chunk, encodings, variant, T, single_root):
+    """Trees of sentences of one length: each is scored on its own, MFVI
+    runs once over the stack of their edge, sibling and grandparent
+    scores (a chunk of one unstacked), and each is decoded on its row."""
+    scores = [score_sentence(sent, params, H=H) for sent, H in zip(chunk, encodings)]
+    stack = scores[0] if len(scores) == 1 else ScoreTensors(
+        *(np.stack([getattr(sc, f) for sc in scores]) for f in ("s_edge", "s_sib", "s_gp")),
+        s_label=None)
+    probs = decoder.mfvi(stack, variant, T).head_probs()
+    rows = probs.reshape(len(scores), *probs.shape[-2:])
+    return [decode(p, sc.s_label, single_root) for p, sc in zip(rows, scores)]
+
+
+def _parse_group(params, group, variant, T, single_root):
+    """Trees of sentences of one length n, in order: the group is encoded
+    at once (``encode``) and parsed in chunks of at most
+    ``PARSE_CELLS`` // (n+1)^3 sentences (at least one). A chunk's scores
+    are freed before the next chunk is scored, and the encodings before
+    the next group is encoded."""
+    encodings = encode(group, params)
+    size = max(1, PARSE_CELLS // (len(group[0]) + 1) ** 3)
+    return [tree for c in range(0, len(group), size)
+            for tree in _parse_chunk(params, group[c:c + size], encodings[c:c + size],
+                                     variant, T, single_root)]
+
+
 def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
     """The one inference loop: encode, score, MFVI, decode; one
     DependencyTree per sentence, in input order. The input is walked in
-    windows (``_windows``). In each window, the sentences of one length
-    are encoded as one group (``encode``) when the first of them is
-    reached; scoring, MFVI and decoding run per sentence. ``variant``
-    defaults to the checkpoint's, and ``T`` to the checkpoint's when the
-    variant is the checkpoint's (to ``mfvi``'s default otherwise)."""
+    windows (``_windows``), and each window in length groups, in the
+    order of their lengths' first sentences (``_parse_group``): a group
+    is encoded in one GRU pass, and each chunk of it is scored per
+    sentence, run through one MFVI call and decoded per sentence.
+    ``variant`` defaults to the checkpoint's, and ``T`` to the
+    checkpoint's when the variant is the checkpoint's (to ``mfvi``'s
+    default otherwise)."""
     if variant is None:
         variant = params.config.variant
     if T is None and variant == params.config.variant:
         T = params.config.iterations
     trees = []
     for window in _windows(sentences):
-        groups = {}
-        for sent in window:
-            groups.setdefault(len(sent), []).append(sent)
-        encoded = {}  # length -> the group's encodings, in input order
-        for sent in window:
-            n = len(sent)
-            if n not in encoded:
-                encoded[n] = iter(encode(groups[n], params))
-            scores = score_sentence(sent, params, H=next(encoded[n]))
-            post = decoder.mfvi(scores, variant, T)
-            trees.append(decode(post.head_probs(), scores.s_label, single_root))
+        groups = {}  # length -> positions in the window, in input order
+        for k, sent in enumerate(window):
+            groups.setdefault(len(sent), []).append(k)
+        parsed = {}  # position in the window -> tree
+        for ks in groups.values():
+            parsed.update(zip(ks, _parse_group(params, [window[k] for k in ks],
+                                               variant, T, single_root)))
+        trees.extend(parsed[k] for k in range(len(window)))
     return trees
 
 

@@ -431,22 +431,32 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     sentences = read_conllu_file(workspace["train"])
     assert run(["parse", "--model", workspace["model"], "--input", workspace["train"],
                 "--output", str(tmp_path / "out.conllu")]) == 0
-    assert [args[0] for args in calls["score_sentence"]] == sentences
+    # every sentence reaches the scorers and decode once, a length group
+    # at a time
+    def each_once(seen):
+        return sorted(seen, key=repr) == sorted(sentences, key=repr)
+
+    assert each_once([args[0] for args in calls["score_sentence"]])
     # the input fits one window, so encode runs once per length group: each
     # call holds sentences of one length, and the calls together hold every
     # input sentence once
     groups = [args[0] for args in calls["encode"]]
     assert len(groups) == len({len(s) for s in sentences})
     assert all(len({len(s) for s in group}) == 1 for group in groups)
-    encoded = [s for group in groups for s in group]
-    assert sorted(encoded, key=repr) == sorted(sentences, key=repr)
-    for name in ("score_edges", "score_siblings", "score_grandparents",
-                 "score_labels", "mfvi", "decode"):
+    assert each_once([s for group in groups for s in group])
+    for name in ("score_edges", "score_siblings", "score_grandparents", "score_labels", "decode"):
         assert len(calls[name]) == len(sentences), name
-    # the workspace model runs T = 2 iterations: two (q, sib, gp) calls per sentence
-    sizes = [len(s) + 1 for s in sentences for _ in range(2)]
-    assert [len(args) for args in calls["messages_forward"]] == [3] * len(sizes)
-    assert [args[0].shape for args in calls["messages_forward"]] == [(k, k) for k in sizes]
+    # the group fits one chunk, so mfvi runs once per length: on a (B, k, k)
+    # stack of edge scores, or on one sentence's (k, k) for a group of one
+    shapes = [args[0].s_edge.shape for args in calls["mfvi"]]
+    assert len(shapes) == len(groups)
+    held = [shape[-1] for shape in shapes for _ in range(shape[0] if len(shape) == 3 else 1)]
+    assert sorted(held) == sorted(len(s) + 1 for s in sentences)
+    assert any(len(shape) == 3 for shape in shapes)
+    # the workspace model runs T = 2 iterations: two (q, sib, gp) calls per chunk
+    forward = [args[0].shape for args in calls["messages_forward"]]
+    assert [len(args) for args in calls["messages_forward"]] == [3] * len(forward)
+    assert forward == [shape for shape in shapes for _ in range(2)]
 
 
 def test_train_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):
@@ -537,7 +547,47 @@ def test_train_names_a_directory_given_as_an_output(flag, workspace, tmp_path, c
     argv = ["train", "--train", workspace["train"], "--config", str(cfg),
             "--model", str(tmp_path / "m.bin"), flag, str(tmp_path)]
     assert run(argv) == 2
-    assert capsys.readouterr().err.endswith(f"\nerror: {tmp_path}: Is a directory\n")
+    assert capsys.readouterr().err == f"error: {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("flag, target, reason", [
+    ("--model", "", "Is a directory"),
+    ("--history", "", "Is a directory"),
+    ("--output", "", "Is a directory"),
+    ("--csv", "", "Is a directory"),
+    ("--model", "missing/m.bin", "No such file or directory"),
+    ("--output", "missing/out.conllu", "No such file or directory"),
+    ("--history", "file.txt/history.json", "Not a directory"),
+])
+def test_an_unwritable_output_exits_2_before_the_work_starts(flag, target, reason, workspace,
+                                                             tmp_path, monkeypatch, capsys):
+    # no input is read, no model loaded, nothing trained, parsed or timed,
+    # and an output that exists is left as it was
+    from mfdep import bench, conllu, trainer
+
+    (tmp_path / "file.txt").write_text("kept\n", encoding="utf-8")
+    model = tmp_path / "m.bin"
+    model.write_bytes(b"kept")
+    bad = str(tmp_path / target) if target else str(tmp_path)
+    if flag == "--output":
+        argv = ["parse", "--model", workspace["model"], "--input", workspace["train"],
+                "--output", bad]
+    elif flag == "--csv":
+        argv = ["bench", "--lengths", "3", "--repeats", "1", "--csv", bad]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+        argv = ["train", "--train", workspace["train"], "--config", str(cfg),
+                "--model", str(model), flag, bad]
+    calls = _count_calls(monkeypatch, [
+        (conllu, "read_conllu_file"), (trainer, "load_model"), (trainer, "train"),
+        (trainer, "parse_sentences"), (bench, "benchmark"),
+    ])
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
+    assert calls == {}
+    assert model.read_bytes() == b"kept"
+    assert (tmp_path / "file.txt").read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("flag", ["--input", "--config", "--embeddings"])

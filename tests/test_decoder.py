@@ -5,7 +5,7 @@ import pytest
 
 import mfdep.autodiff as ad
 from conftest import random_scores
-from mfdep.decoder import mfvi, mfvi_local, mfvi_single
+from mfdep.decoder import _sym_sib, mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import VARIANTS, ScoreTensors, edge_mask, sib_mask
 
@@ -206,3 +206,45 @@ def test_mfvi_alone_masks_the_non_candidate_edges(variant, T, rng):
         assert q[cand].tobytes() == masked_q[cand].tobytes()
     assert not grad[~cand].any()
     assert grad[cand].tobytes() == masked_grad[cand].tobytes()
+
+
+def _stack(scores):
+    return ScoreTensors(*(np.stack([getattr(sc, f) for sc in scores])
+                          for f in ("s_edge", "s_sib", "s_gp")), s_label=None)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+@pytest.mark.parametrize("T", [0, 1, 2, 3])
+@pytest.mark.parametrize("posterior", [mfvi_local, mfvi_single])
+def test_mfvi_on_a_stack_matches_each_sentence_alone_bit_for_bit(posterior, T, n, rng):
+    # B sentences of one length in one call: every iterate and the head
+    # probabilities of each row are those of the sentence's own call, with
+    # s_edge unmasked as the scorer leaves it
+    scores = [replace(random_scores(n, rng), s_edge=rng.normal(size=(n + 1, n + 1)))
+              for _ in range(5)]
+    stacked = posterior(_stack(scores), T)
+    alone = [posterior(sc, T) for sc in scores]
+    assert len(stacked.qs) == T + 1
+    for t, q in enumerate(stacked.qs):
+        assert q.shape == (5, n + 1, n + 1)
+        for b, post in enumerate(alone):
+            assert q[b].tobytes() == post.qs[t].tobytes(), (t, b)
+    probs = stacked.head_probs()
+    assert probs.shape == (5, n, n + 1) and probs.flags.c_contiguous
+    for b, post in enumerate(alone):
+        assert probs[b].tobytes() == post.head_probs().tobytes()
+
+
+def test_sibling_symmetrization_and_its_vjp_on_a_stack_match_each_sentence_alone(rng):
+    s = rng.normal(size=(3, 5, 5, 5))
+    g = rng.normal(size=s.shape)
+    stacked = ad.Var(s)
+    y = _sym_sib(stacked)
+    ad.backward(ad.sum_all(ad.mul(y, g)))
+    for b in range(3):
+        own = ad.Var(s[b])
+        y_b = _sym_sib(own)
+        ad.backward(ad.sum_all(ad.mul(y_b, g[b])))
+        assert ad.val(y)[b].tobytes() == ad.val(y_b).tobytes()
+        assert stacked.grad[b].tobytes() == own.grad.tobytes()
+    np.testing.assert_array_equal(ad.val(y), ad.val(y).transpose(0, 1, 3, 2))

@@ -82,3 +82,19 @@ def test_muladd_count_matches_closed_form(n):
 
 def test_closed_form_is_cubic():
     assert kernels.closed_form_muladds(10) == 3 * 100 * 9
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_a_stack_matches_each_sentence_alone_bit_for_bit(n):
+    # a leading batch axis changes no bit of any sentence's messages or
+    # adjoints
+    alone = [_inputs(n, seed=40 + b) for b in range(4)]
+    q, sib, gp = (np.stack(x) for x in zip(*alone))
+    dm = np.random.default_rng(7).normal(size=q.shape)
+    m = kernels.messages_forward(q, sib, gp)
+    grads = kernels.messages_backward(dm, q, sib, gp)
+    assert m.shape == q.shape and [g.shape for g in grads] == [q.shape, sib.shape, gp.shape]
+    for b, (qb, sb, gb) in enumerate(alone):
+        assert m[b].tobytes() == kernels.messages_forward(qb, sb, gb).tobytes()
+        for stacked, own in zip(grads, kernels.messages_backward(dm[b], qb, sb, gb)):
+            assert stacked[b].tobytes() == own.tobytes()

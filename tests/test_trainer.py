@@ -737,18 +737,26 @@ def test_parse_windows_run_in_input_order_within_the_row_budget(monkeypatch):
     assert [sum(len(s) + 1 for s in w) for w in windows] == [11, 5, 21, 12]
 
 
-@pytest.mark.parametrize("window", [20, trainer.PARSE_WINDOW])
+@pytest.mark.parametrize("window, cells", [
+    pytest.param(20, trainer.PARSE_CELLS, id="20"),
+    pytest.param(trainer.PARSE_WINDOW, trainer.PARSE_CELLS, id=str(trainer.PARSE_WINDOW)),
+    pytest.param(20, 700, id="20-cells700"),
+    pytest.param(trainer.PARSE_WINDOW, 700, id=f"{trainer.PARSE_WINDOW}-cells700"),
+])
 @pytest.mark.parametrize("variant", ["local2o", "single2o"])
-def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, monkeypatch):
+def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, cells, monkeypatch):
     # lengths 3, 5 and 6 interleaved, and a sentence with no words; a
     # window of 20 rows splits the input and its length groups across
-    # windows
+    # windows, and a budget of 700 cells cuts the groups of a 512-row
+    # window into MFVI chunks of 2 (n = 6, 12 sentences) and 3 sentences
+    # (n = 5, 5 sentences)
     sentences = read_conllu_file(TOY_TREEBANK)[:20]
     sentences.insert(7, parse_conllu("# newdoc\n\n")[0])
     cfg = ModelConfig(variant=variant, d_word=6, d_pos=4, d_hidden=5, d_edge=6, d_label=5,
                       d_bin=4)
     params = init_params(cfg, *build_vocabs(sentences), seed=2)
     monkeypatch.setattr(trainer, "PARSE_WINDOW", window)
+    monkeypatch.setattr(trainer, "PARSE_CELLS", cells)
     trees = trainer.parse_sentences(params, sentences)
     assert len(trees) == len(sentences)
     for sent, tree in zip(sentences, trees):
@@ -774,3 +782,32 @@ def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("n, count", [(1, 600), (20, 100)])
+def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, monkeypatch):
+    # between two encodings a parse holds one length group's encodings and
+    # one chunk's scores, stacked cubes and MFVI iterates. n = 1 stacks the
+    # most sentences (256 a chunk, the whole window); at n = 20 the cell
+    # budget binds (7 of a window's 24 sentences a chunk). Measured: 1.4 and
+    # 3.7 MiB; a chunk of a whole window at n = 20 held 10.5
+    sentences = [make_sentence(n, shift) for shift in range(count)]
+    params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
+    peaks = []
+
+    def encode(*args, **kwargs):  # the peak since the last encoding ended
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        out = trainer_encode(*args, **kwargs)
+        tracemalloc.reset_peak()
+        return out
+
+    trainer_encode = trainer.encode
+    monkeypatch.setattr(trainer, "encode", encode)
+    tracemalloc.start()
+    try:
+        trees = trainer.parse_sentences(params, sentences)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(trees) == count and len(peaks) > 2
+    assert max(peaks[1:]) < 5 * 2**20
