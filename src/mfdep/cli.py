@@ -56,7 +56,7 @@ def _build_parser():
     tr.add_argument("--train", required=True, metavar="FILE")
     tr.add_argument("--dev", metavar="FILE")
     tr.add_argument("--model", required=True, metavar="FILE")
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--seed", type=_at_least(0), default=0)
     tr.add_argument("--config", metavar="FILE", help="key = value overrides")
     tr.add_argument("--lambda", dest="lam", type=float, default=None)
     tr.add_argument("--scale", type=float, default=1.0)
@@ -78,11 +78,11 @@ def _build_parser():
     be = sub.add_parser("bench", help="decoder throughput benchmark")
     be.add_argument("--lengths", type=_at_least(1), nargs="+", default=[10, 20, 40])
     be.add_argument("--repeats", type=_at_least(1), default=5)
-    be.add_argument("--seed", type=int, default=0)
+    be.add_argument("--seed", type=_at_least(0), default=0)
     be.add_argument("--csv", metavar="FILE", help="also write CSV")
 
     oc = sub.add_parser("oracle-check", help="decoder/MST deviation tables vs brute force")
-    oc.add_argument("--seed", type=int, default=0)
+    oc.add_argument("--seed", type=_at_least(0), default=0)
     oc.add_argument("--instances", type=_at_least(1), default=50)
     oc.add_argument("--iterations", type=_at_least(0), default=None, help="MFVI iterations T")
 

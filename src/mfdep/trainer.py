@@ -67,7 +67,7 @@ class TrainConfig:
         check_range(self, ("max_iterations", "eval_every", "decay_step", "amsgrad_after",
                            "early_stop", "batch_tokens", "max_train_len"),
                     lambda v: v >= 1, "be >= 1")
-        check_range(self, ("iterations",), lambda v: v >= 0, "be >= 0")
+        check_range(self, ("iterations", "seed"), lambda v: v >= 0, "be >= 0")
         check_range(self, ("scale", "learning_rate", "adam_eps"), lambda v: v > 0, "be > 0")
         check_range(self, ("adam_beta1", "adam_beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
         check_range(self, ("decay_rate",), lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
@@ -292,29 +292,32 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
     return total / k, grads
 
 
-PARSE_WINDOW = 512  # encoder rows, n + 1 per sentence, that a parse holds at once
+PARSE_WINDOW = 512  # encoder rows, n + 1 per sentence, of one batch of a parse
 PARSE_CELLS = 1 << 16  # cube cells, B (n+1)^3, of one MFVI call over B sentences
 
 
-def _windows(sentences):
-    """Runs of consecutive sentences, in input order, each of at most
-    ``PARSE_WINDOW`` encoder rows, or of one sentence that has more."""
-    window, rows = [], 0
-    for sent in sentences:
-        if window and rows + len(sent) + 1 > PARSE_WINDOW:
-            yield window
-            window, rows = [], 0
-        window.append(sent)
-        rows += len(sent) + 1
-    if window:
-        yield window
+def _batches(sentences):
+    """Positions of sentences of one length n, in batches of at most
+    ``PARSE_WINDOW`` // (n+1) and ``PARSE_CELLS`` // (n+1)^3 sentences,
+    and at least one: the lengths in the order of their first sentences,
+    the positions of a length in input order."""
+    groups = {}  # length -> positions, in input order
+    for k, sent in enumerate(sentences):
+        groups.setdefault(len(sent), []).append(k)
+    for n, ks in groups.items():
+        size = max(1, min(PARSE_WINDOW // (n + 1), PARSE_CELLS // (n + 1) ** 3))
+        for c in range(0, len(ks), size):
+            yield ks[c:c + size]
 
 
-def _parse_chunk(params, chunk, encodings, variant, T, single_root):
-    """Trees of sentences of one length: each is scored on its own, MFVI
-    runs once over the stack of their edge, sibling and grandparent
-    scores (a chunk of one unstacked), and each is decoded on its row."""
-    scores = [score_sentence(sent, params, H=H) for sent, H in zip(chunk, encodings)]
+def _parse_batch(params, batch, variant, T, single_root):
+    """Trees of sentences of one length: the batch is encoded at once
+    (``encode``), each sentence is scored on its own, MFVI runs once over
+    the stack of their edge, sibling and grandparent scores (a batch of
+    one unstacked), and each is decoded on its row. Returning frees the
+    batch's encodings, scores and MFVI iterates."""
+    scores = [score_sentence(sent, params, H=H)
+              for sent, H in zip(batch, encode(batch, params))]
     stack = scores[0] if len(scores) == 1 else ScoreTensors(
         *(np.stack([getattr(sc, f) for sc in scores]) for f in ("s_edge", "s_sib", "s_gp")),
         s_label=None)
@@ -323,26 +326,12 @@ def _parse_chunk(params, chunk, encodings, variant, T, single_root):
     return [decode(p, sc.s_label, single_root) for p, sc in zip(rows, scores)]
 
 
-def _parse_group(params, group, variant, T, single_root):
-    """Trees of sentences of one length n, in order: the group is encoded
-    at once (``encode``) and parsed in chunks of at most
-    ``PARSE_CELLS`` // (n+1)^3 sentences (at least one). A chunk's scores
-    are freed before the next chunk is scored, and the encodings before
-    the next group is encoded."""
-    encodings = encode(group, params)
-    size = max(1, PARSE_CELLS // (len(group[0]) + 1) ** 3)
-    return [tree for c in range(0, len(group), size)
-            for tree in _parse_chunk(params, group[c:c + size], encodings[c:c + size],
-                                     variant, T, single_root)]
-
-
 def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
     """The one inference loop: encode, score, MFVI, decode; one
-    DependencyTree per sentence, in input order. The input is walked in
-    windows (``_windows``), and each window in length groups, in the
-    order of their lengths' first sentences (``_parse_group``): a group
-    is encoded in one GRU pass, and each chunk of it is scored per
-    sentence, run through one MFVI call and decoded per sentence.
+    DependencyTree per sentence, in input order. The whole input is cut
+    into batches of sentences of one length (``_batches``), and each
+    batch is encoded in one GRU pass, scored per sentence, run through
+    one MFVI call and decoded per sentence (``_parse_batch``).
     ``variant`` defaults to the checkpoint's, and ``T`` to the
     checkpoint's when the variant is the checkpoint's (to ``mfvi``'s
     default otherwise)."""
@@ -350,16 +339,11 @@ def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
         variant = params.config.variant
     if T is None and variant == params.config.variant:
         T = params.config.iterations
-    trees = []
-    for window in _windows(sentences):
-        groups = {}  # length -> positions in the window, in input order
-        for k, sent in enumerate(window):
-            groups.setdefault(len(sent), []).append(k)
-        parsed = {}  # position in the window -> tree
-        for ks in groups.values():
-            parsed.update(zip(ks, _parse_group(params, [window[k] for k in ks],
-                                               variant, T, single_root)))
-        trees.extend(parsed[k] for k in range(len(window)))
+    trees = [None] * len(sentences)
+    for ks in _batches(sentences):
+        parsed = _parse_batch(params, [sentences[k] for k in ks], variant, T, single_root)
+        for k, tree in zip(ks, parsed):
+            trees[k] = tree
     return trees
 
 
@@ -534,8 +518,10 @@ _HEADER = {"config": (dict, "an object"), "word2id": (dict, "an object"),
 
 def _check_header(header):
     """Raise ValueError, naming the key, unless the decoded JSON header
-    is an object holding each key of ``_HEADER`` with its type, and each
-    'tensors' entry is a [name, shape] pair, shape a list of integers."""
+    is an object holding each key of ``_HEADER`` with its type, the ids
+    of 'word2id' and 'pos2id' are the integers 0..V-1, each once, the
+    'labels' are distinct strings, at least one, and each 'tensors'
+    entry is a [name, shape] pair, shape a list of integers."""
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
     for key, (kind, name) in _HEADER.items():
@@ -543,6 +529,14 @@ def _check_header(header):
             raise ValueError(f"checkpoint header lacks {key!r}")
         if not isinstance(header[key], kind):
             raise ValueError(f"checkpoint header {key!r} must be {name}")
+    for key in ("word2id", "pos2id"):
+        ids = header[key].values()
+        if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
+            raise ValueError(f"checkpoint header {key!r} ids must be the integers "
+                             f"0..{len(ids) - 1}, each once")
+    labels = header["labels"]
+    if not labels or any(type(x) is not str for x in labels) or len(set(labels)) < len(labels):
+        raise ValueError("checkpoint header 'labels' must be distinct strings, at least one")
     for entry in header["tensors"]:
         if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
                 and isinstance(entry[1], list) and all(type(d) is int for d in entry[1])):
@@ -555,9 +549,10 @@ def load_model(path):
     naming path, on a file that is no checkpoint ``save_model`` could
     have written: bad magic, a truncated preamble or tensor, another
     version (version 1, which held dense trilinear weights, says that the
-    model must be retrained), a header that is no valid JSON or lacks a
-    key, a config that ``ModelConfig`` refuses, tensors other than the
-    config implies, or a size other than the header implies."""
+    model must be retrained), a header that is no valid JSON, lacks a
+    key or holds vocabularies that cannot index its tensors, a config
+    that ``ModelConfig`` refuses, tensors other than the config implies,
+    or a size other than the header implies."""
     with open(path, "rb") as f:
         try:
             return _read_model(f)

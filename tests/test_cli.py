@@ -338,6 +338,7 @@ def test_train_rejects_a_scale_that_is_not_positive(scale, workspace, tmp_path, 
         ("batch_tokens = -5", "batch_tokens must be >= 1"),
         ("iterations = -1", "iterations must be >= 0"),
         ("max_train_len = 0", "max_train_len must be >= 1"),
+        ("seed = -4", "seed must be >= 0"),
     ],
 )
 def test_train_rejects_a_bad_config_value(line, message, workspace, tmp_path, capsys):
@@ -431,29 +432,29 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     sentences = read_conllu_file(workspace["train"])
     assert run(["parse", "--model", workspace["model"], "--input", workspace["train"],
                 "--output", str(tmp_path / "out.conllu")]) == 0
-    # every sentence reaches the scorers and decode once, a length group
-    # at a time
+    # every sentence reaches the scorers and decode once, a batch of one
+    # length at a time
     def each_once(seen):
         return sorted(seen, key=repr) == sorted(sentences, key=repr)
 
     assert each_once([args[0] for args in calls["score_sentence"]])
-    # the input fits one window, so encode runs once per length group: each
-    # call holds sentences of one length, and the calls together hold every
-    # input sentence once
-    groups = [args[0] for args in calls["encode"]]
-    assert len(groups) == len({len(s) for s in sentences})
-    assert all(len({len(s) for s in group}) == 1 for group in groups)
-    assert each_once([s for group in groups for s in group])
+    # each length fits one batch, so encode runs once per length: each call
+    # holds sentences of one length, and the calls together hold every input
+    # sentence once
+    batches = [args[0] for args in calls["encode"]]
+    assert len(batches) == len({len(s) for s in sentences})
+    assert all(len({len(s) for s in batch}) == 1 for batch in batches)
+    assert each_once([s for batch in batches for s in batch])
     for name in ("score_edges", "score_siblings", "score_grandparents", "score_labels", "decode"):
         assert len(calls[name]) == len(sentences), name
-    # the group fits one chunk, so mfvi runs once per length: on a (B, k, k)
-    # stack of edge scores, or on one sentence's (k, k) for a group of one
+    # and mfvi runs once per batch: on a (B, k, k) stack of edge scores, or
+    # on one sentence's (k, k) for a batch of one
     shapes = [args[0].s_edge.shape for args in calls["mfvi"]]
-    assert len(shapes) == len(groups)
+    assert len(shapes) == len(batches)
     held = [shape[-1] for shape in shapes for _ in range(shape[0] if len(shape) == 3 else 1)]
     assert sorted(held) == sorted(len(s) + 1 for s in sentences)
     assert any(len(shape) == 3 for shape in shapes)
-    # the workspace model runs T = 2 iterations: two (q, sib, gp) calls per chunk
+    # the workspace model runs T = 2 iterations: two (q, sib, gp) calls per batch
     forward = [args[0].shape for args in calls["messages_forward"]]
     assert [len(args) for args in calls["messages_forward"]] == [3] * len(forward)
     assert forward == [shape for shape in shapes for _ in range(2)]
@@ -616,6 +617,16 @@ def test_a_negative_iterations_flag_is_a_usage_error(command, capsys):
     assert "usage" in err and "--iterations: expected an integer >= 0, not '-1'" in err
 
 
+@pytest.mark.parametrize("command", [["train", "--train", "t", "--model", "m"],
+                                     ["bench"], ["oracle-check"]])
+def test_a_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and "--seed: expected an integer >= 0, not '-1'" in err
+
+
 def test_eval_names_the_files_and_counts_of_a_sentence_count_mismatch(workspace, tmp_path,
                                                                       capsys):
     pred = tmp_path / "pred.conllu"
@@ -734,9 +745,18 @@ def _edit_header(src, dst, edit):
          "checkpoint header 'tensors' entry ['x'] is no [name, shape] pair"),
         (lambda h: h["tensors"].__setitem__(0, ["W", [2.0]]),
          "checkpoint header 'tensors' entry ['W', [2.0]] is no [name, shape] pair"),
+        (lambda h: h["word2id"].update({list(h["word2id"])[-1]: len(h["word2id"])}),
+         "checkpoint header 'word2id' ids must be the integers 0.."),
+        (lambda h: h["word2id"].update({list(h["word2id"])[-1]: -1}),
+         "checkpoint header 'word2id' ids must be the integers 0.."),
+        (lambda h: h.update(labels=list(range(len(h["labels"])))),
+         "checkpoint header 'labels' must be distinct strings, at least one"),
+        (lambda h: h.update(labels=[]),
+         "checkpoint header 'labels' must be distinct strings, at least one"),
     ],
     ids=["unknown-key", "string-for-int", "bool-for-float", "config-not-object", "no-word2id",
-         "tensor-not-a-pair", "float-dimension"],
+         "tensor-not-a-pair", "float-dimension", "word-id-past-the-vocabulary",
+         "negative-word-id", "integer-labels", "no-labels"],
 )
 def test_parse_names_the_file_and_key_of_a_malformed_checkpoint_header(
     edit, message, workspace, tmp_path, capsys

@@ -48,6 +48,8 @@ def test_config_defaults_per_variant():
     for scale in (0.0, -2.0, float("nan")):
         with pytest.raises(ValueError, match="scale"):
             TrainConfig(scale=scale)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-4)
 
 
 def test_config_scale_shrinks_schedule():
@@ -729,12 +731,41 @@ def test_parse_config_file(tmp_path):
         parse_config_file(str(bad))
 
 
-def test_parse_windows_run_in_input_order_within_the_row_budget(monkeypatch):
+def test_parse_batches_hold_one_length_within_both_budgets(monkeypatch):
+    # at most 12 // (n+1) and 200 // (n+1)^3 sentences a batch: the row
+    # budget binds at n = 2 (4 of 7) and the cell budget at n = 4 (1 of 2);
+    # n = 0 takes 12, and a sentence of 21 rows makes a batch of its own
     monkeypatch.setattr(trainer, "PARSE_WINDOW", 12)
-    sentences = [[None] * n for n in (3, 5, 0, 4, 20, 2, 2, 2, 2)]  # only len() is read
-    windows = list(trainer._windows(sentences))
-    assert [len(s) for w in windows for s in w] == [len(s) for s in sentences]
-    assert [sum(len(s) + 1 for s in w) for w in windows] == [11, 5, 21, 12]
+    monkeypatch.setattr(trainer, "PARSE_CELLS", 200)
+    lengths = (2, 4, 0, 2, 20, 2, 4, 2, 2, 0, 20)
+    sentences = [[None] * n for n in lengths]  # only len() is read
+    assert list(trainer._batches(sentences)) == [
+        [0, 3, 5, 7], [8], [1], [6], [2, 9], [4], [10]]
+
+
+def test_parse_batches_sentences_of_one_length_across_the_whole_input(monkeypatch):
+    # two n = 3 sentences lie 561 encoder rows apart, more than PARSE_WINDOW:
+    # they share one encode call and one (2, 4, 4) MFVI stack
+    sentences = [make_sentence(3)] + [make_sentence(50, k) for k in range(11)] + [
+        make_sentence(3, 1)]
+    params = init_params(ModelConfig(**TOY_DIMS), *build_vocabs(sentences), seed=0)
+    encoded, stacks = [], []
+
+    def counted_encode(batch, *args, **kwargs):
+        encoded.append([len(s) for s in batch])
+        return trainer_encode(batch, *args, **kwargs)
+
+    def counted_mfvi(scores, *args, **kwargs):
+        stacks.append(scores.s_edge.shape)
+        return trainer_mfvi(scores, *args, **kwargs)
+
+    trainer_encode, trainer_mfvi = trainer.encode, trainer.decoder.mfvi
+    monkeypatch.setattr(trainer, "encode", counted_encode)
+    monkeypatch.setattr(trainer.decoder, "mfvi", counted_mfvi)
+    trees = trainer.parse_sentences(params, sentences)
+    assert [len(t.heads) for t in trees] == [len(s) for s in sentences]
+    assert [lengths for lengths in encoded if 3 in lengths] == [[3, 3]]
+    assert [shape for shape in stacks if shape[-1] == 4] == [(2, 4, 4)]
 
 
 @pytest.mark.parametrize("window, cells", [
@@ -745,11 +776,10 @@ def test_parse_windows_run_in_input_order_within_the_row_budget(monkeypatch):
 ])
 @pytest.mark.parametrize("variant", ["local2o", "single2o"])
 def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, cells, monkeypatch):
-    # lengths 3, 5 and 6 interleaved, and a sentence with no words; a
-    # window of 20 rows splits the input and its length groups across
-    # windows, and a budget of 700 cells cuts the groups of a 512-row
-    # window into MFVI chunks of 2 (n = 6, 12 sentences) and 3 sentences
-    # (n = 5, 5 sentences)
+    # lengths 3, 5 and 6 interleaved, and a sentence with no words; a row
+    # budget of 20 cuts the lengths into batches of 5 (n = 3), 3 (n = 5)
+    # and 2 (n = 6), and a budget of 700 cells into batches of 3 (n = 5)
+    # and 2 (n = 6)
     sentences = read_conllu_file(TOY_TREEBANK)[:20]
     sentences.insert(7, parse_conllu("# newdoc\n\n")[0])
     cfg = ModelConfig(variant=variant, d_word=6, d_pos=4, d_hidden=5, d_edge=6, d_label=5,
@@ -770,8 +800,8 @@ def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, ce
 
 
 def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims():
-    # 200 sentences of n = 10 are parsed in windows of 46, each window's
-    # encoder one group of 506 rows; a GRU that kept the gates of every
+    # 200 sentences of n = 10 are parsed in batches of 46, each batch's
+    # encoder one pass over 506 rows; a GRU that kept the gates of every
     # step (6 d_hidden floats a row) peaked at 9.6 MiB here, 7.5 without
     sentences = [make_sentence(10, shift) for shift in range(200)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
@@ -786,11 +816,11 @@ def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims():
 
 @pytest.mark.parametrize("n, count", [(1, 600), (20, 100)])
 def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, monkeypatch):
-    # between two encodings a parse holds one length group's encodings and
-    # one chunk's scores, stacked cubes and MFVI iterates. n = 1 stacks the
-    # most sentences (256 a chunk, the whole window); at n = 20 the cell
-    # budget binds (7 of a window's 24 sentences a chunk). Measured: 1.4 and
-    # 3.7 MiB; a chunk of a whole window at n = 20 held 10.5
+    # between two encodings a parse holds one batch's encodings, scores,
+    # stacked cubes and MFVI iterates. n = 1 stacks the most sentences (256
+    # a batch, where the row budget binds); at n = 20 the cell budget binds
+    # (7 a batch, where the row budget allows 24). Measured: 1.3 and 2.9 MiB;
+    # batches of 24 at n = 20 held 9.7
     sentences = [make_sentence(n, shift) for shift in range(count)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
     peaks = []
