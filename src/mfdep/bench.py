@@ -54,7 +54,11 @@ def _time_decode(scores, variant, T, inner=3):
 
 
 def benchmark(variants=VARIANTS, lengths=(10, 20, 40), repeats=5, seed=0):
-    """Run the decoder suite; returns (rows, slopes by variant)."""
+    """Run the decoder suite; returns (rows, slopes by variant). Raises
+    ValueError on a repeated length, which would fit no slope."""
+    repeated = sorted({n for n in lengths if lengths.count(n) > 1})
+    if repeated:
+        raise ValueError(f"bench lengths repeat {', '.join(map(str, repeated))}")
     rng = np.random.default_rng(seed)
     scores_by_n = {n: random_scores(n, rng) for n in lengths}
     rows = []

@@ -41,6 +41,28 @@ def _check_output(path):
     raise OSError(code, os.strerror(code), path)
 
 
+def _same_file(a, b):
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_outputs(outputs, inputs=None):
+    """``_check_output`` of each path of ``outputs``, {option: path}, and
+    an OSError naming an output that is also an input (of ``inputs``,
+    likewise) or an earlier output: writing it would destroy a file the
+    command reads or writes. Options not given (None) are skipped."""
+    seen = [(opt, path) for opt, path in (inputs or {}).items() if path is not None]
+    for opt, path in outputs.items():
+        if path is None:
+            continue
+        _check_output(path)
+        for other, prior in seen:
+            if _same_file(path, prior):
+                raise OSError(f"{path}: {opt} names the same file as {other}")
+        seen.append((opt, path))
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="mfdep", description="Second-order graph-based dependency parser")
     sub = p.add_subparsers(dest="command", required=True)
@@ -95,9 +117,9 @@ def _cmd_train(args):
     from .trainer import (MODEL_DIMS, TrainConfig, initial_params, parse_config_file,
                           save_model, train)
 
-    for path in (args.model, args.history):
-        if path is not None:
-            _check_output(path)
+    _check_outputs({"--model": args.model, "--history": args.history},
+                   {"--train": args.train, "--dev": args.dev, "--config": args.config,
+                    "--embeddings": args.embeddings})
     corpus = read_conllu_file(args.train)
     if not any(len(s) for s in corpus):
         raise ValueError(f"{args.train}: training file has no words")
@@ -131,7 +153,7 @@ def _cmd_parse(args):
     from .conllu import read_conllu_file, write_conllu_file
     from .trainer import load_model, parse_sentences
 
-    _check_output(args.output)
+    _check_outputs({"--output": args.output}, {"--model": args.model, "--input": args.input})
     params = load_model(args.model)
     sentences = read_conllu_file(args.input)
     trees = parse_sentences(params, sentences, args.variant, args.iterations,
@@ -168,8 +190,7 @@ def _cmd_eval(args):
 def _cmd_bench(args):
     from .bench import benchmark, format_csv, format_table
 
-    if args.csv:
-        _check_output(args.csv)
+    _check_outputs({"--csv": args.csv})
     rows, slopes = benchmark(lengths=args.lengths, repeats=args.repeats, seed=args.seed)
     print(format_table(rows, slopes), end="")
     if args.csv:

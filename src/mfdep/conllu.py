@@ -193,8 +193,9 @@ def filter_long(sentences, max_len):
 
 @contextlib.contextmanager
 def open_text(path):
-    """open(path) for UTF-8 text; bytes that are not UTF-8 raise ValueError naming it."""
-    with open(path, encoding="utf-8") as f:
+    """open(path) for UTF-8 text, a leading byte-order mark dropped; bytes
+    that are not UTF-8 raise ValueError naming it."""
+    with open(path, encoding="utf-8-sig") as f:
         try:
             yield f
         except UnicodeDecodeError as e:
@@ -203,8 +204,13 @@ def open_text(path):
 
 
 def read_conllu_file(path):
+    """``parse_conllu`` of the file at path; a format error names path."""
     with open_text(path) as f:
-        return parse_conllu(f.read())
+        text = f.read()
+    try:
+        return parse_conllu(text)
+    except ConlluError as e:
+        raise ConlluError(f"{path}: {e}") from None
 
 
 def write_conllu_file(path, sentences, predicted=None):

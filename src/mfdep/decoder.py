@@ -9,8 +9,10 @@ Two variants:
 
 Both run the same unrolled loop over the same message computation (see
 ``kernels``) and retain all T+1 posterior iterates so gradients flow
-through the whole unrolled inference; the messages and the sibling
-symmetrization s + s^T are one op each. Each update alone masks the edges
+through the whole unrolled inference. The messages are one op; they
+read the scores as the scorer leaves them, both orientations of each
+sibling pair included: q[i,k]*(s_sib[i,j,k] + s_sib[i,k,j]) enters the
+message into edge (i, j). Each update alone masks the edges
 that are no candidate: q is 0 there whatever (finite) ``s_edge`` holds,
 and those cells of ``s_edge`` get a 0 adjoint. The 2-D edge mask, and the
 Local variant's additive mask, are built at most once per call. When no
@@ -64,18 +66,6 @@ class Posterior:
         return np.swapaxes(ad.val(self.final)[..., 1:], -1, -2).copy()
 
 
-def _sym_sib(s_sib):
-    """s + s^T over the last two axes, differentiable (the VJP is
-    g + g^T likewise). Both orientations of a sibling pair are produced
-    by the trilinear scorer and both couple the same pair of variables,
-    so the effective coupling entering each message is their sum."""
-    v = ad.val(s_sib)
-    y = v + np.swapaxes(v, -1, -2)
-    if not isinstance(s_sib, ad.Var):
-        return y
-    return ad.custom_op(y, (s_sib,), lambda g: (g + np.swapaxes(g, -1, -2),))
-
-
 def _single_update(logits, mask):
     return ad.mul(ad.sigmoid(logits), mask)
 
@@ -87,9 +77,8 @@ def _unrolled(scores, T, update):
     mask = edge_mask(scores.n)
     q = update(scores.s_edge, mask)
     qs = [q]
-    sib = _sym_sib(scores.s_sib) if T > 0 else None
     for _ in range(T):
-        m = _mfvi_messages(q, sib, scores.s_gp)
+        m = _mfvi_messages(q, scores.s_sib, scores.s_gp)
         q = update(ad.add(scores.s_edge, m), mask)
         qs.append(q)
     return Posterior(qs)

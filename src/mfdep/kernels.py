@@ -9,7 +9,10 @@ has no head). ``sib[i, j, k]`` scores the edge pair {i->j, i->k} and
 ``gp[i, j, k]`` the chain i->j->k. The message into candidate edge
 (i, j) sums, over third words k distinct from i and j,
 
-    q[i,k]*sib[i,j,k] + q[j,k]*gp[i,j,k] + q[k,i]*gp[k,i,j]
+    q[i,k]*(sib[i,j,k] + sib[i,k,j]) + q[j,k]*gp[i,j,k] + q[k,i]*gp[k,i,j]
+
+Both orientations of a sibling pair couple the same two edges; the kernel
+reads both from ``sib`` as ``scorer.trilinear`` leaves it, as the oracle does.
 
 Precondition: ``sib`` and ``gp`` are 0 on every cell that holds no valid
 pair or chain (j = 0, k = 0, or two of i, j, k equal; ``scorer.sib_mask``),
@@ -39,6 +42,7 @@ def backend_name():
 
 def messages_forward(q, sib, gp):
     t1 = np.einsum("...ik,...ijk->...ij", q, sib)
+    t1 += np.einsum("...ik,...ikj->...ij", q, sib)
     t2 = np.einsum("...jk,...ijk->...ij", q, gp)
     t3 = np.einsum("...ki,...kij->...ij", q, gp)
     return t1 + t2 + t3
@@ -46,9 +50,11 @@ def messages_forward(q, sib, gp):
 
 def messages_backward(dm, q, sib, gp):
     dq = np.einsum("...ij,...ijk->...ik", dm, sib)
+    dq += np.einsum("...ij,...ikj->...ik", dm, sib)
     dq += np.einsum("...ij,...ijk->...jk", dm, gp)
     dq += np.einsum("...ij,...kij->...ki", dm, gp)
     dsib = dm[..., :, :, None] * q[..., :, None, :]
+    dsib += np.swapaxes(dsib, -1, -2)
     dgp = dm[..., :, :, None] * q[..., None, :, :]
     dgp += q[..., :, :, None] * dm[..., None, :, :]
     return dq, dsib, dgp
@@ -63,14 +69,16 @@ def closed_form_muladds(n):
     """Multiply-adds executed by one message-passing iteration.
 
     (i, j) ranges over the n^2 candidate edges, k over the n-1 remaining
-    indices, and each (i, j, k) visit performs 3 multiply-adds.
+    indices, and each (i, j, k) visit performs 3 multiply-adds: one per
+    coupling (sibling, grandparent, grandchild), the two orientations of
+    a sibling pair counting as one coupling.
     """
     return 3 * n * n * (n - 1)
 
 
 def count_muladds(n):
     """Instrumented counterpart: walk the kernel's loop structure and
-    count one unit per executed multiply-add."""
+    count one multiply-add per coupling per (i, j, k) visit."""
     n1 = n + 1
     count = 0
     for i in range(n1):

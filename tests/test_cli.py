@@ -606,6 +606,106 @@ def test_a_file_that_is_not_utf8_exits_1_naming_it(flag, workspace, tmp_path, ca
         f"error: {bad}: not UTF-8 text (invalid continuation byte: byte 0xe9)\n")
 
 
+BOM = "\ufeff"  # UTF-8 byte-order mark, as some editors write it
+
+
+def test_parse_reads_an_input_that_starts_with_a_byte_order_mark(workspace, tmp_path):
+    bom = tmp_path / "bom.conllu"
+    bom.write_text(BOM + Path(workspace["train"]).read_text(encoding="utf-8"), encoding="utf-8")
+    outputs = []
+    for source in (workspace["train"], str(bom)):
+        outputs.append(tmp_path / f"out{len(outputs)}.conllu")
+        assert run(["parse", "--model", workspace["model"], "--input", source,
+                    "--output", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+def test_train_reads_a_config_file_that_starts_with_a_byte_order_mark(workspace, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(BOM + TINY_RUN_CFG, encoding="utf-8")
+    model = tmp_path / "m.bin"
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--model", str(model)]) == 0
+    assert load_model(str(model)).config.d_hidden == TINY_DIMS["d_hidden"]
+
+
+def test_train_reads_embeddings_that_start_with_a_byte_order_mark(workspace, tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setenv("MFDEP_LOG", "1")
+    emb = tmp_path / "vectors.txt"
+    emb.write_text(BOM + "the 1 2 3 4\n", encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    assert run(["train", "--train", workspace["train"], "--config", str(cfg),
+                "--embeddings", str(emb), "--model", str(tmp_path / "m.bin")]) == 0
+    assert f"loaded 1 word vectors from {emb}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "train"])
+def test_a_conllu_format_error_names_its_file(command, workspace, tmp_path, capsys):
+    bad = tmp_path / "nine.conllu"
+    bad.write_text("1\tw\tw\tX\tX\t_\t0\troot\t_\n\n", encoding="utf-8")
+    if command == "eval":
+        argv = ["eval", "--gold", workspace["train"], "--pred", str(bad)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+        argv = ["train", "--train", workspace["train"], "--dev", str(bad), "--config", str(cfg),
+                "--model", str(tmp_path / "m.bin")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 1: expected 10 columns, got 9\n"
+
+
+def _tiny_train(tmp_path, train):
+    # a run that should have been refused ends quickly
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
+    return ["train", "--train", str(train), "--config", str(cfg)]
+
+
+def _history_is_the_model(workspace, tmp_path):
+    # the model path given twice, once relative: the file does not exist yet
+    return (_tiny_train(tmp_path, workspace["train"])
+            + ["--model", "m.bin", "--history", str(tmp_path / "m.bin")],
+            f"error: {tmp_path / 'm.bin'}: --history names the same file as --model\n")
+
+
+def _output_is_the_model(workspace, tmp_path):
+    # a link to the checkpoint: both files exist
+    model = tmp_path / "m.bin"
+    model.write_bytes(Path(workspace["model"]).read_bytes())
+    (tmp_path / "link.conllu").symlink_to(model)
+    return (["parse", "--model", str(model), "--input", workspace["train"],
+             "--output", "link.conllu"],
+            "error: link.conllu: --output names the same file as --model\n")
+
+
+def _model_is_the_corpus(workspace, tmp_path):
+    corpus = tmp_path / "t.conllu"
+    corpus.write_bytes(Path(workspace["train"]).read_bytes())
+    return (_tiny_train(tmp_path, corpus) + ["--model", str(corpus)],
+            f"error: {corpus}: --model names the same file as --train\n")
+
+
+@pytest.mark.parametrize("case", [_history_is_the_model, _output_is_the_model,
+                                  _model_is_the_corpus])
+def test_an_output_that_names_an_input_or_another_output_exits_2_before_the_work_starts(
+        case, workspace, tmp_path, monkeypatch, capsys):
+    from mfdep import conllu, trainer
+
+    monkeypatch.chdir(tmp_path)
+    argv, message = case(workspace, tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    calls = _count_calls(monkeypatch, [
+        (conllu, "read_conllu_file"), (trainer, "load_model"), (trainer, "train"),
+        (trainer, "parse_sentences"),
+    ])
+    assert run(argv) == 2
+    assert capsys.readouterr().err == message
+    assert calls == {}
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", [["parse", "--model", "m", "--input", "i", "--output", "o"],
                                      ["train", "--train", "t", "--model", "m"],
                                      ["oracle-check"]])
@@ -820,3 +920,10 @@ def test_oracle_check_subcommand(capsys):
     assert run(["oracle-check", "--instances", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "MST vs brute force mismatches: 0/5" in out
+
+
+def test_bench_refuses_a_repeated_length(capsys):
+    assert run(["bench", "--lengths", "5", "3", "5", "--repeats", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bench lengths repeat 5\n"

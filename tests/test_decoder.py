@@ -5,7 +5,7 @@ import pytest
 
 import mfdep.autodiff as ad
 from conftest import random_scores
-from mfdep.decoder import _sym_sib, mfvi, mfvi_local, mfvi_single
+from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import VARIANTS, ScoreTensors, edge_mask, sib_mask
 
@@ -233,18 +233,3 @@ def test_mfvi_on_a_stack_matches_each_sentence_alone_bit_for_bit(posterior, T, n
     assert probs.shape == (5, n, n + 1) and probs.flags.c_contiguous
     for b, post in enumerate(alone):
         assert probs[b].tobytes() == post.head_probs().tobytes()
-
-
-def test_sibling_symmetrization_and_its_vjp_on_a_stack_match_each_sentence_alone(rng):
-    s = rng.normal(size=(3, 5, 5, 5))
-    g = rng.normal(size=s.shape)
-    stacked = ad.Var(s)
-    y = _sym_sib(stacked)
-    ad.backward(ad.sum_all(ad.mul(y, g)))
-    for b in range(3):
-        own = ad.Var(s[b])
-        y_b = _sym_sib(own)
-        ad.backward(ad.sum_all(ad.mul(y_b, g[b])))
-        assert ad.val(y)[b].tobytes() == ad.val(y_b).tobytes()
-        assert stacked.grad[b].tobytes() == own.grad.tobytes()
-    np.testing.assert_array_equal(ad.val(y), ad.val(y).transpose(0, 1, 3, 2))

@@ -26,7 +26,7 @@ def _reference_messages(q, sib, gp):
             for k in range(n1):
                 if k == i or k == j:
                     continue
-                acc += q[i, k] * sib[i, j, k]
+                acc += q[i, k] * (sib[i, j, k] + sib[i, k, j])
                 acc += q[j, k] * gp[i, j, k]
                 acc += q[k, i] * gp[k, i, j]
             m[i, j] = acc
@@ -98,3 +98,30 @@ def test_a_stack_matches_each_sentence_alone_bit_for_bit(n):
         assert m[b].tobytes() == kernels.messages_forward(qb, sb, gb).tobytes()
         for stacked, own in zip(grads, kernels.messages_backward(dm[b], qb, sb, gb)):
             assert stacked[b].tobytes() == own.tobytes()
+
+
+def _symmetrized_kernel(dm, q, sib, gp):
+    """Messages and adjoints of the kernel as it ran on the sibling cube
+    symmetrized beforehand, s + s^T, its VJP composed with that of the sum."""
+    sym = sib + np.swapaxes(sib, -1, -2)
+    m = (np.einsum("...ik,...ijk->...ij", q, sym) + np.einsum("...jk,...ijk->...ij", q, gp)
+         + np.einsum("...ki,...kij->...ij", q, gp))
+    dq = (np.einsum("...ij,...ijk->...ik", dm, sym) + np.einsum("...ij,...ijk->...jk", dm, gp)
+          + np.einsum("...ij,...kij->...ki", dm, gp))
+    dsym = dm[..., :, :, None] * q[..., :, None, :]
+    dgp = dm[..., :, :, None] * q[..., None, :, :] + q[..., :, :, None] * dm[..., None, :, :]
+    return m, dq, dsym + np.swapaxes(dsym, -1, -2), dgp
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("stack", [False, True])
+def test_kernel_on_the_cube_matches_the_kernel_on_its_symmetrization(n, stack):
+    # reading both sibling orientations from s gives the messages and
+    # adjoints of the kernel on s + s^T, up to rounding
+    alone = [_inputs(n, seed=60 + b) for b in range(4 if stack else 1)]
+    q, sib, gp = (np.stack(x) for x in zip(*alone)) if stack else alone[0]
+    dm = np.random.default_rng(n).normal(size=q.shape)
+    got = [kernels.messages_forward(q, sib, gp), *kernels.messages_backward(dm, q, sib, gp)]
+    for g, w in zip(got, _symmetrized_kernel(dm, q, sib, gp)):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-14 * np.abs(w).max())

@@ -564,8 +564,8 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
 
 def test_training_loss_builds_one_node_per_layer(monkeypatch):
     # Single2o at T = 3 on a 5-word sentence: every projection is one
-    # linear node, edges one biaffine node and the sibling symmetrization
-    # one node
+    # linear node, edges one biaffine node, and MFVI reads the sibling
+    # cube with no node of its own between the scorer and the messages
     nodes = []
     init = ad.Var.__init__
 
@@ -576,7 +576,7 @@ def test_training_loss_builds_one_node_per_layer(monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     sentence_loss(make_sentence(5), make_params(seed=6), "single2o", 3, 0.07)
-    assert len(nodes) == 59
+    assert len(nodes) == 58
 
 
 def test_label_distribution_uniform_and_degenerate():

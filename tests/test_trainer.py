@@ -819,8 +819,8 @@ def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, mon
     # between two encodings a parse holds one batch's encodings, scores,
     # stacked cubes and MFVI iterates. n = 1 stacks the most sentences (256
     # a batch, where the row budget binds); at n = 20 the cell budget binds
-    # (7 a batch, where the row budget allows 24). Measured: 1.3 and 2.9 MiB;
-    # batches of 24 at n = 20 held 9.7
+    # (7 a batch, where the row budget allows 24). Measured: 1.3 and 2.4 MiB;
+    # batches of 24 at n = 20 held 8.0
     sentences = [make_sentence(n, shift) for shift in range(count)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
     peaks = []
