@@ -1,6 +1,8 @@
 """Decoder throughput measurement and empirical scaling.
 
-Synthetic score tensors drive the decoders at several sentence lengths;
+Synthetic scores drive the decoders at several sentence lengths, with
+the sibling and grandparent scores as rank-d_bin factors, the form the
+model gives them;
 medians over repeats are reported as sentences/second together with a
 log-log slope of time vs. length. Wall-clock figures are informational;
 the deterministic multiply-add accounting lives in ``kernels``.
@@ -15,7 +17,15 @@ import numpy as np
 
 from . import kernels
 from .decoder import mfvi
-from .scorer import VARIANTS, ScoreTensors, edge_mask, sib_mask, variant_row
+from .scorer import (
+    VARIANTS,
+    Factors,
+    ModelConfig,
+    ScoreTensors,
+    edge_mask,
+    sib_mask,
+    variant_row,
+)
 
 # hardware-specific sentences/second reported for the original systems
 # (single GTX 1080 Ti); printed for reference only, never asserted.
@@ -28,11 +38,29 @@ REFERENCE_TEST_SPEED = {
 
 
 def random_scores(n, rng, n_labels=4, unary_std=1.0, binary_std=0.25):
+    """Random scores of one sentence of n words with dense, masked
+    sibling and grandparent cubes, the oracle's form."""
     return ScoreTensors(
         s_edge=rng.normal(0.0, unary_std, (n + 1, n + 1)) * edge_mask(n),
         s_sib=rng.normal(0.0, binary_std, (n + 1,) * 3) * sib_mask(n),
         s_gp=rng.normal(0.0, binary_std, (n + 1,) * 3) * sib_mask(n),
         s_label=rng.normal(0.0, unary_std, (n + 1, n + 1, n_labels)),
+    )
+
+
+def _random_factor_scores(n, rng):
+    """Random scores of one sentence of n words with the sibling and
+    grandparent scores as ``Factors`` of the default rank r = d_bin, the
+    scales those of ``random_scores``: factor entries have standard
+    deviation (0.25^2 / r)^(1/6), so that a valid cell's score has
+    standard deviation 0.25."""
+    r = ModelConfig().d_bin
+    f_std = (0.0625 / r) ** (1 / 6)
+    return ScoreTensors(
+        s_edge=rng.normal(0.0, 1.0, (n + 1, n + 1)) * edge_mask(n),
+        s_sib=Factors(rng.normal(0.0, f_std, (3, n + 1, r))),
+        s_gp=Factors(rng.normal(0.0, f_std, (3, n + 1, r))),
+        s_label=None,
     )
 
 
@@ -60,7 +88,7 @@ def benchmark(variants=VARIANTS, lengths=(10, 20, 40), repeats=5, seed=0):
     if repeated:
         raise ValueError(f"bench lengths repeat {', '.join(map(str, repeated))}")
     rng = np.random.default_rng(seed)
-    scores_by_n = {n: random_scores(n, rng) for n in lengths}
+    scores_by_n = {n: _random_factor_scores(n, rng) for n in lengths}
     rows = []
     for variant in variants:
         T = variant_row(variant).iterations

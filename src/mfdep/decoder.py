@@ -9,10 +9,14 @@ Two variants:
 
 Both run the same unrolled loop over the same message computation (see
 ``kernels``) and retain all T+1 posterior iterates so gradients flow
-through the whole unrolled inference. The messages are one op; they
-read the scores as the scorer leaves them, both orientations of each
-sibling pair included: q[i,k]*(s_sib[i,j,k] + s_sib[i,k,j]) enters the
-message into edge (i, j). Each update alone masks the edges
+through the whole unrolled inference. The messages are one op over the
+rank-r factors of the sibling and grandparent scores; they read both
+orientations of each sibling pair, q[i,k]*(s_sib[i,j,k] + s_sib[i,k,j])
+entering the message into edge (i, j). The kernel's correction matrices
+are computed once per call, and only when T > 0. A score given as a
+dense (n+1)^3 cube rather than as ``Factors`` enters through one exact
+conversion, the identity factorization at r = (n+1)^2 (``_factor_block``),
+and then runs through the same kernel. Each update alone masks the edges
 that are no candidate: q is 0 there whatever (finite) ``s_edge`` holds,
 and those cells of ``s_edge`` get a 0 adjoint. The 2-D edge mask, and the
 Local variant's additive mask, are built at most once per call. When no
@@ -20,11 +24,11 @@ score is a Var (parsing), every iterate is a plain array and no op
 builds a closure.
 
 The score tensors may carry one leading batch axis: B sentences of one
-length n stacked as (B, n+1, n+1) edge and (B, n+1, n+1, n+1) sibling
-and grandparent scores run as one call, the masks broadcast over the
-batch, and every posterior row is bit-identical to that sentence's own
-call. A single sentence is a stack with no leading axis. Only parsing
-stacks; training passes one sentence's Vars.
+length n stacked as (B, n+1, n+1) edge scores and (B, 3, n+1, r) factor
+blocks (or (B, n+1, n+1, n+1) cubes) run as one call, the masks
+broadcast over the batch, and every posterior row is bit-identical to
+that sentence's own call. A single sentence is a stack with no leading
+axis. Parsing stacks; training passes one sentence's Vars.
 """
 from __future__ import annotations
 
@@ -34,20 +38,48 @@ import numpy as np
 
 from . import autodiff as ad
 from . import kernels
-from .scorer import VARIANTS, edge_mask, variant_row
+from .scorer import VARIANTS, Factors, edge_mask, variant_row
 
 _NEG = -1e30  # additive mask; exp underflows to exactly 0 after max-shift
 
 
-def _mfvi_messages(q, sib, gp):
-    """Differentiable message op backed by ``kernels``."""
-    qv, sv, gv = ad.val(q), ad.val(sib), ad.val(gp)
-    m = kernels.messages_forward(qv, sv, gv)
+def _factor_block(s):
+    """The (..., 3, n+1, r) factor block of a sibling or grandparent
+    score: a ``Factors``' own, or for a dense (..., n+1, n+1, n+1) cube X
+    its identity factorization at r = (n+1)^2, a[i, (i', j')] = [i = i'],
+    b[j, (i', j')] = [j = j'] and c[k, (i, j)] = X[i, j, k], which gives
+    back every cell of X exactly; differentiable in X."""
+    if isinstance(s, Factors):
+        return s.block
+    x = ad.val(s)
+    lead, n1 = x.shape[:-3], x.shape[-1]
+    eye = np.eye(n1)
+    block = np.empty((*lead, 3, n1, n1 * n1))
+    block[..., 0, :, :] = np.repeat(eye, n1, axis=1)
+    block[..., 1, :, :] = np.tile(eye, n1)
+    block[..., 2, :, :] = np.swapaxes(x.reshape(*lead, n1 * n1, n1), -1, -2)
+    if not isinstance(s, ad.Var):
+        return block
+
+    def vjp(g):
+        dx = np.empty(x.shape)
+        dx.reshape(*lead, n1 * n1, n1)[...] = np.swapaxes(g[..., 2, :, :], -1, -2)
+        return (dx,)
+
+    return ad.custom_op(block, (s,), vjp)
+
+
+def _mfvi_messages(q, sib, gp, ops):
+    """Differentiable message op backed by ``kernels``: sib and gp are
+    the factor blocks, ops their ``kernels.couplings``."""
+    qv = ad.val(q)
     parents = (q, sib, gp)
     if not ad.any_var(parents):
-        return m
+        return kernels.messages_forward(qv, *ops)
+    ops = [op._replace(saved=[]) for op in ops]  # the products this call's VJP reads
+    m = kernels.messages_forward(qv, *ops)
     return ad.custom_op(
-        m, parents, lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, sv, gv)
+        m, parents, lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, *ops)
     )
 
 
@@ -77,8 +109,11 @@ def _unrolled(scores, T, update):
     mask = edge_mask(scores.n)
     q = update(scores.s_edge, mask)
     qs = [q]
+    if T:
+        sib, gp = _factor_block(scores.s_sib), _factor_block(scores.s_gp)
+        ops = kernels.couplings(ad.val(sib), ad.val(gp))
     for _ in range(T):
-        m = _mfvi_messages(q, scores.s_sib, scores.s_gp)
+        m = _mfvi_messages(q, sib, gp, ops)
         q = update(ad.add(scores.s_edge, m), mask)
         qs.append(q)
     return Posterior(qs)

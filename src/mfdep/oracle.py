@@ -9,6 +9,7 @@ import itertools
 
 import numpy as np
 
+from .scorer import Factors
 from .tree import is_tree
 
 
@@ -30,9 +31,9 @@ def _pair_log_potential(s_sib, s_gp, hj, hl, j, l):
     """log phi_p for the unordered word pair {j, l} (j < l) under heads
     hj, hl (vectorized over assignments).
 
-    Head equality triggers the sibling part; the trilinear scorer
-    produces both orientations of a sibling pair, and message passing
-    consumes both, so the exact model counts both ordered entries.
+    Head equality triggers the sibling part; the sibling scores hold
+    both orientations of a sibling pair, and message passing consumes
+    both, so the exact model counts both ordered entries.
     Chains contribute the single oriented grandparent entry.
     """
     out = np.zeros(hj.shape, dtype=np.float64)
@@ -48,10 +49,21 @@ def _pair_log_potential(s_sib, s_gp, hj, hl, j, l):
     return out
 
 
+def _dense_values(scores):
+    """The edge, sibling and grandparent scores of one sentence as plain
+    arrays; ValueError if the second-order scores are ``Factors``, which
+    the enumeration would misread as cubes."""
+    s_edge, s_sib, s_gp, _ = scores.values()
+    if isinstance(s_sib, Factors) or isinstance(s_gp, Factors):
+        raise ValueError("the oracle takes dense (n+1)^3 sibling and grandparent cubes, "
+                         "not rank-r Factors")
+    return s_edge, s_sib, s_gp
+
+
 def exact_marginals_local(scores, max_n=6):
     """Enumerate all head assignments of the head-selection CRF and
     return exact marginals, shape n x (n+1) (row j-1 = dependent j)."""
-    s_edge, s_sib, s_gp, _ = scores.values()
+    s_edge, s_sib, s_gp = _dense_values(scores)
     n = s_edge.shape[0] - 1
     if n > max_n:
         raise ValueError(f"n={n} too large for enumeration (max {max_n})")
@@ -94,7 +106,7 @@ def _single_log_weight(edges, present, s_edge, s_sib, s_gp):
 def exact_marginals_single(scores, max_edges=14):
     """Enumerate all subsets of candidate edges for the binary-variable
     CRF; returns edge marginals, shape (n+1) x (n+1) ([i, j] = P(i->j))."""
-    s_edge, s_sib, s_gp, _ = scores.values()
+    s_edge, s_sib, s_gp = _dense_values(scores)
     n = s_edge.shape[0] - 1
     edges = _candidate_edges(n)
     E = len(edges)

@@ -2,8 +2,8 @@
 encoder, a biaffine edge scorer, trilinear sibling/grandparent scorers
 with weights factored at rank d_bin, and a biaffine labeler. Each layer
 is one op over its parameters: ``linear`` for every projection, ``gru``,
-``biaffine`` for both edges and labels, and ``trilinear``; their VJPs
-return fresh arrays, which ``autodiff.backward`` adopts as gradients
+``biaffine`` for both edges and labels, and ``trilinear_factors``; their
+VJPs return fresh arrays, which ``autodiff.backward`` adopts as gradients
 without a copy.
 
 Score tensors follow the conventions:
@@ -13,8 +13,13 @@ Score tensors follow the conventions:
     s_label[i, j, l] score of label l on edge i -> j
 ``s_edge`` and ``s_label`` are unmasked: MFVI alone masks the edges that
 are no candidate (root as a dependent, self-loops), and the losses and the
-decoder read candidate cells only. ``trilinear`` zeroes the sibling and
-grandparent cells of no valid pair or chain, which the MFVI kernel needs.
+decoder read candidate cells only. The model gives ``s_sib`` and ``s_gp``
+as ``Factors``, the rank-d_bin factors a, b, c of the cube,
+s[i, j, k] = sum_r a[i, r] b[j, r] c[k, r], which is never built; a cell
+of no valid pair or chain (``sib_mask``) scores 0 whatever the factors
+give, and the MFVI kernel applies that rule itself. ``decoder.mfvi`` also
+takes dense (n+1)^3 cubes, as the oracle does, through one exact
+conversion to factors.
 
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
@@ -94,11 +99,23 @@ class ModelConfig:
         return ModelConfig(variant=variant, **kwargs)
 
 
+@dataclass(frozen=True)
+class Factors:
+    """The rank-r factors of a sibling or grandparent score cube, a type
+    of its own so that no factor block is taken for a cube of the same
+    shape: ``block`` is a (..., 3, n+1, r) Var or array holding a, b and c
+    on axis -3, s[..., i, j, k] = sum_r a[..., i, r] b[..., j, r] c[..., k, r]
+    on valid cells. A stack of B sentences stacks the blocks on a leading
+    axis."""
+
+    block: object
+
+
 @dataclass
 class ScoreTensors:
     s_edge: object  # Var or ndarray, (..., n+1, n+1)
-    s_sib: object  # (..., n+1, n+1, n+1)
-    s_gp: object  # (..., n+1, n+1, n+1)
+    s_sib: object  # Factors, or a dense (..., n+1, n+1, n+1) Var or ndarray
+    s_gp: object  # as s_sib
     s_label: object  # (n+1, n+1, L); None in a stack that only MFVI reads
 
     @property
@@ -106,12 +123,10 @@ class ScoreTensors:
         return ad.val(self.s_edge).shape[-1] - 1
 
     def values(self):
-        return (
-            ad.val(self.s_edge),
-            ad.val(self.s_sib),
-            ad.val(self.s_gp),
-            ad.val(self.s_label),
-        )
+        """The four scores with each Var replaced by its value; a
+        ``Factors`` stays one, around its plain block."""
+        return tuple(Factors(ad.val(s.block)) if isinstance(s, Factors) else ad.val(s)
+                     for s in (self.s_edge, self.s_sib, self.s_gp, self.s_label))
 
 
 _GATES = ("z", "r", "h")
@@ -220,7 +235,7 @@ def sib_mask(n):
     """(n+1, n+1, n+1) 0/1 mask of valid sibling pairs {i->j, i->k} and
     valid chains i->j->k, one predicate: both edges valid (j, k >= 1)
     and i, j, k pairwise distinct (j != k for a pair; k != i rules out a
-    2-cycle in a chain). ``trilinear`` zeroes these cells in place
+    2-cycle in a chain). The MFVI kernel gives these cells no weight
     without building the mask."""
     idx = np.arange(n + 1)
     i = idx[:, None, None]
@@ -432,64 +447,40 @@ def score_edges(H, params, pv=None, dropout_rng=None):
     return biaffine(_aug(hh), _aug(hd), pv["U_edge"])
 
 
-def _zero_invalid(s):
-    """Multiply by 0.0, in place, the cells of an (m, n, n) cube that
-    hold no valid sibling pair or chain: j = 0, k = 0, or two of i, j, k
-    equal (the cells ``sib_mask`` zeroes). A product keeps the sign of
-    the cell, as the product with a 0/1 mask does."""
-    m, n = s.shape[:2]
-    d = min(m, n)
-    # einsum with a repeated index returns a writeable view of a diagonal
-    for cells in (s[:, 0], s[:, :, 0], np.einsum("ijj->ij", s),
-                  np.einsum("iik->ik", s[:d, :d]), np.einsum("iji->ij", s[:d, :, :d])):
-        cells *= 0.0
+def trilinear_factors(gh, gd, W):
+    """The factors of the trilinear form of Wang, Huang & Tu (2019), its
+    weight tensor factored at rank r, as one ``Factors`` block,
+    differentiable: a = gh W[0], b = gd W[1] and c = gd W[2], so that
+    s[i,j,k] = sum_r a[i,r] b[j,r] c[k,r] on the valid cells (``sib_mask``).
 
-
-def trilinear(gh, gd, W):
-    """s[i,j,k] = sum_r (gh W[0])[i,r] (gd W[1])[j,r] (gd W[2])[k,r] on
-    valid cells and 0 elsewhere, differentiable: the trilinear form of
-    Wang, Huang & Tu (2019), its weight tensor factored at rank r.
-
-    gh is (m, d), gd (n, d) and W the (3, d, r) stack of the head, the
-    dependent and the second-dependent factor; s is (m, n, n). A cell is
-    valid when j, k >= 1 and i, j, k are pairwise distinct; the op zeroes
-    the others in its output, and in the adjoint before its VJP. The cost
-    is O((m + n) d r + m n^2 r) in time and O(m n r) in memory beside s."""
+    gh and gd are (n, d), W is the (3, d, r) stack of the head, the
+    dependent and the second-dependent factor, and the block is (3, n, r).
+    No (n, n, n) cube is built: the MFVI kernel reads the factors. The
+    cost is O(n d r) in time and memory."""
     vh, vd, vw = ad.val(gh), ad.val(gd), ad.val(W)
-    m, n, r = vh.shape[0], vd.shape[0], vw.shape[2]
-    a = vh @ vw[0]  # a[i,r]
-    b, c = np.matmul(vd, vw[1:])  # b[j,r], c[k,r]
-    ab = a[:, None, :] * b  # ab[i,j,r]
-    s = (ab.reshape(m * n, r) @ c.T).reshape(m, n, n)
-    _zero_invalid(s)
+    block = np.empty((3, vh.shape[0], vw.shape[2]))
+    np.matmul(vh, vw[0], out=block[0])
+    np.matmul(vd, vw[1:], out=block[1:])
     if not ad.any_var((gh, gd, W)):
-        return s
+        return Factors(block)
 
     def vjp(g):
-        g = g.copy()
-        _zero_invalid(g)
-        g = g.reshape(m * n, n)
-        d_ab = (g @ c).reshape(m, n, r)
-        da = np.einsum("ijr,jr->ir", d_ab, b)
-        db = np.einsum("ijr,ir->jr", d_ab, a)
-        dc = g.T @ ab.reshape(m * n, r)
         dW = np.empty(vw.shape)  # an owning array, so backward adopts it
-        np.matmul(vh.T, da, out=dW[0])
-        np.matmul(vd.T, db, out=dW[1])
-        np.matmul(vd.T, dc, out=dW[2])
-        return da @ vw[0].T, db @ vw[1].T + dc @ vw[2].T, dW
+        np.matmul(vh.T, g[0], out=dW[0])
+        np.matmul(vd.T, g[1:], out=dW[1:])
+        return g[0] @ vw[0].T, g[1] @ vw[1].T + g[2] @ vw[2].T, dW
 
-    return ad.custom_op(s, (gh, gd, W), vjp)
+    return Factors(ad.custom_op(block, (gh, gd, W), vjp))
 
 
 def score_siblings(bins, params, pv=None):
     pv = params.tensors if pv is None else pv
-    return trilinear(*bins, pv["W_sib"])
+    return trilinear_factors(*bins, pv["W_sib"])
 
 
 def score_grandparents(bins, params, pv=None):
     pv = params.tensors if pv is None else pv
-    return trilinear(*bins, pv["W_gp"])
+    return trilinear_factors(*bins, pv["W_gp"])
 
 
 def score_labels(H, params, pv=None, dropout_rng=None):

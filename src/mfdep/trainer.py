@@ -14,6 +14,7 @@ from .conllu import filter_long, open_text, require_annotated
 from .evaluator import uas_las
 from .scorer import (
     MODEL_DIMS,
+    Factors,
     ModelConfig,
     ModelParams,
     ScoreTensors,
@@ -293,19 +294,20 @@ def batch_gradients(batch_sents, params, config, dropout_rng=None):
 
 
 PARSE_WINDOW = 512  # encoder rows, n + 1 per sentence, of one batch of a parse
-PARSE_CELLS = 1 << 16  # cube cells, B (n+1)^3, of one MFVI call over B sentences
+PARSE_CELLS = 1 << 17  # factor floats, B (n+1) 6 d_bin, of one MFVI call over B sentences
 
 
-def _batches(sentences):
+def _batches(sentences, d_bin):
     """Positions of sentences of one length n, in batches of at most
-    ``PARSE_WINDOW`` // (n+1) and ``PARSE_CELLS`` // (n+1)^3 sentences,
-    and at least one: the lengths in the order of their first sentences,
-    the positions of a length in input order."""
+    ``PARSE_WINDOW`` // (n+1) and ``PARSE_CELLS`` // ((n+1) 6 d_bin)
+    sentences, and at least one: the lengths in the order of their first
+    sentences, the positions of a length in input order. A sentence's
+    sibling and grandparent factors hold 6 d_bin floats per encoder row."""
     groups = {}  # length -> positions, in input order
     for k, sent in enumerate(sentences):
         groups.setdefault(len(sent), []).append(k)
     for n, ks in groups.items():
-        size = max(1, min(PARSE_WINDOW // (n + 1), PARSE_CELLS // (n + 1) ** 3))
+        size = max(1, min(PARSE_WINDOW, PARSE_CELLS // (6 * d_bin)) // (n + 1))
         for c in range(0, len(ks), size):
             yield ks[c:c + size]
 
@@ -313,13 +315,14 @@ def _batches(sentences):
 def _parse_batch(params, batch, variant, T, single_root):
     """Trees of sentences of one length: the batch is encoded at once
     (``encode``), each sentence is scored on its own, MFVI runs once over
-    the stack of their edge, sibling and grandparent scores (a batch of
-    one unstacked), and each is decoded on its row. Returning frees the
-    batch's encodings, scores and MFVI iterates."""
+    the stack of their edge scores and sibling and grandparent factors (a
+    batch of one unstacked), and each is decoded on its row. Returning
+    frees the batch's encodings, scores and MFVI iterates."""
     scores = [score_sentence(sent, params, H=H)
               for sent, H in zip(batch, encode(batch, params))]
     stack = scores[0] if len(scores) == 1 else ScoreTensors(
-        *(np.stack([getattr(sc, f) for sc in scores]) for f in ("s_edge", "s_sib", "s_gp")),
+        np.stack([sc.s_edge for sc in scores]),
+        *(Factors(np.stack([getattr(sc, f).block for sc in scores])) for f in ("s_sib", "s_gp")),
         s_label=None)
     probs = decoder.mfvi(stack, variant, T).head_probs()
     rows = probs.reshape(len(scores), *probs.shape[-2:])
@@ -340,7 +343,7 @@ def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
     if T is None and variant == params.config.variant:
         T = params.config.iterations
     trees = [None] * len(sentences)
-    for ks in _batches(sentences):
+    for ks in _batches(sentences, params.config.d_bin):
         parsed = _parse_batch(params, [sentences[k] for k in ks], variant, T, single_root)
         for k, tree in zip(ks, parsed):
             trees[k] = tree

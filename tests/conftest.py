@@ -8,6 +8,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
 
 import mfdep.autodiff as ad
 import mfdep.bench
+from mfdep.scorer import sib_mask
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TOY_TREEBANK = os.path.join(
@@ -17,6 +18,14 @@ TOY_TREEBANK = os.path.join(
 
 def random_scores(n, rng, n_labels=3, unary_std=1.0, binary_std=0.25):
     return mfdep.bench.random_scores(n, rng, n_labels, unary_std, binary_std)
+
+
+def cube_of(block):
+    """The masked score cube that a (..., 3, n+1, r) factor block scores:
+    s[..., i, j, k] = sum_r a[..., i, r] b[..., j, r] c[..., k, r] on the
+    ``sib_mask`` cells, 0 elsewhere."""
+    a, b, c = np.moveaxis(block, -3, 0)
+    return np.einsum("...ir,...jr,...kr->...ijk", a, b, c) * sib_mask(block.shape[-2] - 1)
 
 
 @pytest.fixture

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import mfdep.autodiff as ad
-from conftest import random_scores
+from conftest import cube_of, random_scores
 from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
-from mfdep.scorer import VARIANTS, ScoreTensors, edge_mask, sib_mask
+from mfdep.scorer import VARIANTS, Factors, ScoreTensors, edge_mask, sib_mask
 
 
 def zero_binary_scores(n, rng, n_labels=2):
@@ -233,3 +233,35 @@ def test_mfvi_on_a_stack_matches_each_sentence_alone_bit_for_bit(posterior, T, n
     assert probs.shape == (5, n, n + 1) and probs.flags.c_contiguous
     for b, post in enumerate(alone):
         assert probs[b].tobytes() == post.head_probs().tobytes()
+
+
+@pytest.mark.parametrize("variant", ["local2o", "single2o"])
+def test_a_factor_block_is_never_read_as_a_cube_of_its_shape(variant, rng):
+    # at n = 2 and r = 3 a factor block and a cube are both (3, 3, 3): the
+    # type, not the shape, says which one mfvi reads
+    n = 2
+    s_edge = rng.normal(size=(n + 1, n + 1))
+    sib, gp = rng.normal(size=(2, 3, n + 1, 3))
+    assert sib.shape == (n + 1,) * 3
+    as_factors = ScoreTensors(s_edge, Factors(sib), Factors(gp), None)
+    by_cube = ScoreTensors(s_edge, cube_of(sib), cube_of(gp), None)
+    as_cubes = ScoreTensors(s_edge, sib * sib_mask(n), gp * sib_mask(n), None)
+    got = mfvi(as_factors, variant, 3).head_probs()
+    np.testing.assert_allclose(got, mfvi(by_cube, variant, 3).head_probs(), rtol=1e-12)
+    assert np.abs(got - mfvi(as_cubes, variant, 3).head_probs()).max() > 1e-3
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+@pytest.mark.parametrize("posterior", [mfvi_local, mfvi_single])
+def test_mfvi_on_a_stack_of_factors_matches_each_sentence_alone_bit_for_bit(posterior, n, rng):
+    # as parsing stacks them: B sentences' factor blocks on a leading axis
+    scores = [ScoreTensors(rng.normal(size=(n + 1, n + 1)),
+                           *(Factors(rng.normal(0.0, 0.5, (3, n + 1, 4))) for _ in range(2)),
+                           None) for _ in range(5)]
+    stacked = posterior(ScoreTensors(
+        np.stack([sc.s_edge for sc in scores]),
+        *(Factors(np.stack([getattr(sc, f).block for sc in scores])) for f in ("s_sib", "s_gp")),
+        None), 3)
+    for b, sc in enumerate(scores):
+        for q, own in zip(stacked.qs, posterior(sc, 3).qs):
+            assert q[b].tobytes() == own.tobytes()

@@ -1,21 +1,32 @@
 import numpy as np
 import pytest
 
-from conftest import random_scores
+from conftest import cube_of
 from mfdep import kernels
 from mfdep.scorer import edge_mask, sib_mask
 
 
-def _inputs(n, seed=0):
+def _inputs(n, seed=0, r=4):
+    """A masked q and random (3, n+1, r) sibling and grandparent factor
+    blocks, scaled so that a cell scores about N(0, 0.25^2)."""
     rng = np.random.default_rng(seed)
     q = rng.uniform(0.0, 1.0, (n + 1, n + 1)) * edge_mask(n)
-    sib = rng.normal(0.0, 0.25, (n + 1,) * 3) * sib_mask(n)
-    gp = rng.normal(0.0, 0.25, (n + 1,) * 3) * sib_mask(n)
+    std = (0.0625 / r) ** (1 / 6)
+    sib = rng.normal(0.0, std, (3, n + 1, r))
+    gp = rng.normal(0.0, std, (3, n + 1, r))
     return q, sib, gp
 
 
+def _forward(q, sib, gp):
+    return kernels.messages_forward(q, *kernels.couplings(sib, gp))
+
+
+def _backward(dm, q, sib, gp):
+    return kernels.messages_backward(dm, q, *kernels.couplings(sib, gp))
+
+
 def _reference_messages(q, sib, gp):
-    """Direct loop transcription of the message definition."""
+    """Direct loop transcription of the message definition on cubes."""
     n1 = q.shape[0]
     m = np.zeros_like(q)
     for i in range(n1):
@@ -33,28 +44,39 @@ def _reference_messages(q, sib, gp):
     return m
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def _assert_close_on_candidates(got, want, n, rtol):
+    # relative to the largest entry; at n = 1 (no pair, no chain) the
+    # reference is exactly 0 and the factor sums leave cancellation noise
+    cand = np.broadcast_to(edge_mask(n) == 1, want.shape)
+    scale = max(np.abs(want[cand]).max(initial=0.0), 1e-3)
+    np.testing.assert_allclose(got[cand], want[cand], rtol=rtol, atol=rtol * scale)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
 def test_forward_matches_reference_loops(n):
+    # the factor messages equal the loops over the cubes the factors
+    # score, invalid cells 0, on every candidate edge
     q, sib, gp = _inputs(n, seed=n)
-    np.testing.assert_allclose(
-        kernels.messages_forward(q, sib, gp), _reference_messages(q, sib, gp),
-        atol=1e-12,
-    )
+    _assert_close_on_candidates(
+        _forward(q, sib, gp), _reference_messages(q, cube_of(sib), cube_of(gp)), n, 1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_backward_matches_finite_differences(n):
-    q, sib, gp = _inputs(n, seed=20 + n)
+    # the adjoints of q and of both factor blocks, the correction
+    # matrices' share included
+    q, sib, gp = _inputs(n, seed=20 + n, r=3)
     rng = np.random.default_rng(99)
     dm = rng.normal(size=q.shape)
 
-    dq, dsib, dgp = kernels.messages_backward(np.ascontiguousarray(dm), q, sib, gp)
+    dq, dsib, dgp = _backward(dm, q, sib, gp)
 
     def scalar(qv, sv, gv):
-        return float((kernels.messages_forward(qv, sv, gv) * dm).sum())
+        return float((_forward(qv, sv, gv) * dm).sum())
 
     eps = 1e-6
     for arr, grad in ((q, dq), (sib, dsib), (gp, dgp)):
+        assert grad.shape == arr.shape
         flat = arr.ravel()
         idxs = rng.choice(flat.size, size=min(25, flat.size), replace=False)
         for idx in idxs:
@@ -69,10 +91,22 @@ def test_backward_matches_finite_differences(n):
             )
 
 
+def test_saved_products_change_no_bit_of_the_adjoints():
+    # the forward's products of q, kept for the backward, are the ones
+    # the backward would compute itself
+    q, sib, gp = _inputs(6, seed=3)
+    dm = np.random.default_rng(4).normal(size=q.shape)
+    ops = [op._replace(saved=[]) for op in kernels.couplings(sib, gp)]
+    assert kernels.messages_forward(q, *ops).tobytes() == _forward(q, sib, gp).tobytes()
+    assert all(len(op.saved) == 2 for op in ops)
+    for kept, fresh in zip(kernels.messages_backward(dm, q, *ops), _backward(dm, q, sib, gp)):
+        assert kept.tobytes() == fresh.tobytes()
+
+
 def test_zero_couplings_give_zero_messages():
     q, _, _ = _inputs(4)
-    z = np.zeros((5, 5, 5))
-    assert not kernels.messages_forward(q, z, z).any()
+    z = np.zeros((3, 5, 4))
+    assert not _forward(q, z, z).any()
 
 
 @pytest.mark.parametrize("n", [5, 10, 20, 40])
@@ -87,22 +121,27 @@ def test_closed_form_is_cubic():
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
 def test_a_stack_matches_each_sentence_alone_bit_for_bit(n):
     # a leading batch axis changes no bit of any sentence's messages or
-    # adjoints
+    # adjoints, with the products kept or not
     alone = [_inputs(n, seed=40 + b) for b in range(4)]
     q, sib, gp = (np.stack(x) for x in zip(*alone))
     dm = np.random.default_rng(7).normal(size=q.shape)
-    m = kernels.messages_forward(q, sib, gp)
-    grads = kernels.messages_backward(dm, q, sib, gp)
+    m = _forward(q, sib, gp)
+    grads = _backward(dm, q, sib, gp)
+    ops = [op._replace(saved=[]) for op in kernels.couplings(sib, gp)]
+    kernels.messages_forward(q, *ops)
+    kept = kernels.messages_backward(dm, q, *ops)
     assert m.shape == q.shape and [g.shape for g in grads] == [q.shape, sib.shape, gp.shape]
     for b, (qb, sb, gb) in enumerate(alone):
-        assert m[b].tobytes() == kernels.messages_forward(qb, sb, gb).tobytes()
-        for stacked, own in zip(grads, kernels.messages_backward(dm[b], qb, sb, gb)):
+        assert m[b].tobytes() == _forward(qb, sb, gb).tobytes()
+        for stacked, saved, own in zip(grads, kept, _backward(dm[b], qb, sb, gb)):
             assert stacked[b].tobytes() == own.tobytes()
+            assert saved[b].tobytes() == own.tobytes()
 
 
 def _symmetrized_kernel(dm, q, sib, gp):
-    """Messages and adjoints of the kernel as it ran on the sibling cube
-    symmetrized beforehand, s + s^T, its VJP composed with that of the sum."""
+    """Messages and adjoints of the dense cube kernel, run on the sibling
+    cube symmetrized beforehand, s + s^T: the reference for the factor
+    kernel, whose adjoints are in cube space here."""
     sym = sib + np.swapaxes(sib, -1, -2)
     m = (np.einsum("...ik,...ijk->...ij", q, sym) + np.einsum("...jk,...ijk->...ij", q, gp)
          + np.einsum("...ki,...kij->...ij", q, gp))
@@ -113,15 +152,30 @@ def _symmetrized_kernel(dm, q, sib, gp):
     return m, dq, dsym + np.swapaxes(dsym, -1, -2), dgp
 
 
+def _block_adjoint(block, dcube):
+    """The adjoint of a factor block for the adjoint dcube of its masked
+    cube: what the cube path's chain rule gives."""
+    a, b, c = np.moveaxis(block, -3, 0)
+    g = dcube * sib_mask(block.shape[-2] - 1)
+    return np.stack((np.einsum("...ijk,...jr,...kr->...ir", g, b, c),
+                     np.einsum("...ijk,...ir,...kr->...jr", g, a, c),
+                     np.einsum("...ijk,...ir,...jr->...kr", g, a, b)), axis=-3)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 @pytest.mark.parametrize("stack", [False, True])
 def test_kernel_on_the_cube_matches_the_kernel_on_its_symmetrization(n, stack):
-    # reading both sibling orientations from s gives the messages and
-    # adjoints of the kernel on s + s^T, up to rounding
-    alone = [_inputs(n, seed=60 + b) for b in range(4 if stack else 1)]
+    # the factor kernel gives the messages of the cube kernel on s + s^T,
+    # and, for an adjoint on the candidate edges, its dq there and, through
+    # the cube's chain rule, its factor adjoints, up to rounding
+    alone = [_inputs(n, seed=60 + b, r=5) for b in range(4 if stack else 1)]
     q, sib, gp = (np.stack(x) for x in zip(*alone)) if stack else alone[0]
-    dm = np.random.default_rng(n).normal(size=q.shape)
-    got = [kernels.messages_forward(q, sib, gp), *kernels.messages_backward(dm, q, sib, gp)]
-    for g, w in zip(got, _symmetrized_kernel(dm, q, sib, gp)):
-        assert g.shape == w.shape
-        np.testing.assert_allclose(g, w, rtol=1e-14, atol=1e-14 * np.abs(w).max())
+    dm = np.random.default_rng(n).normal(size=q.shape) * edge_mask(n)
+    m, dq, dsym, dgp = _symmetrized_kernel(dm, q, cube_of(sib), cube_of(gp))
+    got_dq, got_dsib, got_dgp = _backward(dm, q, sib, gp)
+    _assert_close_on_candidates(_forward(q, sib, gp), m, n, 1e-12)
+    _assert_close_on_candidates(got_dq, dq, n, 1e-12)
+    for got, block, dcube in ((got_dsib, sib, dsym), (got_dgp, gp, dgp)):
+        want = _block_adjoint(block, dcube)
+        scale = max(np.abs(want).max(), 1e-3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)

@@ -12,7 +12,7 @@ from mfdep.oracle import (
     exact_marginals_single,
     finite_diff_gradient,
 )
-from mfdep.scorer import ScoreTensors, edge_mask
+from mfdep.scorer import Factors, ScoreTensors, edge_mask
 from mfdep.tree import is_tree
 
 
@@ -59,6 +59,17 @@ def test_local_normalizes_and_is_permutation_equivariant(rng):
     # row j-1 of the permuted marginals describes dependent perm[j]
     for j in range(1, n + 1):
         np.testing.assert_allclose(got[j - 1], marg[perm[j] - 1, perm], atol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["s_sib", "s_gp"])
+def test_the_oracle_refuses_factors(field, rng):
+    # a (3, n+1, r) factor block would be read as s[i, j, k]; at n = 2 and
+    # r = 3 it even has the shape of a cube
+    scores = random_scores(2, rng)
+    setattr(scores, field, Factors(rng.normal(size=(3, 3, 3))))
+    for exact in (exact_marginals_local, exact_marginals_single):
+        with pytest.raises(ValueError, match="dense .* cubes, not rank-r Factors"):
+            exact(scores)
 
 
 def test_local_refuses_large_n(rng):

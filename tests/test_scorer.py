@@ -5,13 +5,17 @@ import pytest
 
 import mfdep.autodiff as ad
 import mfdep.scorer as scorer
+from conftest import cube_of
+from mfdep import kernels
 from mfdep.conllu import parse_conllu
 from mfdep.decoder import mfvi
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import (
     ModelConfig,
+    ScoreTensors,
     biaffine,
     build_vocabs,
+    edge_mask,
     encode,
     gru,
     init_params,
@@ -24,7 +28,7 @@ from mfdep.scorer import (
     score_sentence,
     score_siblings,
     sib_mask,
-    trilinear,
+    trilinear_factors,
 )
 from mfdep.trainer import sentence_loss
 from mfdep.tree import decode
@@ -96,13 +100,18 @@ def _bins(H, params):
             for r in ("head", "dep")]
 
 
+def _cube(factors):
+    """The masked score cube that the factors of a ``Factors`` score."""
+    return cube_of(ad.val(factors.block))
+
+
 def test_zero_trilinear_weights_zero_triple_scores():
     params = make_params()
     params.tensors["W_sib"][:] = 0.0
     params.tensors["W_gp"][:] = 0.0
     bins = _bins(encode([make_sentence(3)], params)[0], params)
-    assert not ad.val(score_siblings(bins, params)).any()
-    assert not ad.val(score_grandparents(bins, params)).any()
+    assert not ad.val(score_siblings(bins, params).block).any()
+    assert not ad.val(score_grandparents(bins, params).block).any()
 
 
 def test_constant_trilinear_closed_form():
@@ -114,8 +123,10 @@ def test_constant_trilinear_closed_form():
     params.tensors["bin_dep_b"][:] = 1.0
     n = 3
     H = encode([make_sentence(n)], params)[0]
-    s = ad.val(score_siblings(_bins(H, params), params))
-    np.testing.assert_allclose(s, 2.0 * sib_mask(n), atol=1e-12)
+    f = score_siblings(_bins(H, params), params)
+    np.testing.assert_array_equal(f.block, [[[2.0]] * (n + 1), [[1.0]] * (n + 1),
+                                            [[1.0]] * (n + 1)])
+    np.testing.assert_allclose(_cube(f), 2.0 * sib_mask(n), atol=1e-12)
 
 
 def test_trilinear_matches_naive_loops():
@@ -123,7 +134,7 @@ def test_trilinear_matches_naive_loops():
     n = 3
     H = encode([make_sentence(n)], params)[0]
     Hv = ad.val(H)
-    got = ad.val(score_siblings(_bins(H, params), params))
+    got = _cube(score_siblings(_bins(H, params), params))
     W = params.tensors["W_sib"]
     gh = Hv @ params.tensors["bin_head_W"].T + params.tensors["bin_head_b"]
     gd = Hv @ params.tensors["bin_dep_W"].T + params.tensors["bin_dep_b"]
@@ -168,46 +179,53 @@ def test_trilinear_op_matches_einsum_at_default_dims():
     gh = rng.normal(size=(n + 1, d))
     gd = rng.normal(size=(n + 1, d))
     W = rng.normal(0.0, (0.0625 / d) ** (1 / 6), size=(3, d, d))
-    got = ad.val(trilinear(gh, gd, W))
+    f = trilinear_factors(gh, gd, W)
+    assert type(f.block) is np.ndarray and f.block.shape == (3, n + 1, d)
     np.testing.assert_allclose(
-        got, _trilinear_einsum(gh, gd, W) * sib_mask(n), rtol=0, atol=1e-9
+        _cube(f), _trilinear_einsum(gh, gd, W) * sib_mask(n), rtol=0, atol=1e-9
     )
-    assert not got[sib_mask(n) == 0].any()
 
 
 def test_trilinear_zeroes_exactly_the_sib_mask_cells():
+    # MFVI on the factors, whose products are nonzero on every cell, runs
+    # as on their cube with the sib_mask cells zeroed: the kernel gives
+    # those cells no weight
     rng = np.random.default_rng(8)
-    for n in range(1, 30):
+    for n in range(1, 13):
         gh = rng.uniform(0.5, 1.0, size=(n + 1, 2))
         gd = rng.uniform(0.5, 1.0, size=(n + 1, 2))
-        s = trilinear(gh, gd, rng.uniform(0.5, 1.0, size=(3, 2, 2)))
-        np.testing.assert_array_equal(s != 0, sib_mask(n) == 1)
+        f = trilinear_factors(gh, gd, rng.uniform(0.5, 1.0, size=(3, 2, 2)))
+        g = trilinear_factors(gh, gd, rng.uniform(0.5, 1.0, size=(3, 2, 2)))
+        np.testing.assert_array_equal(_cube(f) != 0, sib_mask(n) == 1)
         np.testing.assert_array_equal(sib_mask(n) == 1, _valid_cells(n + 1, n + 1))
+        s_edge = rng.normal(size=(n + 1, n + 1))
+        for variant in ("local2o", "single2o"):
+            got = mfvi(ScoreTensors(s_edge, f, g, None), variant, 3).head_probs()
+            want = mfvi(ScoreTensors(s_edge, _cube(f), _cube(g), None), variant, 3).head_probs()
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
-@pytest.mark.parametrize("m,r,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
-def test_trilinear_op_gradient_non_square(m, r, n, d):
-    # m != n and r != d in the second case, so that a transposed gd, factor
-    # or reshape cannot pass by symmetry; the three factors of W differ
-    rng = np.random.default_rng(m * 100 + n)
+@pytest.mark.parametrize("r,n,d", [(3, 5, 3), (2, 6, 3)])
+def test_trilinear_op_gradient_non_square(r, n, d):
+    # r != d in the second case, so that a transposed factor or reshape
+    # cannot pass by symmetry; the three factors of W differ
+    rng = np.random.default_rng(100 + n)
     arrays = {
-        "gh": rng.normal(size=(m, d)),
+        "gh": rng.normal(size=(n, d)),
         "gd": rng.normal(size=(n, d)),
         "W": rng.normal(size=(3, d, r)),
     }
-    weights = rng.normal(size=(m, n, n))
+    weights = rng.normal(size=(3, n, r))
 
     def run():
         leaves = {k: ad.Var(v) for k, v in arrays.items()}
-        s = trilinear(leaves["gh"], leaves["gd"], leaves["W"])
-        return ad.sum_all(ad.mul(s, weights)), leaves
+        f = trilinear_factors(leaves["gh"], leaves["gd"], leaves["W"])
+        return ad.sum_all(ad.mul(f.block, weights)), leaves
 
     out, leaves = run()
+    gh, gd, W = arrays.values()
     np.testing.assert_allclose(
-        out.value,
-        np.sum(_trilinear_einsum(*arrays.values()) * _valid_cells(m, n) * weights),
-        atol=1e-12,
-    )
+        out.value, np.sum(np.stack((gh @ W[0], gd @ W[1], gd @ W[2])) * weights), atol=1e-12)
     ad.backward(out)
     fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
     for k in arrays:
@@ -233,52 +251,54 @@ def _trilinear_vjp_einsum(gh, gd, W, g):
     }
 
 
-@pytest.mark.parametrize("m,r,n,d", [(5, 3, 5, 3), (4, 2, 6, 3)])
-def test_masked_trilinear_gradient(m, r, n, d):
-    # the op's gradient is the unmasked VJP of the adjoint with its invalid
+@pytest.mark.parametrize("r,n,d", [(3, 5, 3), (2, 6, 3)])
+def test_masked_trilinear_gradient(r, n, d):
+    # the gradient of the sibling messages through the factors is the
+    # unmasked VJP of the cube kernel's sibling adjoint with its invalid
     # cells zeroed: adjoint mass on invalid cells moves nothing
-    rng = np.random.default_rng(m * 10 + n)
+    rng = np.random.default_rng(10 * r + n)
     arrays = {
-        "gh": rng.normal(size=(m, d)),
-        "gd": rng.normal(size=(n, d)),
+        "gh": rng.normal(size=(n + 1, d)),
+        "gd": rng.normal(size=(n + 1, d)),
         "W": rng.normal(size=(3, d, r)),
     }
-    valid = _valid_cells(m, n)
-    dense = rng.normal(size=(m, n, n))
+    q = rng.uniform(size=(n + 1, n + 1)) * edge_mask(n)
+    dm = rng.normal(size=(n + 1, n + 1)) * edge_mask(n)
+    no_gp = np.zeros((3, n + 1, r))
 
-    def grads(weights):
-        leaves = {k: ad.Var(v) for k, v in arrays.items()}
-        ad.backward(ad.sum_all(ad.mul(trilinear(*leaves.values()), weights)))
-        return {k: v.grad for k, v in leaves.items()}
+    def messages(p):
+        f = trilinear_factors(*p.values())
+        return kernels.messages_forward(q, *kernels.couplings(ad.val(f.block), no_gp))
 
-    for k, g in grads(dense * ~valid).items():
-        assert not g.any(), k
-    got = grads(dense)
-    expect = _trilinear_vjp_einsum(*arrays.values(), dense * valid)
-    fd = finite_diff_gradient(
-        lambda p: float(np.sum(ad.val(trilinear(*arrays.values())) * dense)), arrays, eps=1e-6
-    )
+    leaves = {k: ad.Var(v) for k, v in arrays.items()}
+    f = trilinear_factors(*leaves.values())
+    _, dsib, _ = kernels.messages_backward(dm, q, *kernels.couplings(f.block.value, no_gp))
+    ad.backward(f.block, dsib)
+    dcube = dm[:, :, None] * q[:, None, :]  # the cube kernel's, both orientations
+    expect = _trilinear_vjp_einsum(*arrays.values(),
+                                   (dcube + dcube.transpose(0, 2, 1)) * _valid_cells(n + 1, n + 1))
+    fd = finite_diff_gradient(lambda p: float(np.sum(messages(p) * dm)), arrays, eps=1e-6)
     for k in arrays:
-        np.testing.assert_allclose(got[k], expect[k], rtol=1e-10, atol=1e-10, err_msg=k)
-        np.testing.assert_allclose(got[k], fd[k], rtol=1e-6, atol=1e-6, err_msg=k)
+        np.testing.assert_allclose(leaves[k].grad, expect[k], rtol=1e-10, atol=1e-10, err_msg=k)
+        np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-6, err_msg=k)
 
 
 def test_trilinear_op_second_backward_uses_new_adjoint():
     # the backward intermediates belong to one adjoint, also when W is a
     # plain array whose adjoint backward discards
     rng = np.random.default_rng(7)
-    gh0, gd0 = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
+    gh0, gd0 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
     W = rng.normal(size=(3, 2, 2))
-    g1, g2 = rng.normal(size=(2, 3, 4, 4))
+    g1, g2 = rng.normal(size=(2, 3, 4, 2))
 
     gh, gd = ad.Var(gh0), ad.Var(gd0)
-    s = trilinear(gh, gd, W)
+    s = trilinear_factors(gh, gd, W).block
     ad.backward(s, g1)
     for var in (s, gh, gd):
         var.grad = None
     ad.backward(s, g2)
     fresh_gh, fresh_gd = ad.Var(gh0), ad.Var(gd0)
-    ad.backward(trilinear(fresh_gh, fresh_gd, W), g2)
+    ad.backward(trilinear_factors(fresh_gh, fresh_gd, W).block, g2)
     np.testing.assert_array_equal(gh.grad, fresh_gh.grad)
     np.testing.assert_array_equal(gd.grad, fresh_gd.grad)
 
@@ -287,9 +307,9 @@ def test_trilinear_weight_gradient_is_adopted_not_copied():
     # the VJP returns dW as an array of its own in W's shape, so backward
     # makes it W's grad as it is: the weight gradients are never copied
     rng = np.random.default_rng(11)
-    gh, gd = ad.Var(rng.normal(size=(4, 3))), ad.Var(rng.normal(size=(5, 3)))
+    gh, gd = ad.Var(rng.normal(size=(5, 3))), ad.Var(rng.normal(size=(5, 3)))
     W = ad.Var(rng.normal(size=(3, 3, 2)))
-    s = trilinear(gh, gd, W)
+    s = trilinear_factors(gh, gd, W).block
     returned = []
     vjp = s._vjp
 
@@ -299,7 +319,7 @@ def test_trilinear_weight_gradient_is_adopted_not_copied():
         return adjoints
 
     s._vjp = recording_vjp
-    ad.backward(s, rng.normal(size=(4, 5, 5)))
+    ad.backward(s, rng.normal(size=(3, 5, 2)))
     assert W.grad is returned[0]
     assert W.grad.base is None and W.grad.shape == (3, 3, 2)
 
@@ -539,7 +559,7 @@ def test_scoring_plain_params_builds_no_graph_and_training_does():
     params = make_params(seed=6)
     sent = make_sentence(4)
     for name, s in vars(score_sentence(sent, params)).items():
-        assert type(s) is np.ndarray, name
+        assert type(s.block if isinstance(s, scorer.Factors) else s) is np.ndarray, name
     loss, _, pv = sentence_loss(sent, params, "local2o", 2, 0.4)
     assert isinstance(loss, ad.Var)
     ad.backward(loss)
@@ -564,8 +584,11 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
 
 def test_training_loss_builds_one_node_per_layer(monkeypatch):
     # Single2o at T = 3 on a 5-word sentence: every projection is one
-    # linear node, edges one biaffine node, and MFVI reads the sibling
-    # cube with no node of its own between the scorer and the messages
+    # linear node, edges one biaffine node, each of the sibling and the
+    # grandparent scores one node that builds its factor block, and MFVI
+    # reads the blocks with no node of its own between the scorer and the
+    # messages (its correction matrices are plain arrays); 58 nodes, as
+    # when the scorers built cubes
     nodes = []
     init = ad.Var.__init__
 
@@ -607,25 +630,35 @@ def test_training_and_parsing_share_one_pair_of_bin_projections(monkeypatch):
     scores = score_sentence(sent, params)
     assert len(calls) == 6 + 3 * 2  # the GRU gates; head and dependent of edges, bins, labels
     bins = _bins(encode([sent], params)[0], params)
-    np.testing.assert_array_equal(scores.s_sib, score_siblings(bins, params))
-    np.testing.assert_array_equal(scores.s_gp, score_grandparents(bins, params))
+    np.testing.assert_array_equal(scores.s_sib.block, score_siblings(bins, params).block)
+    np.testing.assert_array_equal(scores.s_gp.block, score_grandparents(bins, params).block)
     calls.clear()
     sentence_loss(sent, params, "local2o", 2, 0.4)
     assert len(calls) == 6 + 3 * 2
 
 
 def test_masked_cells_are_exactly_zero():
+    # the model's factors give the messages of their cubes with the
+    # sib_mask cells zeroed, on every candidate edge
     params = make_params(seed=1)
     scores = score_sentence(make_sentence(4), params)
     n = 4
-    assert not ad.val(scores.s_sib)[sib_mask(n) == 0].any()
-    assert not ad.val(scores.s_gp)[sib_mask(n) == 0].any()
+    q = np.random.default_rng(2).uniform(size=(n + 1, n + 1)) * edge_mask(n)
+    got = kernels.messages_forward(q, *kernels.couplings(scores.s_sib.block, scores.s_gp.block))
+    sib, gp = _cube(scores.s_sib), _cube(scores.s_gp)
+    assert not sib[sib_mask(n) == 0].any() and not gp[sib_mask(n) == 0].any()
+    want = (np.einsum("ik,ijk->ij", q, sib + sib.transpose(0, 2, 1))
+            + np.einsum("jk,ijk->ij", q, gp) + np.einsum("ki,kij->ij", q, gp))
+    cand = edge_mask(n) == 1
+    np.testing.assert_allclose(got[cand], want[cand], rtol=1e-12, atol=1e-15)
 
 
 def test_scores_deterministic():
     a = score_sentence(make_sentence(3), make_params(seed=7))
     b = score_sentence(make_sentence(3), make_params(seed=7))
     for x, y in zip(a.values(), b.values()):
+        if isinstance(x, scorer.Factors):
+            x, y = x.block, y.block
         assert np.array_equal(x, y)
 
 
@@ -639,8 +672,8 @@ def test_parameter_gradients_match_finite_differences(tensor):
         scores = score_sentence(sent, params, pv)
         # scalar mixing every tensor path: edges + siblings + grandparents + labels
         total = ad.sum_all(scores.s_edge)
-        total = ad.add(total, ad.sum_all(scores.s_sib))
-        total = ad.add(total, ad.sum_all(scores.s_gp))
+        total = ad.add(total, ad.sum_all(scores.s_sib.block))
+        total = ad.add(total, ad.sum_all(scores.s_gp.block))
         total = ad.add(total, ad.sum_all(label_distribution(scores.s_label)))
         return total, pv
 
@@ -679,8 +712,8 @@ def test_trilinear_score_variance_is_the_gram_product_of_its_factors():
     d, n = 3, 5
     W = rng.normal(size=(3, d, d))
     gram = W.transpose(0, 2, 1) @ W
-    cells = [trilinear(rng.normal(size=(n + 1, d)), rng.normal(size=(n + 1, d)), W)[
-        sib_mask(n) == 1] for _ in range(4000)]
+    cells = [_cube(trilinear_factors(rng.normal(size=(n + 1, d)), rng.normal(size=(n + 1, d)),
+                                     W))[sib_mask(n) == 1] for _ in range(4000)]
     np.testing.assert_allclose(np.mean(np.square(cells)), np.sum(gram[0] * gram[1] * gram[2]),
                                rtol=0.05)
 

@@ -732,15 +732,21 @@ def test_parse_config_file(tmp_path):
 
 
 def test_parse_batches_hold_one_length_within_both_budgets(monkeypatch):
-    # at most 12 // (n+1) and 200 // (n+1)^3 sentences a batch: the row
-    # budget binds at n = 2 (4 of 7) and the cell budget at n = 4 (1 of 2);
-    # n = 0 takes 12, and a sentence of 21 rows makes a batch of its own
-    monkeypatch.setattr(trainer, "PARSE_WINDOW", 12)
-    monkeypatch.setattr(trainer, "PARSE_CELLS", 200)
+    # at most PARSE_WINDOW // (n+1) and PARSE_CELLS // ((n+1) 6 d_bin)
+    # sentences a batch, and at least one: both budgets count per encoder
+    # row, 6 d_bin factor floats a row for the second. A window of 12 rows
+    # binds beside 200 floats at d_bin = 2 (16 rows), and 200 floats bind
+    # at d_bin = 4 (8 rows); n = 0 takes all its sentences, and a sentence
+    # of 21 rows makes a batch of its own
     lengths = (2, 4, 0, 2, 20, 2, 4, 2, 2, 0, 20)
     sentences = [[None] * n for n in lengths]  # only len() is read
-    assert list(trainer._batches(sentences)) == [
-        [0, 3, 5, 7], [8], [1], [6], [2, 9], [4], [10]]
+    monkeypatch.setattr(trainer, "PARSE_CELLS", 200)
+    monkeypatch.setattr(trainer, "PARSE_WINDOW", 12)
+    assert list(trainer._batches(sentences, 2)) == [
+        [0, 3, 5, 7], [8], [1, 6], [2, 9], [4], [10]]
+    monkeypatch.setattr(trainer, "PARSE_WINDOW", 512)
+    assert list(trainer._batches(sentences, 4)) == [
+        [0, 3], [5, 7], [8], [1], [6], [2, 9], [4], [10]]
 
 
 def test_parse_batches_sentences_of_one_length_across_the_whole_input(monkeypatch):
@@ -778,8 +784,8 @@ def test_parse_batches_sentences_of_one_length_across_the_whole_input(monkeypatc
 def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, cells, monkeypatch):
     # lengths 3, 5 and 6 interleaved, and a sentence with no words; a row
     # budget of 20 cuts the lengths into batches of 5 (n = 3), 3 (n = 5)
-    # and 2 (n = 6), and a budget of 700 cells into batches of 3 (n = 5)
-    # and 2 (n = 6)
+    # and 2 (n = 6), and a budget of 700 factor floats (29 rows at
+    # d_bin = 4) beside 512 rows into batches of 7, 4 and 4
     sentences = read_conllu_file(TOY_TREEBANK)[:20]
     sentences.insert(7, parse_conllu("# newdoc\n\n")[0])
     cfg = ModelConfig(variant=variant, d_word=6, d_pos=4, d_hidden=5, d_edge=6, d_label=5,
@@ -800,9 +806,10 @@ def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, ce
 
 
 def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims():
-    # 200 sentences of n = 10 are parsed in batches of 46, each batch's
-    # encoder one pass over 506 rows; a GRU that kept the gates of every
-    # step (6 d_hidden floats a row) peaked at 9.6 MiB here, 7.5 without
+    # 200 sentences of n = 10 are parsed in batches of 13, each batch's
+    # encoder one pass over 143 rows: the factor budget binds. Measured
+    # 2.9 MiB, and 9.9 in batches of 46 with the row budget alone; a GRU
+    # that kept the gates of every step would add 6 d_hidden floats a row
     sentences = [make_sentence(10, shift) for shift in range(200)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
     tracemalloc.start()
@@ -817,10 +824,10 @@ def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims():
 @pytest.mark.parametrize("n, count", [(1, 600), (20, 100)])
 def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, monkeypatch):
     # between two encodings a parse holds one batch's encodings, scores,
-    # stacked cubes and MFVI iterates. n = 1 stacks the most sentences (256
-    # a batch, where the row budget binds); at n = 20 the cell budget binds
-    # (7 a batch, where the row budget allows 24). Measured: 1.3 and 2.4 MiB;
-    # batches of 24 at n = 20 held 8.0
+    # stacked factor blocks and MFVI iterates. The factor budget binds at
+    # default dims, 145 rows a batch: 72 sentences at n = 1 and 6 at
+    # n = 20. Measured: 3.0 and 2.7 MiB; with the row budget alone (256 and
+    # 24 a batch) 9.9 and 10.4
     sentences = [make_sentence(n, shift) for shift in range(count)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
     peaks = []
@@ -841,3 +848,19 @@ def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, mon
         tracemalloc.stop()
     assert len(trees) == count and len(peaks) > 2
     assert max(peaks[1:]) < 5 * 2**20
+
+
+def test_a_long_sentence_parses_in_bounded_memory_at_default_dims():
+    # one n = 200 sentence: MFVI reads the rank-d_bin factors, O(n (n + r))
+    # floats, and no (n+1)^3 sibling or grandparent cube is built (two such
+    # cubes peaked at 172 MiB here); measured 6.6 MiB
+    sentences = [make_sentence(200)]
+    params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
+    tracemalloc.start()
+    try:
+        trees = trainer.parse_sentences(params, sentences)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trees[0].heads) == 200
+    assert peak < 16 * 2**20
