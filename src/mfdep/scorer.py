@@ -21,6 +21,15 @@ give, and the MFVI kernel applies that rule itself. ``decoder.mfvi`` also
 takes dense (n+1)^3 cubes, as the oracle does, through one exact
 conversion to factors.
 
+A batch of B sentences of one length runs in two halves. The
+row-wise layers run once over all B (n+1) encoder rows (``row_layers``):
+the edge, label and bin head and dependent projections, the constant-1
+column each biaffine reads, and the sibling and grandparent factor
+blocks. The pairwise layers, the edge and label biaffines, run per
+sentence on its rows (``score_sentence``). A batch of more than one
+carries a leading batch axis and is scored from plain arrays; training
+scores one sentence, a batch of one, with no leading axis.
+
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
 ``ModelParams.tensors``, in which case the scores are plain arrays and
@@ -363,11 +372,12 @@ def gru(A, U, B=1):
 
 
 def encode(sentences, params, pv=None, dropout_rng=None):
-    """Contextual representations of B sentences of one length n: one
-    (n+1, 2 d_hidden) array per sentence, one row per position (row 0 =
-    root). The embeddings of all B (n+1) rows are gathered, projected by
-    each GRU gate and run through ``gru`` as one group of B columns. A
-    group of one returns the GRU's output itself."""
+    """Contextual representations of B sentences of one length n, one
+    row per position (row 0 = root): the (n+1, 2 d_hidden) output of
+    ``gru`` for one sentence, and a (B, n+1, 2 d_hidden) view of it for a
+    batch of B > 1, which takes plain parameters. The embeddings of all
+    B (n+1) rows are gathered, projected by each GRU gate and run through
+    ``gru`` as one group of B columns."""
     pv = params.tensors if pv is None else pv
     n = len(sentences[0])
     if any(len(s) != n for s in sentences):
@@ -383,22 +393,22 @@ def encode(sentences, params, pv=None, dropout_rng=None):
     E = _dropout(E, params.config.p_drop_embed, dropout_rng)
     A = [_proj(E, pv, f"gru_{d}_{g}") for d in ("fw", "bw") for g in _GATES]
     H = gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES], len(sentences))
-    if len(sentences) == 1:
-        return [H]
-    return [ad.take_at(H, (rows,)) for rows in np.arange(len(wids)).reshape(len(sentences), n + 1)]
+    return H if len(sentences) == 1 else H.reshape(len(sentences), n + 1, -1)
 
 
 def _aug(x):
     # append a constant-1 column (bias augmentation)
-    ones = np.ones((ad.val(x).shape[0], 1))
-    return ad.concat([x, ones], axis=1)
+    ones = np.ones((*ad.val(x).shape[:-1], 1))
+    return ad.concat([x, ones], axis=-1)
 
 
 def linear(x, W, b):
     """x @ W.T + b, differentiable: the (m, d_in) rows of x projected by
-    the (d_out, d_in) W, plus the (d_out,) bias b."""
+    the (d_out, d_in) W, plus the (d_out,) bias b. A plain x may carry
+    a leading batch axis, (B, m, d_in): its B m rows are projected by one
+    matrix product."""
     vx, vw, vb = ad.val(x), ad.val(W), ad.val(b)
-    y = vx @ vw.T + vb
+    y = (vx.reshape(-1, vx.shape[-1]) @ vw.T + vb).reshape(*vx.shape[:-1], -1)
     if not ad.any_var((x, W, b)):
         return y
     return ad.custom_op(y, (x, W, b), lambda g: (g @ vw, g.T @ vx, g.sum(axis=0)))
@@ -441,10 +451,11 @@ def biaffine(lh, ld, U):
     return ad.custom_op(s, (lh, ld, U), vjp)
 
 
-def score_edges(H, params, pv=None, dropout_rng=None):
+def score_edges(rows, params, pv=None):
+    """Edge scores of one sentence: the biaffine over ``U_edge`` of its
+    (n+1, d_edge+1) head and dependent rows (``RowLayers.edge``)."""
     pv = params.tensors if pv is None else pv
-    hh, hd = _head_dep(H, pv, "edge", params.config.p_drop_edge, dropout_rng)
-    return biaffine(_aug(hh), _aug(hd), pv["U_edge"])
+    return biaffine(*rows, pv["U_edge"])
 
 
 def trilinear_factors(gh, gd, W):
@@ -455,12 +466,15 @@ def trilinear_factors(gh, gd, W):
 
     gh and gd are (n, d), W is the (3, d, r) stack of the head, the
     dependent and the second-dependent factor, and the block is (3, n, r).
+    Plain gh and gd may carry a leading batch axis, (B, n, d), and the
+    block then does too, (B, 3, n, r): each sentence's factors are
+    products of its own n rows, bit-identical to its own call.
     No (n, n, n) cube is built: the MFVI kernel reads the factors. The
     cost is O(n d r) in time and memory."""
     vh, vd, vw = ad.val(gh), ad.val(gd), ad.val(W)
-    block = np.empty((3, vh.shape[0], vw.shape[2]))
-    np.matmul(vh, vw[0], out=block[0])
-    np.matmul(vd, vw[1:], out=block[1:])
+    block = np.empty((*vh.shape[:-2], 3, vh.shape[-2], vw.shape[2]))
+    np.matmul(vh, vw[0], out=block[..., 0, :, :])
+    np.matmul(vd[..., None, :, :], vw[1:], out=block[..., 1:, :, :])
     if not ad.any_var((gh, gd, W)):
         return Factors(block)
 
@@ -483,10 +497,11 @@ def score_grandparents(bins, params, pv=None):
     return trilinear_factors(*bins, pv["W_gp"])
 
 
-def score_labels(H, params, pv=None, dropout_rng=None):
+def score_labels(rows, params, pv=None):
+    """Label scores of one sentence, (n+1, n+1, L): the biaffine over
+    ``U_label`` of its head and dependent rows (``RowLayers.label``)."""
     pv = params.tensors if pv is None else pv
-    lh, ld = _head_dep(H, pv, "label", params.config.p_drop_label, dropout_rng)
-    return biaffine(_aug(lh), _aug(ld), pv["U_label"])
+    return biaffine(*rows, pv["U_label"])
 
 
 def label_distribution(s_label):
@@ -494,21 +509,58 @@ def label_distribution(s_label):
     return ad.softmax(s_label, axis=2)
 
 
-def score_sentence(sentence, params, pv=None, dropout_rng=None, H=None):
-    """Full scoring pass: Sentence -> ScoreTensors, differentiable with
-    respect to the Vars in pv. H is the sentence's encoding, as a group
-    ``encode`` gives it; by default the sentence is encoded alone. The
-    sibling and grandparent scorers read one pair of bin projections of
-    H, the head and the dependent each under one dropout draw."""
+@dataclass
+class RowLayers:
+    """What the row-wise layers give a batch of B sentences of one length
+    n (``row_layers``): the edge and the label head and dependent rows,
+    each projection with the constant-1 column its biaffine reads,
+    (B, n+1, d+1), and the sibling and grandparent ``Factors``, blocks of
+    (B, 3, n+1, d_bin). A batch of one has no leading axis."""
+
+    edge: list
+    s_sib: Factors
+    s_gp: Factors
+    label: list
+
+    def sentence(self, b):
+        """Sentence b's rows of each layer, as views into the batch's
+        arrays; a batch of one is the sentence's own."""
+        if ad.val(self.edge[0]).ndim == 2:
+            return self
+        return RowLayers([x[b] for x in self.edge], Factors(self.s_sib.block[b]),
+                         Factors(self.s_gp.block[b]), [x[b] for x in self.label])
+
+
+def row_layers(H, params, pv=None, dropout_rng=None):
+    """The row-wise layers of the batch that H encodes (``encode``), each
+    one op over all its rows: the bin head and dependent projections,
+    which both trilinear scorers read, the edge projections, the sibling
+    and grandparent factors, and the label projections, in that order,
+    each projection under a dropout draw of its own."""
     pv = params.tensors if pv is None else pv
-    if H is None:
-        H = encode([sentence], params, pv, dropout_rng)[0]
-    bins = _head_dep(H, pv, "bin", params.config.p_drop_bin, dropout_rng)
+    cfg = params.config
+    bins = _head_dep(H, pv, "bin", cfg.p_drop_bin, dropout_rng)
+    edge = [_aug(x) for x in _head_dep(H, pv, "edge", cfg.p_drop_edge, dropout_rng)]
+    return RowLayers(edge, score_siblings(bins, params, pv), score_grandparents(bins, params, pv),
+                     [_aug(x) for x in _head_dep(H, pv, "label", cfg.p_drop_label, dropout_rng)])
+
+
+def score_sentence(sentence, params, pv=None, dropout_rng=None, rows=None, b=0):
+    """Full scoring pass: Sentence -> ScoreTensors, differentiable with
+    respect to the Vars in pv. ``rows`` are the row-wise layers of the
+    sentence's batch (``row_layers``) and b its place in the batch: the
+    sentence's edge and label biaffines run here, on its rows, and its
+    factor blocks are views into the batch's. By default the sentence is
+    encoded and scored alone, a batch of one."""
+    pv = params.tensors if pv is None else pv
+    if rows is None:
+        rows = row_layers(encode([sentence], params, pv, dropout_rng), params, pv, dropout_rng)
+    own = rows.sentence(b)
     return ScoreTensors(
-        s_edge=score_edges(H, params, pv, dropout_rng),
-        s_sib=score_siblings(bins, params, pv),
-        s_gp=score_grandparents(bins, params, pv),
-        s_label=score_labels(H, params, pv, dropout_rng),
+        s_edge=score_edges(own.edge, params, pv),
+        s_sib=own.s_sib,
+        s_gp=own.s_gp,
+        s_label=score_labels(own.label, params, pv),
     )
 
 

@@ -14,7 +14,6 @@ from .conllu import filter_long, open_text, require_annotated
 from .evaluator import uas_las
 from .scorer import (
     MODEL_DIMS,
-    Factors,
     ModelConfig,
     ModelParams,
     ScoreTensors,
@@ -24,6 +23,7 @@ from .scorer import (
     encode,
     init_params,
     label_distribution,
+    row_layers,
     score_sentence,
     tensor_shapes,
     variant_row,
@@ -314,30 +314,32 @@ def _batches(sentences, d_bin):
 
 def _parse_batch(params, batch, variant, T, single_root):
     """Trees of sentences of one length: the batch is encoded at once
-    (``encode``), each sentence is scored on its own, MFVI runs once over
-    the stack of their edge scores and sibling and grandparent factors (a
+    (``encode``) and its row-wise layers run once over all its rows
+    (``row_layers``); each sentence's edge and label biaffines run on its
+    rows (``score_sentence``); MFVI runs once over the stack of their
+    edge scores and the batch's sibling and grandparent factor blocks (a
     batch of one unstacked), and each is decoded on its row. Returning
     frees the batch's encodings, scores and MFVI iterates."""
-    scores = [score_sentence(sent, params, H=H)
-              for sent, H in zip(batch, encode(batch, params))]
+    rows = row_layers(encode(batch, params), params)
+    scores = [score_sentence(sent, params, rows=rows, b=b) for b, sent in enumerate(batch)]
     stack = scores[0] if len(scores) == 1 else ScoreTensors(
-        np.stack([sc.s_edge for sc in scores]),
-        *(Factors(np.stack([getattr(sc, f).block for sc in scores])) for f in ("s_sib", "s_gp")),
-        s_label=None)
+        np.stack([sc.s_edge for sc in scores]), rows.s_sib, rows.s_gp, s_label=None)
+    del rows  # frees the projections before MFVI; the stack holds the factor blocks
     probs = decoder.mfvi(stack, variant, T).head_probs()
-    rows = probs.reshape(len(scores), *probs.shape[-2:])
-    return [decode(p, sc.s_label, single_root) for p, sc in zip(rows, scores)]
+    probs = probs.reshape(len(scores), *probs.shape[-2:])
+    return [decode(p, sc.s_label, single_root) for p, sc in zip(probs, scores)]
 
 
 def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
     """The one inference loop: encode, score, MFVI, decode; one
     DependencyTree per sentence, in input order. The whole input is cut
     into batches of sentences of one length (``_batches``), and each
-    batch is encoded in one GRU pass, scored per sentence, run through
-    one MFVI call and decoded per sentence (``_parse_batch``).
-    ``variant`` defaults to the checkpoint's, and ``T`` to the
-    checkpoint's when the variant is the checkpoint's (to ``mfvi``'s
-    default otherwise)."""
+    batch is encoded in one GRU pass, run through each row-wise scoring
+    layer once and through the edge and label biaffines per sentence,
+    then through one MFVI call, and decoded per sentence
+    (``_parse_batch``). ``variant`` defaults to the checkpoint's, and
+    ``T`` to the checkpoint's when the variant is the checkpoint's (to
+    ``mfvi``'s default otherwise)."""
     if variant is None:
         variant = params.config.variant
     if T is None and variant == params.config.variant:
@@ -555,7 +557,8 @@ def load_model(path):
     model must be retrained), a header that is no valid JSON, lacks a
     key or holds vocabularies that cannot index its tensors, a config
     that ``ModelConfig`` refuses, tensors other than the config implies,
-    or a size other than the header implies."""
+    a size other than the header implies, or a tensor that holds NaN or
+    an infinity."""
     with open(path, "rb") as f:
         try:
             return _read_model(f)
@@ -598,6 +601,10 @@ def _read_model(f):
         if got != arr.nbytes:
             raise ValueError(
                 f"checkpoint truncated: tensor {name!r} has {got} of {arr.nbytes} bytes"
+            )
+        if not np.isfinite(arr).all():
+            raise ValueError(
+                f"checkpoint tensor {name!r} holds a value that is not a finite number"
             )
         tensors[name] = arr.astype(np.float64, copy=False)
     return ModelParams(cfg, header["word2id"], header["pos2id"], header["labels"], tensors)

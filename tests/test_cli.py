@@ -398,7 +398,8 @@ def test_dev_evaluation_matches_parse_then_eval_on_the_checkpoints_iterations(
 def _count_calls(monkeypatch, targets):
     """Rebind each (module, name) of targets, as perfbench's worker does,
     in every mfdep module that binds the function; the returned dict
-    collects the positional arguments of each call by name."""
+    collects the positional arguments of each call by name, and under
+    "order" the names of all calls in the order they began."""
     calls = {}
 
     def rebind(module, name):
@@ -406,6 +407,7 @@ def _count_calls(monkeypatch, targets):
 
         def counted(*args, **kwargs):
             calls.setdefault(name, []).append(args)
+            calls.setdefault("order", []).append(name)
             return original(*args, **kwargs)
 
         for modname, mod in list(sys.modules.items()):
@@ -445,8 +447,11 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     assert len(batches) == len({len(s) for s in sentences})
     assert all(len({len(s) for s in batch}) == 1 for batch in batches)
     assert each_once([s for batch in batches for s in batch])
-    for name in ("score_edges", "score_siblings", "score_grandparents", "score_labels", "decode"):
+    # the biaffines run per sentence, the factor op once per batch
+    for name in ("score_edges", "score_labels", "decode"):
         assert len(calls[name]) == len(sentences), name
+    for name in ("score_siblings", "score_grandparents"):
+        assert len(calls[name]) == len(batches), name
     # and mfvi runs once per batch: on a (B, k, k) stack of edge scores, or
     # on one sentence's (k, k) for a batch of one
     shapes = [args[0].s_edge.shape for args in calls["mfvi"]]
@@ -458,6 +463,29 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     forward = [args[0].shape for args in calls["messages_forward"]]
     assert [len(args) for args in calls["messages_forward"]] == [3] * len(forward)
     assert forward == [shape for shape in shapes for _ in range(2)]
+
+
+def test_parse_ends_set_up_at_the_first_batch_it_encodes(workspace, tmp_path, monkeypatch):
+    # perfbench ends set-up at the first score_sentence call, and
+    # tokens_per_s divides by the time after it: a parse encodes exactly
+    # one batch before that call, and each batch's score_sentence calls
+    # follow that batch's encode, its sentences in order, with no other
+    # encode between them
+    from mfdep import scorer
+
+    calls = _count_calls(monkeypatch, [(scorer, "encode"), (scorer, "score_sentence")])
+    assert run(["parse", "--model", workspace["model"], "--input", workspace["train"],
+                "--output", str(tmp_path / "out.conllu")]) == 0
+    order = calls["order"]
+    assert order.index("score_sentence") == 1
+    batches = iter(args[0] for args in calls["encode"])
+    scored = iter(args[0] for args in calls["score_sentence"])
+    expect = []
+    for name in order:
+        if name == "encode":
+            expect += [("encode", None)] + [("score_sentence", s) for s in next(batches)]
+    assert [(name, next(scored) if name == "score_sentence" else None)
+            for name in order] == expect
 
 
 def test_train_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):
@@ -481,10 +509,12 @@ def test_train_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
                 "--config", str(cfg), "--model", str(tmp_path / "m.bin")]) == 0
     losses = [args[0] for args in calls["sentence_loss"]]
     assert losses == corpus * 2
-    # one scoring pass per training sentence, then one per dev sentence
+    # one scoring pass per training sentence, then one per dev sentence;
+    # each training sentence is a batch of one, and the two dev sentences
+    # make one batch a length
     assert [args[0] for args in calls["score_sentence"]] == losses + dev
     for name in ("score_siblings", "score_grandparents"):
-        assert len(calls[name]) == len(losses + dev), name
+        assert len(calls[name]) == len(losses) + len({len(s) for s in dev}), name
     assert len(calls["adam_step"]) == 2
 
 
@@ -806,6 +836,13 @@ def test_unreadable_checkpoint_exits_1_naming_the_file(make_bad, message, worksp
     [
         (lambda t: t.pop("W_sib"), "lacks tensor 'W_sib'"),
         (lambda t: t.update(W_sib=np.zeros((1, 2, 4))), "tensor 'W_sib' has shape (1, 2, 4)"),
+        # a NaN or an infinity would parse to "no feasible head for node 1"
+        (lambda t: t["U_edge"].__setitem__((0, 1), np.nan),
+         "checkpoint tensor 'U_edge' holds a value that is not a finite number"),
+        (lambda t: t["emb_word"].fill(np.inf),
+         "checkpoint tensor 'emb_word' holds a value that is not a finite number"),
+        (lambda t: t["W_gp"].__setitem__((2, 0, 0), -np.inf),
+         "checkpoint tensor 'W_gp' holds a value that is not a finite number"),
     ],
 )
 def test_mismatched_checkpoint_exits_1_naming_the_tensor(edit, message, workspace, tmp_path, capsys):

@@ -24,6 +24,7 @@ from mfdep.scorer import (
     load_embeddings,
     score_edges,
     score_grandparents,
+    row_layers,
     score_labels,
     score_sentence,
     score_siblings,
@@ -63,23 +64,25 @@ def make_params(seed=0, n_labels=3, **dims):
 def test_encode_shapes():
     params = make_params()
     for n in (1, 4):
-        H = encode([make_sentence(n)], params)[0]
+        H = encode([make_sentence(n)], params)
         assert ad.val(H).shape == (n + 1, 2 * params.config.d_hidden)
+        H = encode([make_sentence(n), make_sentence(n, 1)], params)
+        assert H.shape == (2, n + 1, 2 * params.config.d_hidden)
 
 
 def test_all_zero_weights_give_zero_representations():
     params = make_params()
     for k in params.tensors:
         params.tensors[k][:] = 0.0
-    H = encode([make_sentence(3)], params)[0]
+    H = encode([make_sentence(3)], params)
     assert not ad.val(H).any()
 
 
 def test_zero_unary_weights_zero_edge_scores():
     params = make_params()
     params.tensors["U_edge"][:] = 0.0
-    H = encode([make_sentence(3)], params)[0]
-    assert not ad.val(score_edges(H, params)).any()
+    H = encode([make_sentence(3)], params)
+    assert not ad.val(score_edges(row_layers(H, params).edge, params)).any()
 
 
 def test_identity_biaffine_is_bias_augmented_inner_product():
@@ -89,8 +92,8 @@ def test_identity_biaffine_is_bias_augmented_inner_product():
         params.tensors[f"{role}_W"] = np.eye(params.config.d_edge, enc)
         params.tensors[f"{role}_b"][:] = 0.0
     params.tensors["U_edge"] = np.eye(params.config.d_edge + 1)
-    Hv = ad.val(encode([make_sentence(1)], params)[0])
-    s = ad.val(score_edges(ad.Var(Hv), params))
+    Hv = ad.val(encode([make_sentence(1)], params))
+    s = ad.val(score_edges(row_layers(ad.Var(Hv), params).edge, params))
     np.testing.assert_allclose(s[0, 1], Hv[0] @ Hv[1] + 1.0, atol=1e-12)
 
 
@@ -109,7 +112,7 @@ def test_zero_trilinear_weights_zero_triple_scores():
     params = make_params()
     params.tensors["W_sib"][:] = 0.0
     params.tensors["W_gp"][:] = 0.0
-    bins = _bins(encode([make_sentence(3)], params)[0], params)
+    bins = _bins(encode([make_sentence(3)], params), params)
     assert not ad.val(score_siblings(bins, params).block).any()
     assert not ad.val(score_grandparents(bins, params).block).any()
 
@@ -122,7 +125,7 @@ def test_constant_trilinear_closed_form():
     params.tensors["bin_head_b"][:] = 1.0
     params.tensors["bin_dep_b"][:] = 1.0
     n = 3
-    H = encode([make_sentence(n)], params)[0]
+    H = encode([make_sentence(n)], params)
     f = score_siblings(_bins(H, params), params)
     np.testing.assert_array_equal(f.block, [[[2.0]] * (n + 1), [[1.0]] * (n + 1),
                                             [[1.0]] * (n + 1)])
@@ -132,7 +135,7 @@ def test_constant_trilinear_closed_form():
 def test_trilinear_matches_naive_loops():
     params = make_params(seed=5)
     n = 3
-    H = encode([make_sentence(n)], params)[0]
+    H = encode([make_sentence(n)], params)
     Hv = ad.val(H)
     got = _cube(score_siblings(_bins(H, params), params))
     W = params.tensors["W_sib"]
@@ -184,6 +187,12 @@ def test_trilinear_op_matches_einsum_at_default_dims():
     np.testing.assert_allclose(
         _cube(f), _trilinear_einsum(gh, gd, W) * sib_mask(n), rtol=0, atol=1e-9
     )
+    # a stack of sentences on a leading axis gives each its own block, bit for bit
+    other = rng.normal(size=(2, n + 1, d))
+    stacked = trilinear_factors(np.stack((gh, other[0])), np.stack((gd, other[1])), W).block
+    assert stacked.shape == (2, 3, n + 1, d)
+    np.testing.assert_array_equal(stacked[0], f.block)
+    np.testing.assert_array_equal(stacked[1], trilinear_factors(*other, W).block)
 
 
 def test_trilinear_zeroes_exactly_the_sib_mask_cells():
@@ -445,11 +454,11 @@ def test_group_encode_matches_each_sentence_encoded_alone():
     params = make_params(seed=4, d_hidden=24)
     group = [make_sentence(4, shift=k) for k in range(5)]
     together = encode(group, params)
-    assert len(together) == len(group)
+    assert together.shape == (len(group), 5, 48)
     for sent, H in zip(group, together):
         alone = encode([sent], params)
-        assert len(alone) == 1 and H.shape == alone[0].shape == (5, 48)
-        np.testing.assert_allclose(H, alone[0], rtol=0, atol=1e-15)
+        assert alone.shape == (5, 48)
+        np.testing.assert_allclose(H, alone, rtol=0, atol=1e-15)
     # a group of one is the step-by-step recurrence of each direction, bit for bit
     t = params.tensors
     sent = group[2]
@@ -461,7 +470,7 @@ def test_group_encode_matches_each_sentence_encoded_alone():
     expect = np.concatenate([
         _gru_reference([proj[f"{d}_{g}"] for g in "zrh"], [t[f"gru_{d}_{g}_U"] for g in "zrh"],
                        d == "bw") for d in ("fw", "bw")], axis=1)
-    np.testing.assert_array_equal(encode([sent], params)[0], expect)
+    np.testing.assert_array_equal(encode([sent], params), expect)
     with pytest.raises(ValueError, match="one length"):
         encode([make_sentence(3), make_sentence(4)], params)
 
@@ -614,8 +623,8 @@ def test_label_distribution_uniform_and_degenerate():
 
 def test_label_distribution_normalizes():
     params = make_params(n_labels=3, seed=2)
-    H = encode([make_sentence(3)], params)[0]
-    p = ad.val(label_distribution(score_labels(H, params)))
+    H = encode([make_sentence(3)], params)
+    p = ad.val(label_distribution(score_labels(row_layers(H, params).label, params)))
     np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-12)
 
 
@@ -629,7 +638,7 @@ def test_training_and_parsing_share_one_pair_of_bin_projections(monkeypatch):
     monkeypatch.setattr(scorer, "linear", lambda *args: calls.append(1) or linear_op(*args))
     scores = score_sentence(sent, params)
     assert len(calls) == 6 + 3 * 2  # the GRU gates; head and dependent of edges, bins, labels
-    bins = _bins(encode([sent], params)[0], params)
+    bins = _bins(encode([sent], params), params)
     np.testing.assert_array_equal(scores.s_sib.block, score_siblings(bins, params).block)
     np.testing.assert_array_equal(scores.s_gp.block, score_grandparents(bins, params).block)
     calls.clear()

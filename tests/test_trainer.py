@@ -12,7 +12,8 @@ from conftest import TOY_TREEBANK, random_scores
 from mfdep.conllu import ConlluError, parse_conllu, read_conllu_file
 from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
-from mfdep.scorer import ModelConfig, build_vocabs, edge_mask, init_params, score_sentence
+from mfdep.scorer import (ModelConfig, build_vocabs, edge_mask, encode, init_params, row_layers,
+                          score_sentence)
 import mfdep.trainer as trainer
 from mfdep.trainer import (
     _ADAM_BLOCK,
@@ -805,20 +806,59 @@ def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, ce
     assert any(t.mst for t in trees) and not all(t.mst for t in trees)
 
 
-def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims():
-    # 200 sentences of n = 10 are parsed in batches of 13, each batch's
-    # encoder one pass over 143 rows: the factor budget binds. Measured
-    # 2.9 MiB, and 9.9 in batches of 46 with the row budget alone; a GRU
-    # that kept the gates of every step would add 6 d_hidden floats a row
+def test_batched_scores_match_scoring_each_sentence_alone_at_default_dims():
+    # the factor budget allows 145 encoder rows a batch at default dims:
+    # 145 empty sentences (n = 0) and 29 of n = 4 fill a batch each, and the
+    # rest make a second. Each sentence's edge and label scores and factor
+    # blocks, from its batch's row-wise layers and its own biaffines, match
+    # score_sentence on it alone within 1e-12 relative: a product over the
+    # B (n+1) rows of a batch may round otherwise than one over n+1 rows
+    empty = parse_conllu("# newdoc\n\n")[0]
+    sentences = [empty] * 150 + [make_sentence(4, shift) for shift in range(33)]
+    params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
+    batches = list(trainer._batches(sentences, params.config.d_bin))
+    assert [len(ks) for ks in batches] == [145, 5, 29, 4]
+    for ks in batches:
+        batch = [sentences[k] for k in ks]
+        rows = row_layers(encode(batch, params), params)
+        for b, sent in enumerate(batch):
+            got = score_sentence(sent, params, rows=rows, b=b)
+            alone = score_sentence(sent, params)
+            for name in ("s_edge", "s_label", "s_sib", "s_gp"):
+                x, y = getattr(got, name), getattr(alone, name)
+                if name in ("s_sib", "s_gp"):
+                    x, y = x.block, y.block
+                assert x.shape == y.shape, name
+                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
+
+
+def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims(monkeypatch):
+    # with the factor budget lifted, the row budget cuts 200 sentences of
+    # n = 10 into batches of 46, each one encoder pass over 506 rows. The
+    # peak of each encoding, above what the parse held when it began, was
+    # measured at 7.4 MiB (mostly the six input projections and their
+    # step-major copies), and at 13.4 with a GRU that keeps the gates of
+    # every step, 6 d_hidden floats a row, as only its VJP needs
     sentences = [make_sentence(10, shift) for shift in range(200)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
+    peaks = []
+
+    def measured_encode(*args, **kwargs):
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        out = encode(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    monkeypatch.setattr(trainer, "encode", measured_encode)
+    monkeypatch.setattr(trainer, "PARSE_CELLS", 1 << 30)
     tracemalloc.start()
     try:
         trainer.parse_sentences(params, sentences)
-        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert len(peaks) == 5
+    assert max(peaks) < 10 * 2**20
 
 
 @pytest.mark.parametrize("n, count", [(1, 600), (20, 100)])
