@@ -1,21 +1,19 @@
 """Reverse-mode automatic differentiation over numpy float64 arrays.
 
-Each op returns a Var that holds its value, its parent Vars and one VJP
-closure that maps the adjoint of the value to one adjoint per parent, in
-parent order; the graph is nothing more than these parent links. An op
-none of whose operands is a Var returns the plain numpy result instead
-(a numpy scalar where numpy gives one, as for two 0-d arrays), and
-checks for that before it builds any closure: nothing can ask for
-its gradient, so inference on plain parameter arrays builds no graph
-and pays only for the arithmetic.
+Each op returns through ``custom_op``: a Var that holds its value, its
+parent Vars and one VJP closure that maps the adjoint of the value to one
+adjoint per parent, in parent order; the graph is nothing more than these
+parent links. Plain operands give a plain float64 array and no graph
+node, since nothing can ask for its gradient: inference on plain
+parameter arrays builds no graph.
 ``backward`` walks them from a scalar root in reverse topological order
 and accumulates adjoints into every reachable Var. A VJP result that
 nothing else can reach becomes the parent's first ``grad`` as it is
 (see ``_adoptable``); any other result is copied first. Parents never
 point back at their children, so a graph is freed by reference counting
 as soon as its root goes out of scope.
-Model layers are ``custom_op``s in ``scorer`` and ``decoder``; this
-module holds only the elementwise, reduction and indexing ops.
+The model layers in ``scorer`` and ``decoder`` are ``custom_op``s too;
+this module holds only the elementwise, reduction and indexing ops.
 """
 from __future__ import annotations
 
@@ -103,8 +101,8 @@ class Var:
 
 
 def any_var(xs):
-    """True when some element of xs is a Var: only then does an op
-    build its VJP for a backward pass."""
+    """True when some element of xs is a Var: only then does
+    ``custom_op`` build a graph node."""
     for x in xs:
         if isinstance(x, Var):
             return True
@@ -128,36 +126,28 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     va, vb = val(a), val(b)
-    y = va + vb
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return y
-    return Var(y, (a, b), lambda g: (_unbroadcast(g, va.shape), _unbroadcast(g, vb.shape)))
+    return custom_op(
+        va + vb, (a, b), lambda g: (_unbroadcast(g, va.shape), _unbroadcast(g, vb.shape))
+    )
 
 
 def sub(a, b):
     va, vb = val(a), val(b)
-    y = va - vb
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return y
-    return Var(y, (a, b), lambda g: (_unbroadcast(g, va.shape), _unbroadcast(-g, vb.shape)))
+    return custom_op(
+        va - vb, (a, b), lambda g: (_unbroadcast(g, va.shape), _unbroadcast(-g, vb.shape))
+    )
 
 
 def mul(a, b):
     va, vb = val(a), val(b)
-    y = va * vb
-    if not (isinstance(a, Var) or isinstance(b, Var)):
-        return y
-    return Var(
-        y, (a, b), lambda g: (_unbroadcast(g * vb, va.shape), _unbroadcast(g * va, vb.shape))
+    return custom_op(
+        va * vb, (a, b), lambda g: (_unbroadcast(g * vb, va.shape), _unbroadcast(g * va, vb.shape))
     )
 
 
 def log(a):
     va = val(a)
-    y = np.log(va)
-    if not isinstance(a, Var):
-        return y
-    return Var(y, (a,), lambda g: (g / va,))
+    return custom_op(np.log(va), (a,), lambda g: (g / va,))
 
 
 def logistic(x, out=None):
@@ -172,17 +162,12 @@ def logistic(x, out=None):
 
 def sigmoid(a):
     y = logistic(val(a))
-    if not isinstance(a, Var):
-        return y
-    return Var(y, (a,), lambda g: (g * y * (1.0 - y),))
+    return custom_op(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def clip_min(a, floor):
     va = val(a)
-    y = np.maximum(va, floor)
-    if not isinstance(a, Var):
-        return y
-    return Var(y, (a,), lambda g: (g * (va > floor),))
+    return custom_op(np.maximum(va, floor), (a,), lambda g: (g * (va > floor),))
 
 
 def softmax(a, axis):
@@ -190,16 +175,12 @@ def softmax(a, axis):
     m = np.max(va, axis=axis, keepdims=True)
     e = np.exp(va - m)
     y = e / e.sum(axis=axis, keepdims=True)
-    if not isinstance(a, Var):
-        return y
-    return Var(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
+    return custom_op(y, (a,), lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),))
 
 
 def sum_all(a):
     va = val(a)
-    if not isinstance(a, Var):
-        return np.asarray(va.sum())
-    return Var(va.sum(), (a,), lambda g: (g * np.ones_like(va),))
+    return custom_op(va.sum(), (a,), lambda g: (g * np.ones_like(va),))
 
 
 def _scatter_add(va, index, g):
@@ -212,26 +193,20 @@ def take_at(a, index):
     """Fancy indexing with a tuple of integer index arrays."""
     va = val(a)
     index = tuple(np.asarray(ix, dtype=np.intp) for ix in index)
-    if not isinstance(a, Var):
-        return va[index]
-    return Var(va[index], (a,), lambda g: (_scatter_add(va, index, g),))
+    return custom_op(va[index], (a,), lambda g: (_scatter_add(va, index, g),))
 
 
 def concat(parts, axis=0):
     vals = [val(p) for p in parts]
-    y = np.concatenate(vals, axis=axis)
-    if not any_var(parts):
-        return y
     cuts = np.cumsum([v.shape[axis] for v in vals[:-1]])
-    return Var(y, tuple(parts), lambda g: np.split(g, cuts, axis=axis))
+    return custom_op(np.concatenate(vals, axis=axis), parts, lambda g: np.split(g, cuts, axis=axis))
 
 
 def custom_op(value, parents, vjp):
-    """Wrap an externally computed primitive with a hand-written VJP,
-    ``vjp(g)`` returning one adjoint per parent in parent order: a Var
-    linked to its parents when one of them is a Var, else the plain
-    float64 array. The ops in ``scorer`` and ``decoder`` check
-    ``any_var(parents)`` before they build their VJP."""
+    """The one place that decides whether an op builds a graph node: a
+    Var holding value, linked to its parents, with ``vjp(g)`` returning
+    one adjoint per parent in parent order, when one of the parents is a
+    Var; else value as a plain float64 array, and vjp is dropped."""
     if any_var(parents):
         return Var(value, tuple(parents), vjp)
     return np.asarray(value, dtype=np.float64)

@@ -19,9 +19,9 @@ conversion, the identity factorization at r = (n+1)^2 (``_factor_block``),
 and then runs through the same kernel. Each update alone masks the edges
 that are no candidate: q is 0 there whatever (finite) ``s_edge`` holds,
 and those cells of ``s_edge`` get a 0 adjoint. The 2-D edge mask, and the
-Local variant's additive mask, are built at most once per call. When no
-score is a Var (parsing), every iterate is a plain array and no op
-builds a closure.
+Local variant's additive mask, are built at most once per call. Every op
+returns through ``autodiff.custom_op``: when no score is a Var (parsing),
+every iterate is a plain array and no graph node is built.
 
 The score tensors may carry one leading batch axis: B sentences of one
 length n stacked as (B, n+1, n+1) edge scores and (B, 3, n+1, r) factor
@@ -58,8 +58,6 @@ def _factor_block(s):
     block[..., 0, :, :] = np.repeat(eye, n1, axis=1)
     block[..., 1, :, :] = np.tile(eye, n1)
     block[..., 2, :, :] = np.swapaxes(x.reshape(*lead, n1 * n1, n1), -1, -2)
-    if not isinstance(s, ad.Var):
-        return block
 
     def vjp(g):
         dx = np.empty(x.shape)
@@ -71,15 +69,13 @@ def _factor_block(s):
 
 def _mfvi_messages(q, sib, gp, ops):
     """Differentiable message op backed by ``kernels``: sib and gp are
-    the factor blocks, ops their ``kernels.couplings``."""
+    the factor blocks, ops their ``kernels.couplings``. Each call fills
+    lists of its own with the products of q that its VJP reads."""
     qv = ad.val(q)
-    parents = (q, sib, gp)
-    if not ad.any_var(parents):
-        return kernels.messages_forward(qv, *ops)
-    ops = [op._replace(saved=[]) for op in ops]  # the products this call's VJP reads
+    ops = [op._replace(saved=[]) for op in ops]
     m = kernels.messages_forward(qv, *ops)
     return ad.custom_op(
-        m, parents, lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, *ops)
+        m, (q, sib, gp), lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, *ops)
     )
 
 

@@ -42,6 +42,10 @@ operand: a stack of B sentences of one length is a (B, n+1, n+1) ``q``
 with (B, 3, n+1, r) factor blocks, and each row of the result is
 bit-identical to that sentence's own call. Below n of about 15 a stack
 costs a fraction of B calls, which are mostly numpy dispatch.
+
+The kernel reads and returns plain arrays; ``decoder`` wraps it as one
+``autodiff.custom_op``, so plain operands give plain messages and no
+graph node.
 """
 from __future__ import annotations
 
@@ -62,15 +66,15 @@ def _t(x):
 class Coupling(NamedTuple):
     """The kernel's operand for one score cube in one MFVI call: its
     factors a, b, c, each (..., n+1, r), its correction matrix d,
-    (..., n+1, n+1), and ``saved``: None, or a list that
-    ``messages_forward`` fills with the products of q that
+    (..., n+1, n+1), and ``saved``, the list into which each
+    ``messages_forward`` call puts the products of q that
     ``messages_backward`` reads, so that they are not computed twice."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    saved: list = None
+    saved: list
 
 
 def couplings(sib, gp):
@@ -79,7 +83,7 @@ def couplings(sib, gp):
     a, b, c = np.moveaxis(sib, -3, 0)
     ga, gb, gc = np.moveaxis(gp, -3, 0)
     e = (ga * gc) @ _t(gb)  # e[i, j] = gp[i, j, i]
-    return Coupling(a, b, c, a @ _t(b * c)), Coupling(ga, gb, gc, e + _t(e))
+    return Coupling(a, b, c, a @ _t(b * c), []), Coupling(ga, gb, gc, e + _t(e), [])
 
 
 def messages_forward(q, sib, gp):
@@ -89,25 +93,23 @@ def messages_forward(q, sib, gp):
     m = (a * qc) @ _t(b)
     m += (a * qb) @ _t(c)
     m -= 2.0 * (q * d)
-    if saved is not None:
-        saved[:] = qc, qb
+    saved[:] = qc, qb
     a, b, c, d, saved = gp
     qc, qta = q @ c, qt @ a
     m += a @ _t(b * qc)
     m += (qta * b) @ _t(c)
     m -= qt * d
-    if saved is not None:
-        saved[:] = qc, qta
+    saved[:] = qc, qta
     return m
 
 
 def messages_backward(dm, q, sib, gp):
     """(dq, dsib, dgp): the adjoints of q and of the two (..., 3, n+1, r)
-    factor blocks for the adjoint dm of the messages. Each block adjoint
-    is an array of its own; the correction matrices' share is included."""
+    factor blocks for the adjoint dm of the messages, from the products
+    that ``messages_forward`` saved. Each block adjoint is an array of its
+    own; the correction matrices' share is included."""
     qt, dmt = _t(q), _t(dm)
-    a, b, c, d, saved = sib
-    qc, qb = saved if saved is not None else (q @ c, q @ b)
+    a, b, c, d, (qc, qb) = sib
     gb, gc = dm @ b, dm @ c
     gba, gca = gb * a, gc * a
     dq = gba @ _t(c)
@@ -126,8 +128,7 @@ def messages_backward(dm, q, sib, gp):
     dc += he * b
     dsib = np.stack((da, db, dc), axis=-3)
 
-    a, b, c, d, saved = gp
-    qc, qta = saved if saved is not None else (q @ c, qt @ a)
+    a, b, c, d, (qc, qta) = gp
     x = dmt @ a  # the adjoint of b * qc
     y = dm @ c  # the adjoint of qta * b
     p = x * b

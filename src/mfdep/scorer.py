@@ -32,8 +32,10 @@ scores one sentence, a batch of one, with no leading axis.
 
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
-``ModelParams.tensors``, in which case the scores are plain arrays and
-no op builds a closure or any other autodiff bookkeeping.
+``ModelParams.tensors``. Each op returns through ``autodiff.custom_op``,
+so plain operands give plain arrays and no graph node; only ``gru`` also
+asks whether a backward pass will come, to keep each step's gates for
+it or not.
 """
 from __future__ import annotations
 
@@ -46,8 +48,7 @@ import numpy as np
 from . import autodiff as ad
 from .conllu import open_text
 
-ROOT = "<root>"
-UNK = "<unk>"
+SPECIALS = {"<root>": 0, "<unk>": 1}  # the id of each special entry in every vocabulary
 MODEL_DIMS = ("d_word", "d_pos", "d_hidden", "d_edge", "d_label", "d_bin")
 
 
@@ -164,8 +165,7 @@ class ModelParams:
 
 
 def build_vocabs(sentences):
-    word2id = {ROOT: 0, UNK: 1}
-    pos2id = {ROOT: 0, UNK: 1}
+    word2id, pos2id = dict(SPECIALS), dict(SPECIALS)
     labels = []
     for sent in sentences:
         for tok in sent.tokens:
@@ -382,10 +382,11 @@ def encode(sentences, params, pv=None, dropout_rng=None):
     n = len(sentences[0])
     if any(len(s) != n for s in sentences):
         raise ValueError("encode takes sentences of one length")
+    root, unk = SPECIALS["<root>"], SPECIALS["<unk>"]
     wids, pids = [], []
     for sent in sentences:
-        wids += [0] + [params.word2id.get(t.form, 1) for t in sent.tokens]
-        pids += [0] + [params.pos2id.get(t.upos, 1) for t in sent.tokens]
+        wids += [root] + [params.word2id.get(t.form, unk) for t in sent.tokens]
+        pids += [root] + [params.pos2id.get(t.upos, unk) for t in sent.tokens]
     E = ad.concat(
         [ad.take_at(pv["emb_word"], (wids,)), ad.take_at(pv["emb_pos"], (pids,))],
         axis=1,
@@ -409,8 +410,6 @@ def linear(x, W, b):
     matrix product."""
     vx, vw, vb = ad.val(x), ad.val(W), ad.val(b)
     y = (vx.reshape(-1, vx.shape[-1]) @ vw.T + vb).reshape(*vx.shape[:-1], -1)
-    if not ad.any_var((x, W, b)):
-        return y
     return ad.custom_op(y, (x, W, b), lambda g: (g @ vw, g.T @ vx, g.sum(axis=0)))
 
 
@@ -437,8 +436,6 @@ def biaffine(lh, ld, U):
     s = t1 @ vd.T
     if vu.ndim == 3:
         s = np.ascontiguousarray(s.reshape(-1, m, n).transpose(1, 2, 0))
-    if not ad.any_var((lh, ld, U)):
-        return s
 
     def vjp(g):
         if vu.ndim == 3:
@@ -475,8 +472,6 @@ def trilinear_factors(gh, gd, W):
     block = np.empty((*vh.shape[:-2], 3, vh.shape[-2], vw.shape[2]))
     np.matmul(vh, vw[0], out=block[..., 0, :, :])
     np.matmul(vd[..., None, :, :], vw[1:], out=block[..., 1:, :, :])
-    if not ad.any_var((gh, gd, W)):
-        return Factors(block)
 
     def vjp(g):
         dW = np.empty(vw.shape)  # an owning array, so backward adopts it

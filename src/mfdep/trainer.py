@@ -14,6 +14,7 @@ from .conllu import filter_long, open_text, require_annotated
 from .evaluator import uas_las
 from .scorer import (
     MODEL_DIMS,
+    SPECIALS,
     ModelConfig,
     ModelParams,
     ScoreTensors,
@@ -69,7 +70,8 @@ class TrainConfig:
                            "early_stop", "batch_tokens", "max_train_len"),
                     lambda v: v >= 1, "be >= 1")
         check_range(self, ("iterations", "seed"), lambda v: v >= 0, "be >= 0")
-        check_range(self, ("scale", "learning_rate", "adam_eps"), lambda v: v > 0, "be > 0")
+        check_range(self, ("scale", "learning_rate", "adam_eps"), lambda v: 0 < v < np.inf,
+                    "be > 0 and finite")
         check_range(self, ("adam_beta1", "adam_beta2"), lambda v: 0.0 <= v < 1.0, "lie in [0, 1)")
         check_range(self, ("decay_rate",), lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
         if row.iterations == 0:  # a first-order parser runs no MFVI iteration
@@ -423,6 +425,7 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
         stepped = adam_step(params, grads, state, config, lr=lr)
         del grads  # not kept through evaluation and the next backward
         entry = {"iteration": iteration, "loss": loss, "lr": lr, "stepped": stepped}
+        result.history.append(entry)  # an evaluation adds its scores in place
 
         if iteration % eval_every == 0 or iteration == max_iters:
             uas, las, _ = evaluate(
@@ -453,13 +456,8 @@ def train(corpus, dev, config, params=None, model_config=None, log=None, target_
                     f"iter {iteration} loss {loss:.4f} lr {lr:.5f} "
                     f"dev UAS {uas:.2f} LAS {las:.2f}"
                 )
-            if target_uas is not None and uas >= target_uas:
-                result.history.append(entry)
+            if (target_uas is not None and uas >= target_uas) or since_improvement >= early_stop:
                 break
-            if since_improvement >= early_stop:
-                result.history.append(entry)
-                break
-        result.history.append(entry)
     result.iterations_run = iteration
     if result.params is None:  # dev never improved: keep final params
         result.params = params.copy()
@@ -524,9 +522,10 @@ _HEADER = {"config": (dict, "an object"), "word2id": (dict, "an object"),
 def _check_header(header):
     """Raise ValueError, naming the key, unless the decoded JSON header
     is an object holding each key of ``_HEADER`` with its type, the ids
-    of 'word2id' and 'pos2id' are the integers 0..V-1, each once, the
-    'labels' are distinct strings, at least one, and each 'tensors'
-    entry is a [name, shape] pair, shape a list of integers."""
+    of 'word2id' and 'pos2id' are the integers 0..V-1, each once, with
+    the ids of ``SPECIALS``, the 'labels' are distinct strings, at least
+    one, and each 'tensors' entry is a [name, shape] pair, shape a list
+    of integers."""
     if not isinstance(header, dict):
         raise ValueError("checkpoint header is not a JSON object")
     for key, (kind, name) in _HEADER.items():
@@ -539,6 +538,9 @@ def _check_header(header):
         if any(type(i) is not int for i in ids) or sorted(ids) != list(range(len(ids))):
             raise ValueError(f"checkpoint header {key!r} ids must be the integers "
                              f"0..{len(ids) - 1}, each once")
+        for token, i in SPECIALS.items():
+            if header[key].get(token) != i:
+                raise ValueError(f"checkpoint header {key!r} must give {token!r} the id {i}")
     labels = header["labels"]
     if not labels or any(type(x) is not str for x in labels) or len(set(labels)) < len(labels):
         raise ValueError("checkpoint header 'labels' must be distinct strings, at least one")

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import mfdep.autodiff as ad
+from mfdep import decoder, kernels, scorer
 from mfdep.oracle import finite_diff_gradient
+
+
+def _no_graph(*args, **kwargs):
+    raise AssertionError("a graph node built from plain operands")
 
 
 def _leaf(value):
@@ -133,15 +138,35 @@ def test_custom_op_vjp_routing():
     np.testing.assert_allclose(x.grad, [3.0, 3.0])
 
 
-def test_ops_without_var_operands_return_plain_arrays():
+def test_ops_without_var_operands_return_plain_arrays(monkeypatch):
+    # every differentiable op returns through custom_op: plain operands,
+    # 0-d ones included, give a plain float64 array and no graph node
+    monkeypatch.setattr(ad.Var, "__init__", _no_graph)
     a = np.array([1.0, -2.0])
-    for out in (
+    m = np.arange(6.0).reshape(2, 3)
+    block = decoder._factor_block(np.random.default_rng(0).normal(size=(3, 3, 3)))
+    outs = (
         ad.add(a, 1.0),
+        ad.sub(a, 1.0),
+        ad.mul(np.array(2.0), np.array(3.0)),
+        ad.log(np.abs(a)),
         ad.sigmoid(a),
+        ad.clip_min(a, 0.0),
         ad.softmax(a, axis=0),
+        ad.sum_all(a),
+        ad.take_at(m, ([1, 0], [2, 2])),
+        ad.concat([a, a]),
         ad.custom_op(a * 3.0, (a,), lambda g: (g * 3.0,)),
-    ):
-        assert type(out) is np.ndarray
+        scorer.linear(m, m, a),
+        scorer.biaffine(m, m, np.eye(3)),
+        scorer.trilinear_factors(m, m, np.ones((3, 3, 2))).block,
+        block,
+        decoder._mfvi_messages(0.5 * scorer.edge_mask(2), block, block,
+                               kernels.couplings(block, block)),
+    )
+    for out in outs:
+        assert type(out) is np.ndarray and out.dtype == np.float64
+    monkeypatch.undo()
     assert isinstance(ad.mul(a, ad.Var(a)), ad.Var)
 
 

@@ -306,7 +306,7 @@ def test_train_rejects_an_unknown_config_key(workspace, tmp_path, capsys):
     assert not model.exists()
 
 
-@pytest.mark.parametrize("scale", ["0", "-2"])
+@pytest.mark.parametrize("scale", ["0", "-2", "inf"])
 def test_train_rejects_a_scale_that_is_not_positive(scale, workspace, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(TINY_RUN_CFG, encoding="utf-8")
@@ -331,6 +331,9 @@ def test_train_rejects_a_scale_that_is_not_positive(scale, workspace, tmp_path, 
         ("d_hidden = 0", "d_hidden must be >= 1"),
         ("d_hidden = -3", "d_hidden must be >= 1"),
         ("learning_rate = -1", "learning_rate must be > 0"),
+        ("learning_rate = inf", "learning_rate must be > 0 and finite"),
+        ("adam_eps = inf", "adam_eps must be > 0 and finite"),
+        ("scale = inf", "scale must be > 0 and finite"),
         ("adam_beta1 = nan", "adam_beta1 must lie in [0, 1)"),
         ("adam_beta2 = 2", "adam_beta2 must lie in [0, 1)"),
         ("adam_eps = 0", "adam_eps must be > 0"),
@@ -886,6 +889,12 @@ def _edit_header(src, dst, edit):
          "checkpoint header 'word2id' ids must be the integers 0.."),
         (lambda h: h["word2id"].update({list(h["word2id"])[-1]: -1}),
          "checkpoint header 'word2id' ids must be the integers 0.."),
+        (lambda h: h.update(word2id={"<root>": 0}),
+         "checkpoint header 'word2id' must give '<unk>' the id 1"),
+        (lambda h: h["word2id"].update({"<root>": 1, "<unk>": 0}),
+         "checkpoint header 'word2id' must give '<root>' the id 0"),
+        (lambda h: h["pos2id"].update({"<unk>": len(h["pos2id"]) - 1, list(h["pos2id"])[-1]: 1}),
+         "checkpoint header 'pos2id' must give '<unk>' the id 1"),
         (lambda h: h.update(labels=list(range(len(h["labels"])))),
          "checkpoint header 'labels' must be distinct strings, at least one"),
         (lambda h: h.update(labels=[]),
@@ -893,7 +902,8 @@ def _edit_header(src, dst, edit):
     ],
     ids=["unknown-key", "string-for-int", "bool-for-float", "config-not-object", "no-word2id",
          "tensor-not-a-pair", "float-dimension", "word-id-past-the-vocabulary",
-         "negative-word-id", "integer-labels", "no-labels"],
+         "negative-word-id", "no-unknown-word", "swapped-special-words", "moved-unknown-tag",
+         "integer-labels", "no-labels"],
 )
 def test_parse_names_the_file_and_key_of_a_malformed_checkpoint_header(
     edit, message, workspace, tmp_path, capsys

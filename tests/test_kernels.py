@@ -22,7 +22,11 @@ def _forward(q, sib, gp):
 
 
 def _backward(dm, q, sib, gp):
-    return kernels.messages_backward(dm, q, *kernels.couplings(sib, gp))
+    """The adjoints after the forward call that saves the products of q
+    they read."""
+    ops = kernels.couplings(sib, gp)
+    kernels.messages_forward(q, *ops)
+    return kernels.messages_backward(dm, q, *ops)
 
 
 def _reference_messages(q, sib, gp):
@@ -91,18 +95,6 @@ def test_backward_matches_finite_differences(n):
             )
 
 
-def test_saved_products_change_no_bit_of_the_adjoints():
-    # the forward's products of q, kept for the backward, are the ones
-    # the backward would compute itself
-    q, sib, gp = _inputs(6, seed=3)
-    dm = np.random.default_rng(4).normal(size=q.shape)
-    ops = [op._replace(saved=[]) for op in kernels.couplings(sib, gp)]
-    assert kernels.messages_forward(q, *ops).tobytes() == _forward(q, sib, gp).tobytes()
-    assert all(len(op.saved) == 2 for op in ops)
-    for kept, fresh in zip(kernels.messages_backward(dm, q, *ops), _backward(dm, q, sib, gp)):
-        assert kept.tobytes() == fresh.tobytes()
-
-
 def test_zero_couplings_give_zero_messages():
     q, _, _ = _inputs(4)
     z = np.zeros((3, 5, 4))
@@ -121,21 +113,17 @@ def test_closed_form_is_cubic():
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
 def test_a_stack_matches_each_sentence_alone_bit_for_bit(n):
     # a leading batch axis changes no bit of any sentence's messages or
-    # adjoints, with the products kept or not
+    # adjoints
     alone = [_inputs(n, seed=40 + b) for b in range(4)]
     q, sib, gp = (np.stack(x) for x in zip(*alone))
     dm = np.random.default_rng(7).normal(size=q.shape)
     m = _forward(q, sib, gp)
     grads = _backward(dm, q, sib, gp)
-    ops = [op._replace(saved=[]) for op in kernels.couplings(sib, gp)]
-    kernels.messages_forward(q, *ops)
-    kept = kernels.messages_backward(dm, q, *ops)
     assert m.shape == q.shape and [g.shape for g in grads] == [q.shape, sib.shape, gp.shape]
     for b, (qb, sb, gb) in enumerate(alone):
         assert m[b].tobytes() == _forward(qb, sb, gb).tobytes()
-        for stacked, saved, own in zip(grads, kept, _backward(dm[b], qb, sb, gb)):
+        for stacked, own in zip(grads, _backward(dm[b], qb, sb, gb)):
             assert stacked[b].tobytes() == own.tobytes()
-            assert saved[b].tobytes() == own.tobytes()
 
 
 def _symmetrized_kernel(dm, q, sib, gp):

@@ -31,7 +31,7 @@ from mfdep.scorer import (
     sib_mask,
     trilinear_factors,
 )
-from mfdep.trainer import sentence_loss
+from mfdep.trainer import parse_sentences, sentence_loss
 from mfdep.tree import decode
 
 WORDS = ["the", "dog", "barks", "loudly", "cat"]
@@ -281,7 +281,9 @@ def test_masked_trilinear_gradient(r, n, d):
 
     leaves = {k: ad.Var(v) for k, v in arrays.items()}
     f = trilinear_factors(*leaves.values())
-    _, dsib, _ = kernels.messages_backward(dm, q, *kernels.couplings(f.block.value, no_gp))
+    ops = kernels.couplings(f.block.value, no_gp)
+    kernels.messages_forward(q, *ops)  # saves the products of q the backward reads
+    _, dsib, _ = kernels.messages_backward(dm, q, *ops)
     ad.backward(f.block, dsib)
     dcube = dm[:, :, None] * q[:, None, :]  # the cube kernel's, both orientations
     expect = _trilinear_vjp_einsum(*arrays.values(),
@@ -589,6 +591,10 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
     post = mfvi(scores, variant, 2)
     tree = decode(post.head_probs(), label_distribution(scores.s_label))
     assert len(tree.heads) == 4 and len(tree.labels) == 4
+    # lengths that repeat run as stacked batches through MFVI
+    sentences = [make_sentence(n, shift) for shift in range(3) for n in (2, 5, 3)]
+    trees = parse_sentences(params, sentences, variant, 2)
+    assert [len(t.heads) for t in trees] == [len(s) for s in sentences]
 
 
 def test_training_loss_builds_one_node_per_layer(monkeypatch):
