@@ -99,6 +99,14 @@ class Var:
         self._parents = parents
         self._vjp = vjp
 
+    def __getitem__(self, key):
+        """Basic indexing, differentiable: the VJP puts g into zeros at key."""
+        def vjp(g):
+            out = np.zeros_like(self.value)
+            out[key] = g
+            return (out,)
+        return custom_op(self.value[key], (self,), vjp)
+
 
 def any_var(xs):
     """True when some element of xs is a Var: only then does

@@ -3,9 +3,10 @@
 Multiword-token ranges and empty nodes are retained verbatim (attached
 to the following syntactic word position) so that writing a parsed file
 back out reproduces the original bytes when no predictions are
-substituted. A HEAD of ``_`` (unannotated input, as given to the parser)
-reads as ``gold_head=None`` and is written back as ``_``. One CR ending
-a line (CRLF text) is dropped on reading; output always uses LF.
+substituted; a block of them alone reads as a sentence with no words. A
+HEAD of ``_`` (unannotated input, as given to the parser) reads as
+``gold_head=None`` and is written back as ``_``. One CR ending a line
+(CRLF text) is dropped on reading; output always uses LF.
 """
 from __future__ import annotations
 
@@ -55,7 +56,8 @@ def parse_conllu(text):
     """Parse CoNLL-U text into a list of Sentences. Raises ConlluError
     naming the line of a word whose ID is not the next integer (1, 2, ...
     in each sentence): the writer numbers words by position, so a gap or
-    a repeat would point a HEAD at another word."""
+    a repeat would point a HEAD at another word; likewise for a HEAD that
+    ``str(int(HEAD))`` would not write back as read, such as ``+1``."""
     sentences = []
     comments = []
     tokens = []
@@ -64,7 +66,7 @@ def parse_conllu(text):
 
     def flush():
         nonlocal comments, tokens, raw
-        if tokens or comments:
+        if tokens or comments or raw:
             sid = ""
             for c in comments:
                 if c.startswith("# sent_id"):
@@ -99,7 +101,9 @@ def parse_conllu(text):
             try:
                 head = int(cols[6])
             except ValueError:
-                raise ConlluError(f"line {lineno}: non-integer HEAD {cols[6]!r}") from None
+                pass
+            if head is None or str(head) != cols[6]:  # int() also takes " 1", "0_1", "01"
+                raise ConlluError(f"line {lineno}: HEAD {cols[6]!r} is no integer in plain form")
         tokens.append(
             Token(
                 form=cols[1],

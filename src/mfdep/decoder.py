@@ -28,7 +28,8 @@ length n stacked as (B, n+1, n+1) edge scores and (B, 3, n+1, r) factor
 blocks (or (B, n+1, n+1, n+1) cubes) run as one call, the masks
 broadcast over the batch, and every posterior row is bit-identical to
 that sentence's own call. A single sentence is a stack with no leading
-axis. Parsing stacks; training passes one sentence's Vars.
+axis. Parsing stacks, one shape, leading axis always; training passes
+one sentence's Vars, its rows of a batch of one.
 """
 from __future__ import annotations
 

@@ -26,9 +26,8 @@ row-wise layers run once over all B (n+1) encoder rows (``row_layers``):
 the edge, label and bin head and dependent projections, the constant-1
 column each biaffine reads, and the sibling and grandparent factor
 blocks. The pairwise layers, the edge and label biaffines, run per
-sentence on its rows (``score_sentence``). A batch of more than one
-carries a leading batch axis and is scored from plain arrays; training
-scores one sentence, a batch of one, with no leading axis.
+sentence on its rows (``score_sentence``). One shape, leading axis
+always: training's one sentence is a batch of B = 1, on leaf Vars.
 
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
@@ -298,8 +297,9 @@ def gru(A, U, B=1):
     arithmetic is that of one direction of one sentence at a time; at
     B = 1 the result is bit-identical to it, and at B > 1 a product of B
     columns may round otherwise than B products of one (GEMM against
-    GEMV). The VJP is hand-written backpropagation through time in the
-    same lockstep; every adjoint it returns owns its data. With no Var
+    GEMV). One shape, leading axis always: the result is (B, n1, 2 dh).
+    The VJP is hand-written backpropagation through time in the same
+    lockstep; every adjoint it returns owns its data. With no Var
     operand, every step writes its gates into one reused buffer."""
     a = [ad.val(x) for x in A]
     u = [ad.val(x) for x in U]
@@ -332,10 +332,9 @@ def gru(A, U, B=1):
         z, r = zr[:, :dh], zr[:, dh:]
         c = np.tanh(ah[s] + np.matmul(uh, r * h), out=C[slot])
         h = np.add((1.0 - z) * h, z * c, out=H[s])
-    out = np.empty((B * n1, 2 * dh))
-    by_sentence = out.reshape(B, n1, 2 * dh)
-    by_sentence[..., :dh] = H[:, 0].transpose(2, 0, 1)
-    by_sentence[..., dh:] = H[::-1, 1].transpose(2, 0, 1)
+    out = np.empty((B, n1, 2 * dh))
+    out[..., :dh] = H[:, 0].transpose(2, 0, 1)
+    out[..., dh:] = H[::-1, 1].transpose(2, 0, 1)
     if not keep:
         return out
     # the backward pass works on rows: [s, d, b] is column b's state
@@ -344,7 +343,6 @@ def gru(A, U, B=1):
     Hp[1:] = H[:-1]
 
     def bptt(g):
-        g = g.reshape(B, n1, 2 * dh)
         G = np.empty((n1, 2, B, dh))
         G[:, 0] = g[:, :, :dh].transpose(1, 0, 2)
         G[:, 1] = g[:, ::-1, dh:].transpose(1, 0, 2)
@@ -373,9 +371,8 @@ def gru(A, U, B=1):
 
 def encode(sentences, params, pv=None, dropout_rng=None):
     """Contextual representations of B sentences of one length n, one
-    row per position (row 0 = root): the (n+1, 2 d_hidden) output of
-    ``gru`` for one sentence, and a (B, n+1, 2 d_hidden) view of it for a
-    batch of B > 1, which takes plain parameters. The embeddings of all
+    row per position (row 0 = root): the (B, n+1, 2 d_hidden) output of
+    ``gru``, one shape, leading axis always. The embeddings of all
     B (n+1) rows are gathered, projected by each GRU gate and run through
     ``gru`` as one group of B columns."""
     pv = params.tensors if pv is None else pv
@@ -393,8 +390,7 @@ def encode(sentences, params, pv=None, dropout_rng=None):
     )
     E = _dropout(E, params.config.p_drop_embed, dropout_rng)
     A = [_proj(E, pv, f"gru_{d}_{g}") for d in ("fw", "bw") for g in _GATES]
-    H = gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES], len(sentences))
-    return H if len(sentences) == 1 else H.reshape(len(sentences), n + 1, -1)
+    return gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES], len(sentences))
 
 
 def _aug(x):
@@ -404,13 +400,18 @@ def _aug(x):
 
 
 def linear(x, W, b):
-    """x @ W.T + b, differentiable: the (m, d_in) rows of x projected by
-    the (d_out, d_in) W, plus the (d_out,) bias b. A plain x may carry
-    a leading batch axis, (B, m, d_in): its B m rows are projected by one
-    matrix product."""
+    """x @ W.T + b, differentiable: the (..., d_in) rows of x projected by
+    the (d_out, d_in) W, plus the (d_out,) bias b. One shape, leading axis
+    always: y and dW each take a batch's (B, m, d_in) rows in one product."""
     vx, vw, vb = ad.val(x), ad.val(W), ad.val(b)
-    y = (vx.reshape(-1, vx.shape[-1]) @ vw.T + vb).reshape(*vx.shape[:-1], -1)
-    return ad.custom_op(y, (x, W, b), lambda g: (g @ vw, g.T @ vx, g.sum(axis=0)))
+    rows = vx.reshape(-1, vx.shape[-1])
+    y = (rows @ vw.T + vb).reshape(*vx.shape[:-1], -1)
+
+    def vjp(g):
+        g_rows = g.reshape(-1, g.shape[-1])
+        return g @ vw, g_rows.T @ rows, g_rows.sum(axis=0)
+
+    return ad.custom_op(y, (x, W, b), vjp)
 
 
 def _proj(H, pv, role):
@@ -463,9 +464,9 @@ def trilinear_factors(gh, gd, W):
 
     gh and gd are (n, d), W is the (3, d, r) stack of the head, the
     dependent and the second-dependent factor, and the block is (3, n, r).
-    Plain gh and gd may carry a leading batch axis, (B, n, d), and the
-    block then does too, (B, 3, n, r): each sentence's factors are
-    products of its own n rows, bit-identical to its own call.
+    One shape, leading axis always: a batch's (B, n, d) gives a
+    (B, 3, n, r) block, each sentence's bit-identical to its own call,
+    and the VJP flattens the batch's rows.
     No (n, n, n) cube is built: the MFVI kernel reads the factors. The
     cost is O(n d r) in time and memory."""
     vh, vd, vw = ad.val(gh), ad.val(gd), ad.val(W)
@@ -474,9 +475,11 @@ def trilinear_factors(gh, gd, W):
     np.matmul(vd[..., None, :, :], vw[1:], out=block[..., 1:, :, :])
 
     def vjp(g):
+        g = np.moveaxis(g, -3, 0)  # (3, ..., n, r)
+        rows = g.reshape(3, -1, g.shape[-1])
         dW = np.empty(vw.shape)  # an owning array, so backward adopts it
-        np.matmul(vh.T, g[0], out=dW[0])
-        np.matmul(vd.T, g[1:], out=dW[1:])
+        np.matmul(vh.reshape(-1, vh.shape[-1]).T, rows[0], out=dW[0])
+        np.matmul(vd.reshape(-1, vd.shape[-1]).T, rows[1:], out=dW[1:])
         return g[0] @ vw[0].T, g[1] @ vw[1].T + g[2] @ vw[2].T, dW
 
     return Factors(ad.custom_op(block, (gh, gd, W), vjp))
@@ -510,7 +513,7 @@ class RowLayers:
     n (``row_layers``): the edge and the label head and dependent rows,
     each projection with the constant-1 column its biaffine reads,
     (B, n+1, d+1), and the sibling and grandparent ``Factors``, blocks of
-    (B, 3, n+1, d_bin). A batch of one has no leading axis."""
+    (B, 3, n+1, d_bin): one shape, leading axis always."""
 
     edge: list
     s_sib: Factors
@@ -518,10 +521,7 @@ class RowLayers:
     label: list
 
     def sentence(self, b):
-        """Sentence b's rows of each layer, as views into the batch's
-        arrays; a batch of one is the sentence's own."""
-        if ad.val(self.edge[0]).ndim == 2:
-            return self
+        """Sentence b's rows of each layer (``Var.__getitem__`` on Vars)."""
         return RowLayers([x[b] for x in self.edge], Factors(self.s_sib.block[b]),
                          Factors(self.s_gp.block[b]), [x[b] for x in self.label])
 
@@ -545,18 +545,14 @@ def score_sentence(sentence, params, pv=None, dropout_rng=None, rows=None, b=0):
     respect to the Vars in pv. ``rows`` are the row-wise layers of the
     sentence's batch (``row_layers``) and b its place in the batch: the
     sentence's edge and label biaffines run here, on its rows, and its
-    factor blocks are views into the batch's. By default the sentence is
-    encoded and scored alone, a batch of one."""
+    factor blocks are its rows of the batch's. By default the sentence is
+    encoded and scored alone, a batch of one, as in training."""
     pv = params.tensors if pv is None else pv
     if rows is None:
         rows = row_layers(encode([sentence], params, pv, dropout_rng), params, pv, dropout_rng)
     own = rows.sentence(b)
-    return ScoreTensors(
-        s_edge=score_edges(own.edge, params, pv),
-        s_sib=own.s_sib,
-        s_gp=own.s_gp,
-        s_label=score_labels(own.label, params, pv),
-    )
+    return ScoreTensors(score_edges(own.edge, params, pv), own.s_sib, own.s_gp,
+                        score_labels(own.label, params, pv))
 
 
 def load_embeddings(path, params):

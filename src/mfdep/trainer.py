@@ -127,12 +127,12 @@ def total_loss(l_edge, l_label, lam):
     return ad.add(ad.mul(l_label, lam), ad.mul(l_edge, 1.0 - lam))
 
 
-def sentence_loss(sentence, params, variant, T, lam, dropout_rng=None):
+def sentence_loss(sentence, params, variant, T, lam, dropout_rng=None, pv=None):
     """Full differentiable pipeline: encode -> scores -> MFVI -> loss.
 
-    Returns (loss, tape, pv), pv the leaf Vars of ``params.as_vars()``;
-    ``tape.backward(loss)`` is ``ad.backward``."""
-    pv = params.as_vars()
+    Returns (loss, tape, pv), pv the leaf Vars given or by default
+    ``params.as_vars()``; ``tape.backward(loss)`` is ``ad.backward``."""
+    pv = params.as_vars() if pv is None else pv
     scores = score_sentence(sentence, params, pv, dropout_rng)
     post = decoder.mfvi(scores, variant, T)
     gold_heads = sentence.gold_heads
@@ -262,30 +262,22 @@ def make_batches(sentences, batch_tokens, rng=None):
 def batch_gradients(batch_sents, params, config, dropout_rng=None):
     """Mean loss and gradient over a batch; sentences are processed in a
     canonical (corpus-index) order so the reduction is deterministic.
-
-    A leaf's first ``var.grad`` becomes the batch gradient: backward gives
-    every leaf an array of its own, and adopting it equals adding it into
-    zeros, except that a -0.0 stays -0.0 (Adam then moves a parameter to
-    the same bits unless the parameter itself is -0.0). Tensors that get
-    no gradient get zeros."""
-    got = {}
+    Each sentence is a batch of one (one shape, leading axis always), and
+    its backward adds into one set of leaf Vars: a parameter is read once
+    per sentence, so its gradient is g1 + g2 + ... in sentence order,
+    g1 adopted, which equals adding it into zeros except that a -0.0
+    stays -0.0. Tensors that get no gradient get zeros."""
+    pv = params.as_vars()
     total = 0.0
     for sent in batch_sents:
-        loss, _, pv = sentence_loss(
+        loss, _, _ = sentence_loss(
             sent, params, config.variant, config.iterations, config.lam,
-            dropout_rng=dropout_rng,
+            dropout_rng=dropout_rng, pv=pv,
         )
         ad.backward(loss)
         total += float(loss.value)
-        for name, var in pv.items():
-            if var.grad is None:
-                continue
-            if name in got:
-                got[name] += var.grad
-            else:
-                got[name] = var.grad
     grads = {
-        name: got[name] if name in got else np.zeros_like(v)
+        name: np.zeros_like(v) if pv[name].grad is None else pv[name].grad
         for name, v in params.tensors.items()
     }
     k = max(1, len(batch_sents))
@@ -319,16 +311,14 @@ def _parse_batch(params, batch, variant, T, single_root):
     (``encode``) and its row-wise layers run once over all its rows
     (``row_layers``); each sentence's edge and label biaffines run on its
     rows (``score_sentence``); MFVI runs once over the stack of their
-    edge scores and the batch's sibling and grandparent factor blocks (a
-    batch of one unstacked), and each is decoded on its row. Returning
-    frees the batch's encodings, scores and MFVI iterates."""
+    edge scores and the batch's sibling and grandparent factor blocks (one
+    shape, leading axis always), and each is decoded on its row.
+    Returning frees the batch's encodings, scores and MFVI iterates."""
     rows = row_layers(encode(batch, params), params)
     scores = [score_sentence(sent, params, rows=rows, b=b) for b, sent in enumerate(batch)]
-    stack = scores[0] if len(scores) == 1 else ScoreTensors(
-        np.stack([sc.s_edge for sc in scores]), rows.s_sib, rows.s_gp, s_label=None)
+    stack = ScoreTensors(np.stack([sc.s_edge for sc in scores]), rows.s_sib, rows.s_gp, None)
     del rows  # frees the projections before MFVI; the stack holds the factor blocks
     probs = decoder.mfvi(stack, variant, T).head_probs()
-    probs = probs.reshape(len(scores), *probs.shape[-2:])
     return [decode(p, sc.s_label, single_root) for p, sc in zip(probs, scores)]
 
 

@@ -198,6 +198,17 @@ def test_parse_writes_a_comment_only_block_back(workspace, tmp_path):
     assert block_out.read_bytes() == COMMENT_BLOCK.encode() + plain_out.read_bytes()
 
 
+def test_parse_writes_a_block_of_a_multiword_range_alone_back(workspace, tmp_path):
+    block = "1-2\tdu\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
+    with open(workspace["train"], encoding="utf-8") as f:
+        text = f.read()
+    src, out = tmp_path / "in.conllu", tmp_path / "out.conllu"
+    src.write_text(text + block, encoding="utf-8")
+    assert run(["parse", "--model", workspace["model"], "--input", str(src),
+                "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").endswith("\n\n" + block)
+
+
 def test_train_reads_a_comment_only_block(workspace, tmp_path):
     with open(workspace["train"], encoding="utf-8") as f:
         text = f.read()

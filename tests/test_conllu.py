@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -154,7 +155,7 @@ _field = st.text(
 
 @st.composite
 def _sentences(draw):
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 5))
     tokens = [
         Token(
             form=draw(_field),
@@ -173,7 +174,8 @@ def _sentences(draw):
     comments = [f"# sent_id = {sid}"] if sid is not None else []
     comments += ["#" + c for c in draw(st.lists(_field, max_size=2)) if not c.startswith(" sent_id")]
     raw = {}  # multiword ranges before word pos + 1, an empty node at the end
-    for pos in draw(st.lists(st.integers(0, n), max_size=2)):
+    # a sentence of no words needs a comment or a row to be written at all
+    for pos in draw(st.lists(st.integers(0, n), min_size=0 if n or comments else 1, max_size=2)):
         tok_id = f"{pos}.1" if pos == n else f"{pos + 1}-{pos + 2}"
         cols = draw(st.lists(_field, min_size=9, max_size=9))
         raw.setdefault(pos, []).append("\t".join([tok_id] + cols))
@@ -190,8 +192,12 @@ def test_roundtrip_generated_sentences(sents):
 
 
 def test_non_integer_head_rejected():
-    with pytest.raises(ConlluError):
-        parse_conllu("1\ta\ta\tX\tX\t_\tzero\troot\t_\t_\n\n")
+    # int() reads all but the first as 1 or 0, but they would be written
+    # back as "1" or "0"
+    for head in ("zero", "+1", " 1", "1 ", "0_1", "\u0661", "01", "-0"):
+        with pytest.raises(ConlluError, match=re.escape(f"line 1: HEAD {head!r} is no")):
+            parse_conllu(f"1\ta\ta\tX\tX\t_\t{head}\troot\t_\t_\n\n")
+    assert parse_conllu("1\ta\ta\tX\tX\t_\t-1\troot\t_\t_\n\n")[0].gold_heads == [-1]
 
 
 def _row(tok_id, head):

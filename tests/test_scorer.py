@@ -65,7 +65,7 @@ def test_encode_shapes():
     params = make_params()
     for n in (1, 4):
         H = encode([make_sentence(n)], params)
-        assert ad.val(H).shape == (n + 1, 2 * params.config.d_hidden)
+        assert ad.val(H).shape == (1, n + 1, 2 * params.config.d_hidden)
         H = encode([make_sentence(n), make_sentence(n, 1)], params)
         assert H.shape == (2, n + 1, 2 * params.config.d_hidden)
 
@@ -82,7 +82,7 @@ def test_zero_unary_weights_zero_edge_scores():
     params = make_params()
     params.tensors["U_edge"][:] = 0.0
     H = encode([make_sentence(3)], params)
-    assert not ad.val(score_edges(row_layers(H, params).edge, params)).any()
+    assert not ad.val(score_edges(row_layers(H, params).sentence(0).edge, params)).any()
 
 
 def test_identity_biaffine_is_bias_augmented_inner_product():
@@ -92,7 +92,7 @@ def test_identity_biaffine_is_bias_augmented_inner_product():
         params.tensors[f"{role}_W"] = np.eye(params.config.d_edge, enc)
         params.tensors[f"{role}_b"][:] = 0.0
     params.tensors["U_edge"] = np.eye(params.config.d_edge + 1)
-    Hv = ad.val(encode([make_sentence(1)], params))
+    Hv = encode([make_sentence(1)], params)[0]
     s = ad.val(score_edges(row_layers(ad.Var(Hv), params).edge, params))
     np.testing.assert_allclose(s[0, 1], Hv[0] @ Hv[1] + 1.0, atol=1e-12)
 
@@ -125,7 +125,7 @@ def test_constant_trilinear_closed_form():
     params.tensors["bin_head_b"][:] = 1.0
     params.tensors["bin_dep_b"][:] = 1.0
     n = 3
-    H = encode([make_sentence(n)], params)
+    H = encode([make_sentence(n)], params)[0]
     f = score_siblings(_bins(H, params), params)
     np.testing.assert_array_equal(f.block, [[[2.0]] * (n + 1), [[1.0]] * (n + 1),
                                             [[1.0]] * (n + 1)])
@@ -135,7 +135,7 @@ def test_constant_trilinear_closed_form():
 def test_trilinear_matches_naive_loops():
     params = make_params(seed=5)
     n = 3
-    H = encode([make_sentence(n)], params)
+    H = encode([make_sentence(n)], params)[0]
     Hv = ad.val(H)
     got = _cube(score_siblings(_bins(H, params), params))
     W = params.tensors["W_sib"]
@@ -370,12 +370,12 @@ def test_gru_op_matches_reference_loop(n1, dh, views):
         A = [rng.normal(size=(n1, dh)) for _ in range(6)]
         U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(6)]
     got = gru(A, U)
-    assert type(got) is np.ndarray
+    assert type(got) is np.ndarray and got.shape == (1, n1, 2 * dh)
     Uc = [np.ascontiguousarray(u) for u in U]
     expect = np.concatenate(
         [_gru_reference(A[:3], Uc[:3], False), _gru_reference(A[3:], Uc[3:], True)], axis=1
     )
-    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(got[0], expect)
 
 
 def _check_gru_gradient(B, n1, bw_only):
@@ -389,9 +389,9 @@ def _check_gru_gradient(B, n1, bw_only):
         arrays[f"W_{k}"] = rng.normal(size=(dh, d_in))
         arrays[f"b_{k}"] = rng.normal(size=dh)
         arrays[f"U_{k}"] = rng.normal(size=(dh, dh))
-    weights = rng.normal(size=(B * n1, 2 * dh))
+    weights = rng.normal(size=(B, n1, 2 * dh))
     if bw_only:
-        weights[:, :dh] = 0.0
+        weights[..., :dh] = 0.0
 
     def run():
         v = {k: ad.Var(a) for k, a in arrays.items()}
@@ -429,7 +429,7 @@ def test_gru_group_matches_each_sentence_run_alone(backward_copies):
     rng = np.random.default_rng(21)
     A = [rng.normal(size=(B * n1, dh)) for _ in range(6)]
     U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(6)]
-    g = rng.normal(size=(B * n1, 2 * dh))
+    g = rng.normal(size=(B, n1, 2 * dh))
 
     def run(A, g, B):
         leaves = [ad.Var(x) for x in (*A, *U)]
@@ -444,8 +444,8 @@ def test_gru_group_matches_each_sentence_run_alone(backward_copies):
     for b in range(B):
         rows = slice(b * n1, (b + 1) * n1)
         A_b = [x[rows] for x in A]
-        np.testing.assert_allclose(out[rows], gru(A_b, U), rtol=0, atol=1e-15)
-        alone = run(A_b, g[rows], 1)
+        np.testing.assert_allclose(out[b:b + 1], gru(A_b, U), rtol=0, atol=1e-15)
+        alone = run(A_b, g[b:b + 1], 1)
         for k in range(6):
             np.testing.assert_allclose(group[k][rows], alone[k], rtol=0, atol=1e-14)
         dU += alone[6:]
@@ -459,8 +459,8 @@ def test_group_encode_matches_each_sentence_encoded_alone():
     assert together.shape == (len(group), 5, 48)
     for sent, H in zip(group, together):
         alone = encode([sent], params)
-        assert alone.shape == (5, 48)
-        np.testing.assert_allclose(H, alone, rtol=0, atol=1e-15)
+        assert alone.shape == (1, 5, 48)
+        np.testing.assert_allclose(H, alone[0], rtol=0, atol=1e-15)
     # a group of one is the step-by-step recurrence of each direction, bit for bit
     t = params.tensors
     sent = group[2]
@@ -472,7 +472,7 @@ def test_group_encode_matches_each_sentence_encoded_alone():
     expect = np.concatenate([
         _gru_reference([proj[f"{d}_{g}"] for g in "zrh"], [t[f"gru_{d}_{g}_U"] for g in "zrh"],
                        d == "bw") for d in ("fw", "bw")], axis=1)
-    np.testing.assert_array_equal(encode([sent], params), expect)
+    np.testing.assert_array_equal(encode([sent], params)[0], expect)
     with pytest.raises(ValueError, match="one length"):
         encode([make_sentence(3), make_sentence(4)], params)
 
@@ -597,13 +597,47 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
     assert [len(t.heads) for t in trees] == [len(s) for s in sentences]
 
 
+def test_a_var_batch_gradient_is_the_sum_of_its_sentences_own():
+    # encode and row_layers on leaf Vars of a batch of two, each sentence's
+    # rows read through RowLayers.sentence as in training
+    params = make_params(seed=9)
+    batch = [make_sentence(4), make_sentence(4, shift=2)]
+
+    def outputs(rows, b):
+        own = rows.sentence(b)
+        return (*own.edge, own.s_sib.block, own.s_gp.block, *own.label)
+
+    rng = np.random.default_rng(9)  # a fixed linear functional of each sentence's rows
+    plain = row_layers(encode(batch, params), params)
+    weights = [[rng.normal(size=x.shape) for x in outputs(plain, b)] for b in range(2)]
+
+    def grads(sentences, first):
+        pv = params.as_vars()
+        rows = row_layers(encode(sentences, params, pv), params, pv)
+        total = 0.0
+        for b in range(len(sentences)):
+            for x, w in zip(outputs(rows, b), weights[first + b]):
+                total = ad.add(total, ad.sum_all(ad.mul(x, w)))
+        ad.backward(total)
+        return {k: v.grad for k, v in pv.items() if v.grad is not None}
+
+    together = grads(batch, 0)
+    alone = [grads([sent], b) for b, sent in enumerate(batch)]
+    assert together.keys() == alone[0].keys() == alone[1].keys()
+    assert together.keys() == params.tensors.keys() - {"U_edge", "U_label"}  # the biaffines'
+    for name, g in together.items():
+        expect = alone[0][name] + alone[1][name]
+        assert np.linalg.norm(g - expect) <= 1e-12 * np.linalg.norm(expect), name
+
+
 def test_training_loss_builds_one_node_per_layer(monkeypatch):
     # Single2o at T = 3 on a 5-word sentence: every projection is one
     # linear node, edges one biaffine node, each of the sibling and the
     # grandparent scores one node that builds its factor block, and MFVI
     # reads the blocks with no node of its own between the scorer and the
-    # messages (its correction matrices are plain arrays); 58 nodes, as
-    # when the scorers built cubes
+    # messages (its correction matrices are plain arrays); the sentence's
+    # rows of the four projections and two factor blocks are one index
+    # node each, since training scores a batch of one; 64 nodes
     nodes = []
     init = ad.Var.__init__
 
@@ -614,7 +648,7 @@ def test_training_loss_builds_one_node_per_layer(monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     sentence_loss(make_sentence(5), make_params(seed=6), "single2o", 3, 0.07)
-    assert len(nodes) == 58
+    assert len(nodes) == 64
 
 
 def test_label_distribution_uniform_and_degenerate():
@@ -630,7 +664,7 @@ def test_label_distribution_uniform_and_degenerate():
 def test_label_distribution_normalizes():
     params = make_params(n_labels=3, seed=2)
     H = encode([make_sentence(3)], params)
-    p = ad.val(label_distribution(score_labels(row_layers(H, params).label, params)))
+    p = ad.val(label_distribution(score_labels(row_layers(H, params).sentence(0).label, params)))
     np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-12)
 
 
@@ -644,7 +678,7 @@ def test_training_and_parsing_share_one_pair_of_bin_projections(monkeypatch):
     monkeypatch.setattr(scorer, "linear", lambda *args: calls.append(1) or linear_op(*args))
     scores = score_sentence(sent, params)
     assert len(calls) == 6 + 3 * 2  # the GRU gates; head and dependent of edges, bins, labels
-    bins = _bins(encode([sent], params), params)
+    bins = _bins(encode([sent], params)[0], params)
     np.testing.assert_array_equal(scores.s_sib.block, score_siblings(bins, params).block)
     np.testing.assert_array_equal(scores.s_gp.block, score_grandparents(bins, params).block)
     calls.clear()
