@@ -9,9 +9,13 @@ parameter arrays builds no graph.
 ``backward`` walks them from a scalar root in reverse topological order
 and accumulates adjoints into every reachable Var. A VJP result that
 nothing else can reach becomes the parent's first ``grad`` as it is
-(see ``_adoptable``); any other result is copied first. Parents never
-point back at their children, so a graph is freed by reference counting
-as soon as its root goes out of scope.
+(see ``_adoptable``); any other result is copied first. A graph is
+walked once: as soon as a node's VJP has run, ``backward`` drops its
+closure and parent links, which frees the forward arrays the closure
+captured, and the node itself unless the caller holds it (a held node
+keeps its value and grad). A second walk through a walked node raises
+ValueError. Parents never point back at their children, so a graph that
+is never walked is freed by reference counting once its root goes.
 The model layers in ``scorer`` and ``decoder`` are ``custom_op``s too;
 this module holds only the elementwise, reduction and indexing ops.
 """
@@ -32,7 +36,8 @@ def backward(root, seed_grad=None):
     """Accumulate d(root)/d(leaf) into .grad of every ancestor Var.
 
     Visits each node exactly once, in reverse topological order obtained
-    by an iterative depth-first walk of the parent links.
+    by an iterative depth-first walk of the parent links, and releases
+    each node once its VJP has run (``_walk``).
     """
     if seed_grad is None:
         seed_grad = np.ones_like(root.value)
@@ -55,30 +60,47 @@ def backward(root, seed_grad=None):
         root.grad = np.array(seed_grad, dtype=np.float64)
     else:
         root.grad += seed_grad
-    adopted = set()  # ids of adopted VJP results; each lives on as a grad, so ids stay unique
-    for node in reversed(order):
-        g = node.grad
-        if g is None or node._vjp is None:
-            continue
+    while order:
+        node = order.pop()
+        if node._vjp is not None:  # a leaf keeps None: the next graph may read it
+            _walk(node)
+
+
+def _walk(node):
+    """Pass node's adjoint to its parents, then drop its VJP closure and
+    parent links, so the forward arrays the closure captured are freed,
+    and so is node once nothing but the graph held it."""
+    g = node.grad
+    if g is not None:
+        adopted = []  # results of this call made grads; one may be returned twice
         for parent, r in zip(node._parents, node._vjp(g), strict=True):
             if not isinstance(parent, Var):
                 continue
             if parent.grad is not None:
                 parent.grad += r
-            elif r is not g and id(r) not in adopted and _adoptable(r, parent):
-                adopted.add(id(r))
+            elif r is not g and not any(r is a for a in adopted) and _adoptable(r, parent):
+                adopted.append(r)
                 parent.grad = r
             else:
                 parent.grad = np.array(r, dtype=np.float64)
+    node._vjp, node._parents = _walked, ()
+
+
+def _walked(g):
+    """The VJP of a node that ``backward`` has walked: its closure and
+    parent links are gone, so a second walk fails here."""
+    raise ValueError("backward reached a node of a graph it has walked already; "
+                     "a graph is walked once")
 
 
 def _adoptable(r, var):
     """True when VJP result r may become var's grad as it is: a
     writeable float64 ndarray of var's shape that owns its data, so it
     is no view of another array. ``backward`` also refuses the adjoint
-    itself and an array another Var adopted. VJPs keep no reference to
-    the arrays they return, so such an array is reachable through r
-    alone, and adding into it later changes nothing else."""
+    itself and a result the same VJP call returned for an earlier
+    parent. VJPs keep no reference to the arrays they return, and a
+    walked node's VJP is dropped, so such an array is reachable through
+    r alone, and adding into it later changes nothing else."""
     return (
         type(r) is np.ndarray
         and r.base is None

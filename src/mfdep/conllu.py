@@ -218,5 +218,6 @@ def read_conllu_file(path):
 
 
 def write_conllu_file(path, sentences, predicted=None):
+    text = write_conllu(sentences, predicted)  # before the open: an error leaves path as it was
     with open(path, "w", encoding="utf-8") as f:
-        f.write(write_conllu(sentences, predicted))
+        f.write(text)

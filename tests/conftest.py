@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,29 @@ def cube_of(block):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def traced_peak():
+    """Traces allocations from here to the end of the test, stopping the
+    tracing whatever happens. Each call returns the peak of traced bytes
+    since the last call, or since the start, above the bytes traced at
+    that point, and begins the next such span: call it once to begin,
+    then once after each stretch to measure."""
+    held = 0
+
+    def peak():
+        nonlocal held
+        now, top = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        top, held = top - held, now
+        return top
+
+    tracemalloc.start()
+    try:
+        yield peak
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

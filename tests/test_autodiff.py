@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,32 @@ def test_fresh_vjp_result_is_adopted_and_the_seed_is_not():
     assert x.grad is returned[0]  # owned and reachable from no other Var
     np.testing.assert_array_equal(x.grad, [3.0, -3.0])
     np.testing.assert_array_equal(seed, [1.0, -1.0])
+
+
+def test_backward_frees_what_a_vjp_captured_while_the_root_is_held():
+    x, w = _leaf([1.0, -2.0]), np.array([0.5, 2.0])
+    captured = weakref.ref(w)  # mul's VJP keeps w to give x's adjoint
+    out = ad.sum_all(ad.mul(x, w))
+    del w
+    assert captured() is not None
+    ad.backward(out)
+    assert captured() is None
+    np.testing.assert_array_equal(x.grad, [0.5, 2.0])
+    np.testing.assert_array_equal(out.grad, 1.0)
+
+
+def test_a_graph_is_walked_once():
+    # a second walk, from the root or from a new node on a walked one,
+    # fails instead of giving partial gradients
+    x = _leaf([1.0, -2.0])
+    y = ad.mul(x, np.array([0.5, 2.0]))
+    out = ad.sum_all(y)
+    ad.backward(out)
+    with pytest.raises(ValueError, match="walked once"):
+        ad.backward(out)
+    with pytest.raises(ValueError, match="walked once"):
+        ad.backward(ad.sum_all(y))
+    np.testing.assert_array_equal(x.grad, [0.5, 2.0])
 
 
 def test_vjp_returning_too_few_adjoints_raises():

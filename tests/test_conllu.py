@@ -15,6 +15,7 @@ from mfdep.conllu import (
     read_conllu_file,
     require_annotated,
     write_conllu,
+    write_conllu_file,
     filter_long,
 )
 from mfdep.tree import is_tree
@@ -88,6 +89,15 @@ def test_predicted_length_mismatch_raises():
     sents = parse_conllu("1\ta\ta\tX\tX\t_\t0\troot\t_\t_\n\n")
     with pytest.raises((ValueError, ConlluError)):
         write_conllu(sents, predicted=[([1, 2], ["a", "b"])])
+
+
+def test_a_failed_write_leaves_the_existing_file_as_it_was(tmp_path):
+    sents = parse_conllu("1\ta\ta\tX\tX\t_\t0\troot\t_\t_\n\n")
+    out = tmp_path / "pred.conllu"
+    out.write_bytes(b"old bytes\n")
+    with pytest.raises(ValueError, match="predicted head count mismatch"):
+        write_conllu_file(str(out), sents, predicted=[([1, 2], None)])
+    assert out.read_bytes() == b"old bytes\n"
 
 
 def test_bad_column_count_reports_line_number():

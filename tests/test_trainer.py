@@ -1,6 +1,5 @@
 import gc
 import math
-import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -533,29 +532,48 @@ def test_train_frees_the_batch_gradient_after_its_adam_step(monkeypatch):
     assert len(evaluated) == 2
 
 
-def test_training_step_memory_budget_at_default_dims():
+def test_training_step_memory_budget_at_default_dims(traced_peak):
     # P = parameter bytes. Adam's state at beta1 = 0 is the second moment
     # only (a first moment would add P), beside its two fixed work buffers
     # and the small objects of one array per tensor; a step holds one
     # gradient array per parameter (a copy of U_edge's gradient adds 0.24 P)
+    # and little else, since backward frees the graph as it walks it:
+    # measured 1.02 P at n = 10, and 1.28 P while the graph lived on
     sent = make_sentence(10)
     cfg = TrainConfig(variant="local2o")
     assert cfg.adam_beta1 == 0.0
     params = init_params(ModelConfig.for_variant("local2o"), *build_vocabs([sent]), seed=0)
     P = sum(a.nbytes for a in params.tensors.values())
-    tracemalloc.start()
-    try:
-        state = AdamState(params.tensors)
-        _, peak = tracemalloc.get_traced_memory()
-        assert peak <= P + state.work.nbytes + state.finite.nbytes + 256 * len(params.tensors)
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        _, grads = batch_gradients([sent], params, cfg)
-        assert adam_step(params, grads, state, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 1.3 * P
+    traced_peak()
+    state = AdamState(params.tensors)
+    assert traced_peak() <= P + state.work.nbytes + state.finite.nbytes + 256 * len(params.tensors)
+    _, grads = batch_gradients([sent], params, cfg)
+    assert adam_step(params, grads, state, cfg)
+    assert traced_peak() < 1.1 * P
+
+
+def test_a_training_sentence_holds_its_gradients_and_little_else(traced_peak):
+    # backward drops each node's VJP closure once it has run, and with it
+    # the forward arrays it captured: one n = 40 sentence at default dims
+    # peaked 0.97 MiB above its gradients, and 5.94 MiB while the graph
+    # lived to the end of backward
+    sent = make_sentence(40)
+    params = init_params(ModelConfig.for_variant("local2o"), *build_vocabs([sent]), seed=0)
+    traced_peak()
+    _, grads = batch_gradients([sent], params, TrainConfig(variant="local2o"))
+    assert traced_peak() <= sum(g.nbytes for g in grads.values()) + 1.5 * 2**20
+
+
+def test_batch_gradients_frees_a_sentence_graph_before_the_next(traced_peak):
+    # P = parameter bytes. Sentences of n = 34 and 40 at default dims
+    # peaked at 1.69 P, and at 2.30 P when the first sentence's graph lived
+    # on through the second sentence's forward and backward
+    sents = [make_sentence(34), make_sentence(40, shift=1)]
+    params = init_params(ModelConfig.for_variant("local2o"), *build_vocabs(sents), seed=0)
+    P = sum(a.nbytes for a in params.tensors.values())
+    traced_peak()
+    batch_gradients(sents, params, TrainConfig(variant="local2o"))
+    assert traced_peak() < 2 * P
 
 
 def test_train_rejects_an_empty_dev_set(monkeypatch):
@@ -832,7 +850,7 @@ def test_batched_scores_match_scoring_each_sentence_alone_at_default_dims():
                 assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
 
 
-def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims(monkeypatch):
+def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims(monkeypatch, traced_peak):
     # with the factor budget lifted, the row budget cuts 200 sentences of
     # n = 10 into batches of 46, each one encoder pass over 506 rows. The
     # peak of each encoding, above what the parse held when it began, was
@@ -844,63 +862,50 @@ def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims(monkeypatch
     peaks = []
 
     def measured_encode(*args, **kwargs):
-        tracemalloc.reset_peak()
-        held = tracemalloc.get_traced_memory()[0]
+        traced_peak()
         out = encode(*args, **kwargs)
-        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+        peaks.append(traced_peak())
         return out
 
     monkeypatch.setattr(trainer, "encode", measured_encode)
     monkeypatch.setattr(trainer, "PARSE_CELLS", 1 << 30)
-    tracemalloc.start()
-    try:
-        trainer.parse_sentences(params, sentences)
-    finally:
-        tracemalloc.stop()
+    trainer.parse_sentences(params, sentences)
     assert len(peaks) == 5
     assert max(peaks) < 10 * 2**20
 
 
 @pytest.mark.parametrize("n, count", [(1, 600), (20, 100)])
-def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, monkeypatch):
-    # between two encodings a parse holds one batch's encodings, scores,
-    # stacked factor blocks and MFVI iterates. The factor budget binds at
-    # default dims, 145 rows a batch: 72 sentences at n = 1 and 6 at
-    # n = 20. Measured: 3.0 and 2.7 MiB; with the row budget alone (256 and
-    # 24 a batch) 9.9 and 10.4
+def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, monkeypatch,
+                                                                  traced_peak):
+    # from one encoding to the next a parse holds one batch's encodings,
+    # scores, stacked factor blocks and MFVI iterates. The factor budget
+    # binds at default dims, 145 rows a batch: 72 sentences at n = 1 and 6
+    # at n = 20. Measured above what the parse held when the batch's
+    # encoding began: 3.2 and 2.8 MiB; with the row budget alone (256 and
+    # 24 a batch) 11.4 and 11.2
     sentences = [make_sentence(n, shift) for shift in range(count)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
     peaks = []
 
-    def encode(*args, **kwargs):  # the peak since the last encoding ended
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        out = trainer_encode(*args, **kwargs)
-        tracemalloc.reset_peak()
-        return out
+    def encode(*args, **kwargs):  # the peak since the last encoding began
+        peaks.append(traced_peak())
+        return trainer_encode(*args, **kwargs)
 
     trainer_encode = trainer.encode
     monkeypatch.setattr(trainer, "encode", encode)
-    tracemalloc.start()
-    try:
-        trees = trainer.parse_sentences(params, sentences)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
+    trees = trainer.parse_sentences(params, sentences)
+    peaks.append(traced_peak())
     assert len(trees) == count and len(peaks) > 2
     assert max(peaks[1:]) < 5 * 2**20
 
 
-def test_a_long_sentence_parses_in_bounded_memory_at_default_dims():
+def test_a_long_sentence_parses_in_bounded_memory_at_default_dims(traced_peak):
     # one n = 200 sentence: MFVI reads the rank-d_bin factors, O(n (n + r))
     # floats, and no (n+1)^3 sibling or grandparent cube is built (two such
     # cubes peaked at 172 MiB here); measured 6.6 MiB
     sentences = [make_sentence(200)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
-    tracemalloc.start()
-    try:
-        trees = trainer.parse_sentences(params, sentences)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    traced_peak()
+    trees = trainer.parse_sentences(params, sentences)
+    assert traced_peak() < 16 * 2**20
     assert len(trees[0].heads) == 200
-    assert peak < 16 * 2**20

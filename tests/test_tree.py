@@ -1,6 +1,5 @@
 import inspect
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,7 +149,7 @@ def test_cle_on_greedy_two_cycles_matches_bruteforce(single_root):
             assert heads.tolist() == ref.tolist()
 
 
-def test_cle_contracts_hundreds_of_cycles_in_a_loop_in_quadratic_memory():
+def test_cle_contracts_hundreds_of_cycles_in_a_loop_in_quadratic_memory(traced_peak):
     # n = 400 takes about 300 contractions: a CLE that recursed once per
     # contraction needed that many frames, and held every level's
     # matrices (153 MB); the loop keeps O(n) records per level
@@ -158,15 +157,13 @@ def test_cle_contracts_hundreds_of_cycles_in_a_loop_in_quadratic_memory():
     w = _greedy_two_cycles(n, 1)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 50)
-    tracemalloc.start()
+    traced_peak()
     try:
         heads = chu_liu_edmonds(w)
-        _, peak = tracemalloc.get_traced_memory()
     finally:
-        tracemalloc.stop()
         sys.setrecursionlimit(limit)
+    assert traced_peak() < 8 * w.nbytes
     assert is_tree(heads, single_root=True)
-    assert peak < 8 * w.nbytes
 
 
 def test_dependent_constant_shift_leaves_argmax_tree_unchanged(rng):
