@@ -27,9 +27,9 @@ The score tensors may carry one leading batch axis: B sentences of one
 length n stacked as (B, n+1, n+1) edge scores and (B, 3, n+1, r) factor
 blocks (or (B, n+1, n+1, n+1) cubes) run as one call, the masks
 broadcast over the batch, and every posterior row is bit-identical to
-that sentence's own call. A single sentence is a stack with no leading
-axis. Parsing stacks, one shape, leading axis always; training passes
-one sentence's Vars, its rows of a batch of one.
+that sentence's own call. Parsing passes a batch's stack and training
+one sentence's Vars as a stack of one; the synthetic scores of ``bench``
+and the oracle's come with no leading axis.
 """
 from __future__ import annotations
 
@@ -70,14 +70,12 @@ def _factor_block(s):
 
 def _mfvi_messages(q, sib, gp, ops):
     """Differentiable message op backed by ``kernels``: sib and gp are
-    the factor blocks, ops their ``kernels.couplings``. Each call fills
-    lists of its own with the products of q that its VJP reads."""
+    the factor blocks, ops their ``kernels.couplings``. The VJP reads the
+    products of q that the forward call returned beside the messages."""
     qv = ad.val(q)
-    ops = [op._replace(saved=[]) for op in ops]
-    m = kernels.messages_forward(qv, *ops)
-    return ad.custom_op(
-        m, (q, sib, gp), lambda g: kernels.messages_backward(np.ascontiguousarray(g), qv, *ops)
-    )
+    m, saved = kernels.messages_forward(qv, *ops)
+    return ad.custom_op(m, (q, sib, gp), lambda g: kernels.messages_backward(
+        np.ascontiguousarray(g), qv, *ops, saved))
 
 
 @dataclass

@@ -64,17 +64,14 @@ def _t(x):
 
 
 class Coupling(NamedTuple):
-    """The kernel's operand for one score cube in one MFVI call: its
-    factors a, b, c, each (..., n+1, r), its correction matrix d,
-    (..., n+1, n+1), and ``saved``, the list into which each
-    ``messages_forward`` call puts the products of q that
-    ``messages_backward`` reads, so that they are not computed twice."""
+    """The kernel's operand for one score cube in one MFVI call, the same
+    in every iteration: its factors a, b, c, each (..., n+1, r), and its
+    correction matrix d, (..., n+1, n+1)."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-    saved: list
 
 
 def couplings(sib, gp):
@@ -83,33 +80,34 @@ def couplings(sib, gp):
     a, b, c = np.moveaxis(sib, -3, 0)
     ga, gb, gc = np.moveaxis(gp, -3, 0)
     e = (ga * gc) @ _t(gb)  # e[i, j] = gp[i, j, i]
-    return Coupling(a, b, c, a @ _t(b * c), []), Coupling(ga, gb, gc, e + _t(e), [])
+    return Coupling(a, b, c, a @ _t(b * c)), Coupling(ga, gb, gc, e + _t(e))
 
 
 def messages_forward(q, sib, gp):
+    """(m, saved): the messages for beliefs q, and the products of q that
+    ``messages_backward`` reads, so that they are not computed twice."""
     qt = _t(q)
-    a, b, c, d, saved = sib
+    a, b, c, d = sib
     qc, qb = q @ c, q @ b
     m = (a * qc) @ _t(b)
     m += (a * qb) @ _t(c)
     m -= 2.0 * (q * d)
-    saved[:] = qc, qb
-    a, b, c, d, saved = gp
-    qc, qta = q @ c, qt @ a
-    m += a @ _t(b * qc)
+    a, b, c, d = gp
+    gqc, qta = q @ c, qt @ a
+    m += a @ _t(b * gqc)
     m += (qta * b) @ _t(c)
     m -= qt * d
-    saved[:] = qc, qta
-    return m
+    return m, (qc, qb, gqc, qta)
 
 
-def messages_backward(dm, q, sib, gp):
+def messages_backward(dm, q, sib, gp, saved):
     """(dq, dsib, dgp): the adjoints of q and of the two (..., 3, n+1, r)
     factor blocks for the adjoint dm of the messages, from the products
-    that ``messages_forward`` saved. Each block adjoint is an array of its
-    own; the correction matrices' share is included."""
+    ``saved`` that ``messages_forward`` returned with them. Each block
+    adjoint is an array of its own; the correction matrices' share is
+    included."""
     qt, dmt = _t(q), _t(dm)
-    a, b, c, d, (qc, qb) = sib
+    (a, b, c, d), (qc, qb, gqc, qta) = sib, saved
     gb, gc = dm @ b, dm @ c
     gba, gca = gb * a, gc * a
     dq = gba @ _t(c)
@@ -128,8 +126,8 @@ def messages_backward(dm, q, sib, gp):
     dc += he * b
     dsib = np.stack((da, db, dc), axis=-3)
 
-    a, b, c, d, (qc, qta) = gp
-    x = dmt @ a  # the adjoint of b * qc
+    a, b, c, d = gp
+    x = dmt @ a  # the adjoint of b * gqc
     y = dm @ c  # the adjoint of qta * b
     p = x * b
     s = y * b
@@ -139,10 +137,10 @@ def messages_backward(dm, q, sib, gp):
     h = -(dm * qt)
     h += _t(h)  # the adjoint of e, symmetric as d is
     hb = h @ b
-    da = dm @ (b * qc)
+    da = dm @ (b * gqc)
     da += q @ s
     da += hb * c
-    db = x * qc
+    db = x * gqc
     db += y * qta
     db += h @ (a * c)
     dc = qt @ p

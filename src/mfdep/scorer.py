@@ -6,7 +6,7 @@ is one op over its parameters: ``linear`` for every projection, ``gru``,
 VJPs return fresh arrays, which ``autodiff.backward`` adopts as gradients
 without a copy.
 
-Score tensors follow the conventions:
+Score tensors follow the conventions, on the axes after any leading one:
     s_edge[i, j]     score of edge i -> j
     s_sib[i, j, k]   score of the edge pair {i -> j, i -> k}
     s_gp[i, j, k]    score of the chain i -> j -> k
@@ -27,7 +27,8 @@ the edge, label and bin head and dependent projections, the constant-1
 column each biaffine reads, and the sibling and grandparent factor
 blocks. The pairwise layers, the edge and label biaffines, run per
 sentence on its rows (``score_sentence``). One shape, leading axis
-always: training's one sentence is a batch of B = 1, on leaf Vars.
+always, from ``encode`` to the loss: training scores its one sentence
+as a batch of B = 1 on leaf Vars, and nothing slices a Var.
 
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
@@ -122,10 +123,10 @@ class Factors:
 
 @dataclass
 class ScoreTensors:
-    s_edge: object  # Var or ndarray, (..., n+1, n+1)
+    s_edge: object  # Var or ndarray, (..., n+1, n+1): (1, n+1, n+1) from score_sentence
     s_sib: object  # Factors, or a dense (..., n+1, n+1, n+1) Var or ndarray
     s_gp: object  # as s_sib
-    s_label: object  # (n+1, n+1, L); None in a stack that only MFVI reads
+    s_label: object  # (..., n+1, n+1, L); None in a stack that only MFVI reads
 
     @property
     def n(self):
@@ -425,33 +426,35 @@ def _head_dep(H, pv, role, p, dropout_rng):
 
 
 def biaffine(lh, ld, U):
-    """s[i,j,l] = sum_ab lh[i,a] U[l,a,b] ld[j,b], differentiable.
-
-    lh is (m, a), ld (n, b) and U (L, a, b); s is (m, n, L). A 2-D U of
-    shape (a, b) counts as L = 1 and gives the (m, n) score s[i,j]. The
-    forward pass and the VJP are batched BLAS matmuls on reshaped views."""
+    """s[..., i,j,l] = sum_ab lh[..., i,a] U[l,a,b] ld[..., j,b], differentiable:
+    lh is (..., m, a), ld (..., n, b), U (L, a, b) and s (..., m, n, L); a
+    2-D U (a, b) counts as L = 1 and gives the (..., m, n) score. Batched
+    BLAS matmuls on reshaped views, each sentence of a batch bit-identical
+    to its own call; dU takes the batch's rows in one product."""
     vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
-    (m, a), (n, b) = vh.shape, vd.shape
+    (m, a), (n, b), lead = vh.shape[-2:], vd.shape[-2:], vh.shape[:-2]
     u3 = vu.reshape(-1, a, b)
-    t1 = np.matmul(vh, u3).reshape(-1, b)  # t1[l*m+i, b]
-    s = t1 @ vd.T
-    if vu.ndim == 3:
-        s = np.ascontiguousarray(s.reshape(-1, m, n).transpose(1, 2, 0))
+    t1 = np.matmul(vh[..., None, :, :], u3).reshape(*lead, -1, b)  # t1[..., l*m+i, b]
+    s = t1 @ vd.swapaxes(-1, -2)
+    if vu.ndim == 3:  # s[..., l, i, j] -> s[..., i, j, l]
+        s = np.ascontiguousarray(s.reshape(*lead, -1, m, n).swapaxes(-3, -2).swapaxes(-2, -1))
 
     def vjp(g):
-        if vu.ndim == 3:
-            g = np.ascontiguousarray(g.transpose(2, 0, 1)).reshape(-1, n)  # g[l*m+i, j]
-        dt1 = (g @ vd).reshape(-1, m, b)  # dt1[l,i,b]
+        if vu.ndim == 3:  # g[..., l*m+i, j]
+            g = np.ascontiguousarray(g.swapaxes(-2, -1).swapaxes(-3, -2)).reshape(*lead, -1, n)
+        dt1 = (g @ vd).reshape(*lead, -1, m, b)  # dt1[..., l, i, b]
         dU = np.empty(vu.shape)  # an owning array, so backward adopts it
-        np.matmul(vh.T, dt1, out=dU.reshape(u3.shape))
-        return np.matmul(dt1, u3.transpose(0, 2, 1)).sum(axis=0), g.T @ t1, dU
+        np.matmul(vh.reshape(-1, a).T, np.moveaxis(dt1, -3, 0).reshape(u3.shape[0], -1, b),
+                  out=dU.reshape(u3.shape))
+        return (np.matmul(dt1, u3.transpose(0, 2, 1)).sum(axis=-3),
+                g.swapaxes(-1, -2) @ t1, dU)
 
     return ad.custom_op(s, (lh, ld, U), vjp)
 
 
 def score_edges(rows, params, pv=None):
-    """Edge scores of one sentence: the biaffine over ``U_edge`` of its
-    (n+1, d_edge+1) head and dependent rows (``RowLayers.edge``)."""
+    """Edge scores, (..., n+1, n+1): the biaffine over ``U_edge`` of the
+    (..., n+1, d_edge+1) head and dependent rows (``RowLayers.edge``)."""
     pv = params.tensors if pv is None else pv
     return biaffine(*rows, pv["U_edge"])
 
@@ -496,15 +499,15 @@ def score_grandparents(bins, params, pv=None):
 
 
 def score_labels(rows, params, pv=None):
-    """Label scores of one sentence, (n+1, n+1, L): the biaffine over
-    ``U_label`` of its head and dependent rows (``RowLayers.label``)."""
+    """Label scores, (..., n+1, n+1, L): the biaffine over ``U_label`` of
+    the head and dependent rows (``RowLayers.label``)."""
     pv = params.tensors if pv is None else pv
     return biaffine(*rows, pv["U_label"])
 
 
 def label_distribution(s_label):
-    """Per-edge softmax over labels."""
-    return ad.softmax(s_label, axis=2)
+    """Per-edge softmax over labels, the last axis."""
+    return ad.softmax(s_label, axis=-1)
 
 
 @dataclass
@@ -521,9 +524,10 @@ class RowLayers:
     label: list
 
     def sentence(self, b):
-        """Sentence b's rows of each layer (``Var.__getitem__`` on Vars)."""
-        return RowLayers([x[b] for x in self.edge], Factors(self.s_sib.block[b]),
-                         Factors(self.s_gp.block[b]), [x[b] for x in self.label])
+        """Sentence b's rows of each plain layer, a batch of one, x[b:b+1]."""
+        one = slice(b, b + 1)
+        return RowLayers([x[one] for x in self.edge], Factors(self.s_sib.block[one]),
+                         Factors(self.s_gp.block[one]), [x[one] for x in self.label])
 
 
 def row_layers(H, params, pv=None, dropout_rng=None):
@@ -540,19 +544,14 @@ def row_layers(H, params, pv=None, dropout_rng=None):
                      [_aug(x) for x in _head_dep(H, pv, "label", cfg.p_drop_label, dropout_rng)])
 
 
-def score_sentence(sentence, params, pv=None, dropout_rng=None, rows=None, b=0):
-    """Full scoring pass: Sentence -> ScoreTensors, differentiable with
-    respect to the Vars in pv. ``rows`` are the row-wise layers of the
-    sentence's batch (``row_layers``) and b its place in the batch: the
-    sentence's edge and label biaffines run here, on its rows, and its
-    factor blocks are its rows of the batch's. By default the sentence is
-    encoded and scored alone, a batch of one, as in training."""
+def score_sentence(sentence, params, rows, pv=None):
+    """The ScoreTensors of the sentence whose row-wise layers, a batch of
+    one, are ``rows``, differentiable with respect to the Vars in pv: its
+    edge and label biaffines, and its factor blocks. Every score keeps the
+    leading axis of one; only perfbench's counting hook reads sentence."""
     pv = params.tensors if pv is None else pv
-    if rows is None:
-        rows = row_layers(encode([sentence], params, pv, dropout_rng), params, pv, dropout_rng)
-    own = rows.sentence(b)
-    return ScoreTensors(score_edges(own.edge, params, pv), own.s_sib, own.s_gp,
-                        score_labels(own.label, params, pv))
+    return ScoreTensors(score_edges(rows.edge, params, pv), rows.s_sib, rows.s_gp,
+                        score_labels(rows.label, params, pv))
 
 
 def load_embeddings(path, params):

@@ -91,10 +91,10 @@ def _floored_log(p):
 
 
 def edge_loss_local(q_final, gold_heads):
-    """-sum_j log Q_j(gold head of j)."""
+    """-sum_j log Q_j(gold head of j); each loss reads row 0 of a stack of one."""
     n = len(gold_heads)
     deps = np.arange(1, n + 1)
-    picked = ad.take_at(q_final, (gold_heads, deps))
+    picked = ad.take_at(q_final, (0, gold_heads, deps))
     return ad.mul(ad.sum_all(_floored_log(picked)), -1.0)
 
 
@@ -107,8 +107,8 @@ def edge_loss_single(q_final, gold_heads):
         gold[int(h), j] = True
     gi, gj = np.nonzero(gold & mask)
     ni, nj = np.nonzero(mask & ~gold)
-    pos = ad.take_at(q_final, (gi, gj))
-    neg = ad.take_at(q_final, (ni, nj))
+    pos = ad.take_at(q_final, (0, gi, gj))
+    neg = ad.take_at(q_final, (0, ni, nj))
     loss_pos = ad.sum_all(_floored_log(pos))
     loss_neg = ad.sum_all(_floored_log(ad.sub(1.0, neg)))
     return ad.mul(ad.add(loss_pos, loss_neg), -1.0)
@@ -117,7 +117,7 @@ def edge_loss_single(q_final, gold_heads):
 def label_loss(p_label, gold_heads, gold_labels):
     """Cross-entropy of the gold label on gold-head edges only."""
     deps = np.arange(1, len(gold_heads) + 1)
-    picked = ad.take_at(p_label, (gold_heads, deps, gold_labels))
+    picked = ad.take_at(p_label, (0, gold_heads, deps, gold_labels))
     return ad.mul(ad.sum_all(_floored_log(picked)), -1.0)
 
 
@@ -128,12 +128,14 @@ def total_loss(l_edge, l_label, lam):
 
 
 def sentence_loss(sentence, params, variant, T, lam, dropout_rng=None, pv=None):
-    """Full differentiable pipeline: encode -> scores -> MFVI -> loss.
+    """Full differentiable pipeline: encode -> scores -> MFVI -> loss,
+    the sentence a batch of one throughout, as in parsing.
 
     Returns (loss, tape, pv), pv the leaf Vars given or by default
     ``params.as_vars()``; ``tape.backward(loss)`` is ``ad.backward``."""
     pv = params.as_vars() if pv is None else pv
-    scores = score_sentence(sentence, params, pv, dropout_rng)
+    rows = row_layers(encode([sentence], params, pv, dropout_rng), params, pv, dropout_rng)
+    scores = score_sentence(sentence, params, rows, pv)
     post = decoder.mfvi(scores, variant, T)
     gold_heads = sentence.gold_heads
     edge_loss = {"local": edge_loss_local, "single": edge_loss_single}
@@ -310,16 +312,17 @@ def _parse_batch(params, batch, variant, T, single_root):
     """Trees of sentences of one length: the batch is encoded at once
     (``encode``) and its row-wise layers run once over all its rows
     (``row_layers``); each sentence's edge and label biaffines run on its
-    rows (``score_sentence``); MFVI runs once over the stack of their
-    edge scores and the batch's sibling and grandparent factor blocks (one
-    shape, leading axis always), and each is decoded on its row.
-    Returning frees the batch's encodings, scores and MFVI iterates."""
+    rows, a batch of one (``score_sentence``); MFVI runs once over the
+    stack of their edge scores and the batch's sibling and grandparent
+    factor blocks, and each is decoded on its row. Returning frees the
+    batch's encodings, scores and MFVI iterates."""
     rows = row_layers(encode(batch, params), params)
-    scores = [score_sentence(sent, params, rows=rows, b=b) for b, sent in enumerate(batch)]
-    stack = ScoreTensors(np.stack([sc.s_edge for sc in scores]), rows.s_sib, rows.s_gp, None)
+    scores = [score_sentence(sent, params, rows.sentence(b)) for b, sent in enumerate(batch)]
+    edges = np.concatenate([sc.s_edge for sc in scores])
+    stack = ScoreTensors(edges, rows.s_sib, rows.s_gp, None)
     del rows  # frees the projections before MFVI; the stack holds the factor blocks
     probs = decoder.mfvi(stack, variant, T).head_probs()
-    return [decode(p, sc.s_label, single_root) for p, sc in zip(probs, scores)]
+    return [decode(p, sc.s_label[0], single_root) for p, sc in zip(probs, scores)]
 
 
 def parse_sentences(params, sentences, variant=None, T=None, single_root=True):

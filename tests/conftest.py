@@ -9,7 +9,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__)))
 
 import mfdep.autodiff as ad
 import mfdep.bench
-from mfdep.scorer import sib_mask
+from mfdep.scorer import encode, row_layers, score_sentence, sib_mask
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 TOY_TREEBANK = os.path.join(
@@ -27,6 +27,13 @@ def cube_of(block):
     ``sib_mask`` cells, 0 elsewhere."""
     a, b, c = np.moveaxis(block, -3, 0)
     return np.einsum("...ir,...jr,...kr->...ijk", a, b, c) * sib_mask(block.shape[-2] - 1)
+
+
+def score_alone(sentence, params, pv=None):
+    """``score_sentence`` on the sentence encoded alone, a batch of one,
+    as training scores it: every score keeps the leading axis of one."""
+    rows = row_layers(encode([sentence], params, pv), params, pv)
+    return score_sentence(sentence, params, rows, pv)
 
 
 @pytest.fixture

@@ -466,13 +466,13 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
         assert len(calls[name]) == len(sentences), name
     for name in ("score_siblings", "score_grandparents"):
         assert len(calls[name]) == len(batches), name
-    # and mfvi runs once per batch: on a (B, k, k) stack of edge scores, or
-    # on one sentence's (k, k) for a batch of one
+    # and mfvi runs once per batch, on a (B, k, k) stack of edge scores,
+    # a batch of one too
     shapes = [args[0].s_edge.shape for args in calls["mfvi"]]
     assert len(shapes) == len(batches)
-    held = [shape[-1] for shape in shapes for _ in range(shape[0] if len(shape) == 3 else 1)]
+    assert all(len(shape) == 3 for shape in shapes)
+    held = [shape[-1] for shape in shapes for _ in range(shape[0])]
     assert sorted(held) == sorted(len(s) + 1 for s in sentences)
-    assert any(len(shape) == 3 for shape in shapes)
     # the workspace model runs T = 2 iterations: two (q, sib, gp) calls per batch
     forward = [args[0].shape for args in calls["messages_forward"]]
     assert [len(args) for args in calls["messages_forward"]] == [3] * len(forward)
@@ -502,6 +502,21 @@ def test_parse_ends_set_up_at_the_first_batch_it_encodes(workspace, tmp_path, mo
             for name in order] == expect
 
 
+def _train_two_batches(workspace, tmp_path):
+    """Train on two batches of the whole workspace corpus, in corpus
+    order, with one dev evaluation after the second; returns the corpus
+    and the dev sentences."""
+    dev_file = str(tmp_path / "dev.conllu")
+    dev = read_conllu_file(TOY_TREEBANK)[6:8]
+    write_conllu_file(dev_file, dev)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN_CFG.replace("max_iterations = 1", "max_iterations = 2")
+                   + "eval_every = 2\nbatch_tokens = 10000\n", encoding="utf-8")
+    assert run(["train", "--train", workspace["train"], "--dev", dev_file,
+                "--config", str(cfg), "--model", str(tmp_path / "m.bin")]) == 0
+    return read_conllu_file(workspace["train"]), dev
+
+
 def test_train_reaches_every_layer_through_its_module_binding(workspace, tmp_path, monkeypatch):
     # the training counterpart: perfbench counts training tokens at
     # sentence_loss and the end of set-up at the first score_sentence
@@ -511,16 +526,7 @@ def test_train_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
         (trainer, "sentence_loss"), (scorer, "score_sentence"), (scorer, "score_siblings"),
         (scorer, "score_grandparents"), (trainer, "adam_step"),
     ])
-    corpus = read_conllu_file(workspace["train"])
-    dev_file = str(tmp_path / "dev.conllu")
-    dev = read_conllu_file(TOY_TREEBANK)[6:8]
-    write_conllu_file(dev_file, dev)
-    cfg = tmp_path / "run.cfg"
-    # two batches of the whole corpus, one dev evaluation after the second
-    cfg.write_text(TINY_RUN_CFG.replace("max_iterations = 1", "max_iterations = 2")
-                   + "eval_every = 2\nbatch_tokens = 10000\n", encoding="utf-8")
-    assert run(["train", "--train", workspace["train"], "--dev", dev_file,
-                "--config", str(cfg), "--model", str(tmp_path / "m.bin")]) == 0
+    corpus, dev = _train_two_batches(workspace, tmp_path)
     losses = [args[0] for args in calls["sentence_loss"]]
     assert losses == corpus * 2
     # one scoring pass per training sentence, then one per dev sentence;
@@ -530,6 +536,52 @@ def test_train_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     for name in ("score_siblings", "score_grandparents"):
         assert len(calls[name]) == len(losses) + len({len(s) for s in dev}), name
     assert len(calls["adam_step"]) == 2
+
+
+def test_train_runs_mfvi_on_each_sentence_as_a_stack_of_one(workspace, tmp_path, monkeypatch):
+    # one shape, leading axis always: every MFVI call of a training
+    # sentence gets its edge scores as a (1, n+1, n+1) stack, as a parse
+    # batch of one does
+    from mfdep import decoder, trainer
+
+    calls = _count_calls(monkeypatch, [(trainer, "sentence_loss"), (decoder, "mfvi"),
+                                       (trainer, "evaluate")])
+    corpus, _ = _train_two_batches(workspace, tmp_path)
+    losses = iter(args[0] for args in calls["sentence_loss"])
+    mfvi_calls = iter(args[0] for args in calls["mfvi"])
+    shapes, sentence = [], None
+    for name in calls["order"]:
+        if name == "evaluate":
+            break
+        if name == "sentence_loss":
+            sentence = next(losses)
+        elif name == "mfvi":
+            shapes.append((next(mfvi_calls).s_edge.value.shape, len(sentence) + 1))
+    assert len(shapes) == 2 * len(corpus)
+    assert all(shape == (1, k, k) for shape, k in shapes), shapes
+
+
+def test_train_ends_set_up_after_one_sentence_it_encodes(workspace, tmp_path, monkeypatch):
+    # perfbench ends set-up at the first score_sentence call: training
+    # encodes exactly one sentence before it, and each score_sentence
+    # follows the encode of its sentence's batch (a training sentence's
+    # batch of one, or a dev batch), as in a parse
+    from mfdep import scorer
+
+    calls = _count_calls(monkeypatch, [(scorer, "encode"), (scorer, "score_sentence")])
+    corpus, dev = _train_two_batches(workspace, tmp_path)
+    order = calls["order"]
+    assert order.index("score_sentence") == 1
+    assert calls["encode"][0][0] == [corpus[0]]
+    batches = iter(args[0] for args in calls["encode"])
+    scored = iter(args[0] for args in calls["score_sentence"])
+    expect = []
+    for name in order:
+        if name == "encode":
+            expect += [("encode", None)] + [("score_sentence", s) for s in next(batches)]
+    assert [(name, next(scored) if name == "score_sentence" else None)
+            for name in order] == expect
+    assert len(calls["encode"]) == 2 * len(corpus) + len({len(s) for s in dev})
 
 
 def test_every_function_perfbench_traces_resolves():

@@ -18,15 +18,14 @@ def _inputs(n, seed=0, r=4):
 
 
 def _forward(q, sib, gp):
-    return kernels.messages_forward(q, *kernels.couplings(sib, gp))
+    return kernels.messages_forward(q, *kernels.couplings(sib, gp))[0]
 
 
 def _backward(dm, q, sib, gp):
-    """The adjoints after the forward call that saves the products of q
-    they read."""
+    """The adjoints from the products of q that the forward call returns."""
     ops = kernels.couplings(sib, gp)
-    kernels.messages_forward(q, *ops)
-    return kernels.messages_backward(dm, q, *ops)
+    _, saved = kernels.messages_forward(q, *ops)
+    return kernels.messages_backward(dm, q, *ops, saved)
 
 
 def _reference_messages(q, sib, gp):

@@ -5,7 +5,7 @@ import pytest
 
 import mfdep.autodiff as ad
 import mfdep.scorer as scorer
-from conftest import cube_of
+from conftest import cube_of, score_alone
 from mfdep import kernels
 from mfdep.conllu import parse_conllu
 from mfdep.decoder import mfvi
@@ -26,7 +26,6 @@ from mfdep.scorer import (
     score_grandparents,
     row_layers,
     score_labels,
-    score_sentence,
     score_siblings,
     sib_mask,
     trilinear_factors,
@@ -277,13 +276,13 @@ def test_masked_trilinear_gradient(r, n, d):
 
     def messages(p):
         f = trilinear_factors(*p.values())
-        return kernels.messages_forward(q, *kernels.couplings(ad.val(f.block), no_gp))
+        return kernels.messages_forward(q, *kernels.couplings(ad.val(f.block), no_gp))[0]
 
     leaves = {k: ad.Var(v) for k, v in arrays.items()}
     f = trilinear_factors(*leaves.values())
     ops = kernels.couplings(f.block.value, no_gp)
-    kernels.messages_forward(q, *ops)  # saves the products of q the backward reads
-    _, dsib, _ = kernels.messages_backward(dm, q, *ops)
+    _, saved = kernels.messages_forward(q, *ops)  # the products of q the backward reads
+    _, dsib, _ = kernels.messages_backward(dm, q, *ops, saved)
     ad.backward(f.block, dsib)
     dcube = dm[:, :, None] * q[:, None, :]  # the cube kernel's, both orientations
     expect = _trilinear_vjp_einsum(*arrays.values(),
@@ -549,6 +548,29 @@ def test_biaffine_with_a_matrix_gradient_non_square():
     _check_op_grad(biaffine, {"lh": lh, "ld": ld, "U": U}, lh @ U @ ld.T, seed=15)
 
 
+@pytest.mark.parametrize("U_shape", [(21, 21), (5, 9, 9)], ids=["edge", "label"])
+def test_a_batch_of_biaffines_is_each_sentences_own_call(U_shape):
+    # one shape, leading axis always: each sentence of a (B, n+1, a)
+    # batch gets the bits of its own 2-D call, for the edge (2-D U) and
+    # the label (3-D U) biaffine, and the VJP of a batch of two matches
+    # central differences (m, n, a and b all differ there)
+    rng = np.random.default_rng(17)
+    U = rng.normal(size=U_shape)
+    a = U_shape[-1]
+    for B in (1, 4):
+        for n in (3, 17, 61):
+            lh, ld = rng.normal(size=(B, n + 1, a)), rng.normal(size=(B, n + 1, a))
+            s = biaffine(lh, ld, U)
+            assert s.shape == (B, n + 1, n + 1, *U_shape[:-2])
+            for b in range(B):
+                assert s[b].tobytes() == biaffine(lh[b], ld[b], U).tobytes(), (B, n, b)
+    U = rng.normal(size=(*U_shape[:-2], 3, 2))
+    lh, ld = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 5, 2))
+    expect = np.einsum("bix,lxy,bjy->bijl", lh, U.reshape(-1, 3, 2), ld)
+    expect = expect.reshape(2, 4, 5, *U.shape[:-2])
+    _check_op_grad(biaffine, {"lh": lh, "ld": ld, "U": U}, expect, seed=18)
+
+
 def test_projection_and_biaffine_gradients_are_adopted(backward_copies):
     # linear and biaffine return fresh adjoints, the weight gradients in
     # their parameters' shapes: backward copies the seed and nothing else
@@ -568,7 +590,7 @@ def test_projection_and_biaffine_gradients_are_adopted(backward_copies):
 def test_scoring_plain_params_builds_no_graph_and_training_does():
     params = make_params(seed=6)
     sent = make_sentence(4)
-    for name, s in vars(score_sentence(sent, params)).items():
+    for name, s in vars(score_alone(sent, params)).items():
         assert type(s.block if isinstance(s, scorer.Factors) else s) is np.ndarray, name
     loss, _, pv = sentence_loss(sent, params, "local2o", 2, 0.4)
     assert isinstance(loss, ad.Var)
@@ -586,9 +608,9 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", no_graph)
     params = make_params(seed=6)
-    scores = score_sentence(make_sentence(4), params)
+    scores = score_alone(make_sentence(4), params)
     post = mfvi(scores, variant, 2)
-    tree = decode(post.head_probs(), label_distribution(scores.s_label))
+    tree = decode(post.head_probs()[0], label_distribution(scores.s_label)[0])
     assert len(tree.heads) == 4 and len(tree.labels) == 4
     # lengths that repeat run as stacked batches through MFVI
     sentences = [make_sentence(n, shift) for shift in range(3) for n in (2, 5, 3)]
@@ -597,26 +619,25 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
 
 
 def test_a_var_batch_gradient_is_the_sum_of_its_sentences_own():
-    # encode and row_layers on leaf Vars of a batch of two, each sentence's
-    # rows read through RowLayers.sentence as in training
+    # encode and row_layers on leaf Vars of a batch of two, a fixed linear
+    # functional applied to the whole (B, ...) arrays of each layer, as
+    # training reaches its batch of one unsliced
     params = make_params(seed=9)
     batch = [make_sentence(4), make_sentence(4, shift=2)]
 
-    def outputs(rows, b):
-        own = rows.sentence(b)
-        return (*own.edge, own.s_sib.block, own.s_gp.block, *own.label)
+    def outputs(rows):
+        return (*rows.edge, rows.s_sib.block, rows.s_gp.block, *rows.label)
 
-    rng = np.random.default_rng(9)  # a fixed linear functional of each sentence's rows
-    plain = row_layers(encode(batch, params), params)
-    weights = [[rng.normal(size=x.shape) for x in outputs(plain, b)] for b in range(2)]
+    rng = np.random.default_rng(9)  # a fixed linear functional of each layer's rows
+    weights = [rng.normal(size=ad.val(x).shape)
+               for x in outputs(row_layers(encode(batch, params), params))]
 
     def grads(sentences, first):
         pv = params.as_vars()
         rows = row_layers(encode(sentences, params, pv), params, pv)
         total = 0.0
-        for b in range(len(sentences)):
-            for x, w in zip(outputs(rows, b), weights[first + b]):
-                total = ad.add(total, ad.sum_all(ad.mul(x, w)))
+        for x, w in zip(outputs(rows), weights):
+            total = ad.add(total, ad.sum_all(ad.mul(x, w[first:first + len(sentences)])))
         ad.backward(total)
         return {k: v.grad for k, v in pv.items() if v.grad is not None}
 
@@ -634,9 +655,9 @@ def test_training_loss_builds_one_node_per_layer(monkeypatch):
     # linear node, edges one biaffine node, each of the sibling and the
     # grandparent scores one node that builds its factor block, and MFVI
     # reads the blocks with no node of its own between the scorer and the
-    # messages (its correction matrices are plain arrays); the sentence's
-    # rows of the four projections and two factor blocks are one index
-    # node each, since training scores a batch of one; 64 nodes
+    # messages (its correction matrices are plain arrays); the batch of
+    # one reaches the biaffines and MFVI unsliced, with no index node; 58
+    # nodes
     nodes = []
     init = ad.Var.__init__
 
@@ -647,7 +668,7 @@ def test_training_loss_builds_one_node_per_layer(monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     sentence_loss(make_sentence(5), make_params(seed=6), "single2o", 3, 0.07)
-    assert len(nodes) == 64
+    assert len(nodes) == 58
 
 
 def test_label_distribution_uniform_and_degenerate():
@@ -663,8 +684,9 @@ def test_label_distribution_uniform_and_degenerate():
 def test_label_distribution_normalizes():
     params = make_params(n_labels=3, seed=2)
     H = encode([make_sentence(3)], params)
-    p = ad.val(label_distribution(score_labels(row_layers(H, params).sentence(0).label, params)))
-    np.testing.assert_allclose(p.sum(axis=2), 1.0, atol=1e-12)
+    p = ad.val(label_distribution(score_labels(row_layers(H, params).label, params)))
+    assert p.shape == (1, 4, 4, 3)
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_training_and_parsing_share_one_pair_of_bin_projections(monkeypatch):
@@ -675,9 +697,9 @@ def test_training_and_parsing_share_one_pair_of_bin_projections(monkeypatch):
     calls = []
     linear_op = scorer.linear
     monkeypatch.setattr(scorer, "linear", lambda *args: calls.append(1) or linear_op(*args))
-    scores = score_sentence(sent, params)
+    scores = score_alone(sent, params)
     assert len(calls) == 6 + 3 * 2  # the GRU gates; head and dependent of edges, bins, labels
-    bins = _bins(encode([sent], params)[0], params)
+    bins = _bins(encode([sent], params), params)
     np.testing.assert_array_equal(scores.s_sib.block, score_siblings(bins, params).block)
     np.testing.assert_array_equal(scores.s_gp.block, score_grandparents(bins, params).block)
     calls.clear()
@@ -689,11 +711,12 @@ def test_masked_cells_are_exactly_zero():
     # the model's factors give the messages of their cubes with the
     # sib_mask cells zeroed, on every candidate edge
     params = make_params(seed=1)
-    scores = score_sentence(make_sentence(4), params)
+    scores = score_alone(make_sentence(4), params)
     n = 4
     q = np.random.default_rng(2).uniform(size=(n + 1, n + 1)) * edge_mask(n)
-    got = kernels.messages_forward(q, *kernels.couplings(scores.s_sib.block, scores.s_gp.block))
-    sib, gp = _cube(scores.s_sib), _cube(scores.s_gp)
+    blocks = scores.s_sib.block[0], scores.s_gp.block[0]
+    got, _ = kernels.messages_forward(q, *kernels.couplings(*blocks))
+    sib, gp = (cube_of(block) for block in blocks)
     assert not sib[sib_mask(n) == 0].any() and not gp[sib_mask(n) == 0].any()
     want = (np.einsum("ik,ijk->ij", q, sib + sib.transpose(0, 2, 1))
             + np.einsum("jk,ijk->ij", q, gp) + np.einsum("ki,kij->ij", q, gp))
@@ -702,8 +725,8 @@ def test_masked_cells_are_exactly_zero():
 
 
 def test_scores_deterministic():
-    a = score_sentence(make_sentence(3), make_params(seed=7))
-    b = score_sentence(make_sentence(3), make_params(seed=7))
+    a = score_alone(make_sentence(3), make_params(seed=7))
+    b = score_alone(make_sentence(3), make_params(seed=7))
     for x, y in zip(a.values(), b.values()):
         if isinstance(x, scorer.Factors):
             x, y = x.block, y.block
@@ -717,7 +740,7 @@ def test_parameter_gradients_match_finite_differences(tensor):
 
     def run():
         pv = params.as_vars()
-        scores = score_sentence(sent, params, pv)
+        scores = score_alone(sent, params, pv)
         # scalar mixing every tensor path: edges + siblings + grandparents + labels
         total = ad.sum_all(scores.s_edge)
         total = ad.add(total, ad.sum_all(scores.s_sib.block))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mfdep.autodiff as ad
-from conftest import TOY_TREEBANK, random_scores
+from conftest import TOY_TREEBANK, random_scores, score_alone
 from mfdep.conllu import ConlluError, parse_conllu, read_conllu_file
 from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
@@ -64,11 +64,11 @@ def test_edge_loss_local_perfect_and_analytic():
     q = np.zeros((3, 3))
     q[2, 1] = 1.0
     q[1, 2] = 1.0
-    assert float(edge_loss_local(ad.Var(q), [2, 1]).value) == 0.0
+    assert float(edge_loss_local(ad.Var(q[None]), [2, 1]).value) == 0.0
     q1 = np.zeros((2, 2))
     q1[0, 1] = 0.5
     np.testing.assert_allclose(
-        float(edge_loss_local(ad.Var(q1), [0]).value), math.log(2), atol=1e-12
+        float(edge_loss_local(ad.Var(q1[None]), [0]).value), math.log(2), atol=1e-12
     )
 
 
@@ -76,7 +76,7 @@ def test_edge_loss_local_matches_recomputation(rng):
     scores = random_scores(3, rng)
     q = mfvi_local(scores, T=2).final
     gold = [0, 1, 1]
-    got = float(ad.val(edge_loss_local(q, gold)))
+    got = float(ad.val(edge_loss_local(q[None], gold)))
     expect = -sum(math.log(ad.val(q)[h, j]) for j, h in enumerate(gold, start=1))
     np.testing.assert_allclose(got, expect, atol=1e-10)
 
@@ -87,11 +87,11 @@ def test_edge_loss_single_perfect_and_analytic():
     q[2, 1] = 1.0
     q[1, 2] = 1.0
     # remaining candidates have probability 0: exactly correct
-    assert float(edge_loss_single(ad.Var(q), [2, 1]).value) == 0.0
+    assert float(edge_loss_single(ad.Var(q[None]), [2, 1]).value) == 0.0
     q1 = np.zeros((2, 2))
     q1[0, 1] = 0.5
     np.testing.assert_allclose(
-        float(edge_loss_single(ad.Var(q1), [0]).value), math.log(2), atol=1e-12
+        float(edge_loss_single(ad.Var(q1[None]), [0]).value), math.log(2), atol=1e-12
     )
 
 
@@ -108,7 +108,7 @@ def test_edge_loss_single_matches_recomputation(rng):
                 continue
             expect -= math.log(qv[i, j] if i == gold[j - 1] else 1.0 - qv[i, j])
     np.testing.assert_allclose(
-        float(ad.val(edge_loss_single(q, gold))), expect, atol=1e-10
+        float(ad.val(edge_loss_single(q[None], gold))), expect, atol=1e-10
     )
 
 
@@ -117,14 +117,14 @@ def test_label_loss_examples(rng):
     p = np.zeros((n + 1, n + 1, 2))
     p[2, 1, 0] = 1.0
     p[0, 2, 1] = 1.0
-    assert float(label_loss(ad.Var(p), [2, 0], [0, 1]).value) == 0.0
+    assert float(label_loss(ad.Var(p[None]), [2, 0], [0, 1]).value) == 0.0
     p1 = np.full((2, 2, 2), 0.5)
     np.testing.assert_allclose(
-        float(label_loss(ad.Var(p1), [0], [1]).value), math.log(2), atol=1e-12
+        float(label_loss(ad.Var(p1[None]), [0], [1]).value), math.log(2), atol=1e-12
     )
     pr = rng.uniform(0.1, 0.9, size=(3, 3, 3))
     gold_h, gold_l = [2, 0], [1, 2]
-    got = float(label_loss(ad.Var(pr), gold_h, gold_l).value)
+    got = float(label_loss(ad.Var(pr[None]), gold_h, gold_l).value)
     expect = -sum(
         math.log(pr[h, j, l]) for j, (h, l) in enumerate(zip(gold_h, gold_l), 1)
     )
@@ -143,7 +143,7 @@ def test_total_loss_interpolation():
 
 def test_degenerate_posterior_gives_large_finite_loss():
     q = np.zeros((2, 2))  # Q(gold) = 0 exactly
-    loss = float(edge_loss_local(ad.Var(q), [0]).value)
+    loss = float(edge_loss_local(ad.Var(q[None]), [0]).value)
     assert np.isfinite(loss) and loss == pytest.approx(30.0)
 
 
@@ -815,8 +815,8 @@ def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, ce
     trees = trainer.parse_sentences(params, sentences)
     assert len(trees) == len(sentences)
     for sent, tree in zip(sentences, trees):
-        scores = score_sentence(sent, params)
-        alone = decode(mfvi(scores, variant, cfg.iterations).head_probs(), scores.s_label)
+        scores = score_alone(sent, params)
+        alone = decode(mfvi(scores, variant, cfg.iterations).head_probs()[0], scores.s_label[0])
         np.testing.assert_array_equal(tree.heads, alone.heads)
         np.testing.assert_array_equal(tree.labels, alone.labels)
         assert tree.mst == alone.mst
@@ -840,8 +840,8 @@ def test_batched_scores_match_scoring_each_sentence_alone_at_default_dims():
         batch = [sentences[k] for k in ks]
         rows = row_layers(encode(batch, params), params)
         for b, sent in enumerate(batch):
-            got = score_sentence(sent, params, rows=rows, b=b)
-            alone = score_sentence(sent, params)
+            got = score_sentence(sent, params, rows.sentence(b))
+            alone = score_alone(sent, params)
             for name in ("s_edge", "s_label", "s_sib", "s_gp"):
                 x, y = getattr(got, name), getattr(alone, name)
                 if name in ("s_sib", "s_gp"):
