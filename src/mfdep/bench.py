@@ -60,7 +60,6 @@ def _random_factor_scores(n, rng):
         s_edge=rng.normal(0.0, 1.0, (n + 1, n + 1)) * edge_mask(n),
         s_sib=Factors(rng.normal(0.0, f_std, (3, n + 1, r))),
         s_gp=Factors(rng.normal(0.0, f_std, (3, n + 1, r))),
-        s_label=None,
     )
 
 

@@ -2,40 +2,45 @@
 encoder, a biaffine edge scorer, trilinear sibling/grandparent scorers
 with weights factored at rank d_bin, and a biaffine labeler. Each layer
 is one op over its parameters: ``linear`` for every projection, ``gru``,
-``biaffine`` for both edges and labels, and ``trilinear_factors``; their
-VJPs return fresh arrays, which ``autodiff.backward`` adopts as gradients
-without a copy.
+``biaffine`` for the edges, ``label_biaffine`` for the labels of the
+edges a sentence reads, and ``trilinear_factors``; their VJPs return
+fresh arrays, which ``autodiff.backward`` adopts as gradients without a
+copy.
 
 Score tensors follow the conventions, on the axes after any leading one:
     s_edge[i, j]     score of edge i -> j
     s_sib[i, j, k]   score of the edge pair {i -> j, i -> k}
     s_gp[i, j, k]    score of the chain i -> j -> k
-    s_label[i, j, l] score of label l on edge i -> j
-``s_edge`` and ``s_label`` are unmasked: MFVI alone masks the edges that
-are no candidate (root as a dependent, self-loops), and the losses and the
-decoder read candidate cells only. The model gives ``s_sib`` and ``s_gp``
-as ``Factors``, the rank-d_bin factors a, b, c of the cube,
-s[i, j, k] = sum_r a[i, r] b[j, r] c[k, r], which is never built; a cell
-of no valid pair or chain (``sib_mask``) scores 0 whatever the factors
-give, and the MFVI kernel applies that rule itself. ``decoder.mfvi`` also
-takes dense (n+1)^3 cubes, as the oracle does, through one exact
-conversion to factors.
+    label[j-1, l]    score of label l on the edge heads[j-1] -> j
+``s_edge`` is unmasked: MFVI alone masks the edges that are no candidate
+(root as a dependent, self-loops), and the losses and the decoder read
+candidate cells only. The labeler scores one edge per word, given its
+head (Dozat & Manning 2017): the gold head in training, the decoded head
+in parsing; no score of every pair and label is built. The model gives
+``s_sib`` and ``s_gp`` as ``Factors``, the rank-d_bin factors a, b, c of
+the cube, s[i, j, k] = sum_r a[i, r] b[j, r] c[k, r], which is never
+built; a cell of no valid pair or chain (``sib_mask``) scores 0 whatever
+the factors give, and the MFVI kernel applies that rule itself.
+``decoder.mfvi`` also takes dense (n+1)^3 cubes, as the oracle does,
+through one exact conversion to factors.
 
 A batch of B sentences of one length runs in two halves. The
 row-wise layers run once over all B (n+1) encoder rows (``row_layers``):
 the edge, label and bin head and dependent projections, the constant-1
 column each biaffine reads, and the sibling and grandparent factor
-blocks. The pairwise layers, the edge and label biaffines, run per
-sentence on its rows (``score_sentence``). One shape, leading axis
-always, from ``encode`` to the loss: training scores its one sentence
-as a batch of B = 1 on leaf Vars, and nothing slices a Var.
+blocks. The edge biaffine runs per sentence on its rows
+(``score_sentence``). Once the heads are known, gold in training and
+decoded after MFVI in parsing, the label op runs once over the label
+rows of the whole batch and those heads (``score_labels``). One shape,
+leading axis always, from ``encode`` to the loss: training scores its
+one sentence as a batch of B = 1 on leaf Vars, and nothing slices a Var.
 
 Every scoring function reads the parameters from ``pv``: leaf Vars from
 ``ModelParams.as_vars`` for training, or by default the plain arrays of
 ``ModelParams.tensors``. Each op returns through ``autodiff.custom_op``,
-so plain operands give plain arrays and no graph node; only ``gru`` also
-asks whether a backward pass will come, to keep each step's gates for
-it or not.
+so plain operands give plain arrays and no graph node; only ``gru`` and
+``label_biaffine`` also ask whether a backward pass will come, to keep
+what it reads or not.
 """
 from __future__ import annotations
 
@@ -126,7 +131,8 @@ class ScoreTensors:
     s_edge: object  # Var or ndarray, (..., n+1, n+1): (1, n+1, n+1) from score_sentence
     s_sib: object  # Factors, or a dense (..., n+1, n+1, n+1) Var or ndarray
     s_gp: object  # as s_sib
-    s_label: object  # (..., n+1, n+1, L); None in a stack that only MFVI reads
+    s_label: object = None  # a dense (n+1, n+1, L) cube, as the criteria give; the model
+    # scores labels on the edges a sentence reads (``score_labels``) and leaves it None
 
     @property
     def n(self):
@@ -426,28 +432,18 @@ def _head_dep(H, pv, role, p, dropout_rng):
 
 
 def biaffine(lh, ld, U):
-    """s[..., i,j,l] = sum_ab lh[..., i,a] U[l,a,b] ld[..., j,b], differentiable:
-    lh is (..., m, a), ld (..., n, b), U (L, a, b) and s (..., m, n, L); a
-    2-D U (a, b) counts as L = 1 and gives the (..., m, n) score. Batched
-    BLAS matmuls on reshaped views, each sentence of a batch bit-identical
-    to its own call; dU takes the batch's rows in one product."""
+    """s[..., i, j] = sum_ab lh[..., i, a] U[a, b] ld[..., j, b], differentiable:
+    lh is (..., m, a), ld (..., n, b), U (a, b) and s (..., m, n). Batched
+    BLAS matmuls, each sentence of a batch bit-identical to its own call;
+    dU takes the batch's rows in one product."""
     vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
-    (m, a), (n, b), lead = vh.shape[-2:], vd.shape[-2:], vh.shape[:-2]
-    u3 = vu.reshape(-1, a, b)
-    t1 = np.matmul(vh[..., None, :, :], u3).reshape(*lead, -1, b)  # t1[..., l*m+i, b]
+    t1 = vh @ vu
     s = t1 @ vd.swapaxes(-1, -2)
-    if vu.ndim == 3:  # s[..., l, i, j] -> s[..., i, j, l]
-        s = np.ascontiguousarray(s.reshape(*lead, -1, m, n).swapaxes(-3, -2).swapaxes(-2, -1))
 
     def vjp(g):
-        if vu.ndim == 3:  # g[..., l*m+i, j]
-            g = np.ascontiguousarray(g.swapaxes(-2, -1).swapaxes(-3, -2)).reshape(*lead, -1, n)
-        dt1 = (g @ vd).reshape(*lead, -1, m, b)  # dt1[..., l, i, b]
-        dU = np.empty(vu.shape)  # an owning array, so backward adopts it
-        np.matmul(vh.reshape(-1, a).T, np.moveaxis(dt1, -3, 0).reshape(u3.shape[0], -1, b),
-                  out=dU.reshape(u3.shape))
-        return (np.matmul(dt1, u3.transpose(0, 2, 1)).sum(axis=-3),
-                g.swapaxes(-1, -2) @ t1, dU)
+        dt1 = g @ vd
+        dU = vh.reshape(-1, vh.shape[-1]).T @ dt1.reshape(-1, dt1.shape[-1])
+        return dt1 @ vu.T, g.swapaxes(-1, -2) @ t1, dU
 
     return ad.custom_op(s, (lh, ld, U), vjp)
 
@@ -498,11 +494,59 @@ def score_grandparents(bins, params, pv=None):
     return trilinear_factors(*bins, pv["W_gp"])
 
 
-def score_labels(rows, params, pv=None):
-    """Label scores, (..., n+1, n+1, L): the biaffine over ``U_label`` of
-    the head and dependent rows (``RowLayers.label``)."""
+def label_biaffine(lh, ld, heads, U):
+    """Label scores of the n edges each sentence of a batch reads,
+    differentiable: s[b, j-1, l] = sum_xy lh[b, h, x] U[l, x, y] ld[b, j, y]
+    with h = heads[b, j-1], for the (B, n+1, a) head rows lh and
+    (B, n+1, b) dependent rows ld (row 0 the root), the plain (B, n)
+    integer array of each word's head and the (L, a, b) U; s is (B, n, L).
+    No score of an edge that is not read is built.
+
+    One label at a time: the (B, n, b) product lh[heads] U_l, a batched
+    matmul, then its rowwise dot with ld, so each sentence of a batch is
+    bit-identical to its own call. Work memory is O(B n b) per label when
+    nothing asks for a gradient; with a Var operand each label's product
+    is kept for the VJP. The VJP adds the adjoint of every read head row
+    into lh, a head read twice or the root included."""
+    vh, vd, vu = ad.val(lh), ad.val(ld), ad.val(U)
+    heads = np.asarray(heads, dtype=np.intp)
+    B, n = heads.shape
+    L = vu.shape[0]
+    rows = np.arange(B)[:, None]
+    H, D = vh[rows, heads], vd[:, 1:]
+    keep = ad.any_var((lh, ld, U))  # only the VJP reads every label's product
+    T = np.empty((L if keep else 1, B, n, vu.shape[2]))
+    s = np.empty((B, n, L))
+    for l in range(L):
+        t = np.matmul(H, vu[l], out=T[l if keep else 0])
+        s[..., l] = np.einsum("bjy,bjy->bj", t, D)
+    if not keep:
+        return s
+
+    def vjp(g):
+        Hf = H.reshape(-1, H.shape[-1])
+        dH, dU = np.zeros(Hf.shape), np.empty(vu.shape)
+        dlh, dld = np.zeros(vh.shape), np.zeros(vd.shape)
+        dD = dld[:, 1:]  # the root row of ld is read by no edge
+        for l in range(L):
+            gl = g[..., l, None]
+            dt = (gl * D).reshape(-1, D.shape[-1])
+            np.matmul(Hf.T, dt, out=dU[l])
+            dH += dt @ vu[l].T
+            dD += gl * T[l]
+        np.add.at(dlh, (rows, heads), dH.reshape(H.shape))
+        return dlh, dld, dU
+
+    return ad.custom_op(s, (lh, ld, U), vjp)
+
+
+def score_labels(rows, heads, params, pv=None):
+    """Label scores, (B, n, L), of the edges heads[b, j-1] -> j of each
+    sentence b that the (B, n+1, d_label+1) head and dependent rows
+    (``RowLayers.label``) give: ``label_biaffine`` over ``U_label``. The
+    heads are plain integers, gold in training and decoded in parsing."""
     pv = params.tensors if pv is None else pv
-    return biaffine(*rows, pv["U_label"])
+    return label_biaffine(*rows, heads, pv["U_label"])
 
 
 def label_distribution(s_label):
@@ -516,7 +560,9 @@ class RowLayers:
     n (``row_layers``): the edge and the label head and dependent rows,
     each projection with the constant-1 column its biaffine reads,
     (B, n+1, d+1), and the sibling and grandparent ``Factors``, blocks of
-    (B, 3, n+1, d_bin): one shape, leading axis always."""
+    (B, 3, n+1, d_bin): one shape, leading axis always. ``score_sentence``
+    reads one sentence's edge rows and blocks; the label rows of the whole
+    batch go to ``score_labels`` once the batch's heads are known."""
 
     edge: list
     s_sib: Factors
@@ -547,11 +593,12 @@ def row_layers(H, params, pv=None, dropout_rng=None):
 def score_sentence(sentence, params, rows, pv=None):
     """The ScoreTensors of the sentence whose row-wise layers, a batch of
     one, are ``rows``, differentiable with respect to the Vars in pv: its
-    edge and label biaffines, and its factor blocks. Every score keeps the
-    leading axis of one; only perfbench's counting hook reads sentence."""
+    edge biaffine and its factor blocks, with no ``s_label``, since its
+    labels are scored on the heads it reads (``score_labels``). Every
+    score keeps the leading axis of one; only perfbench's counting hook
+    reads sentence."""
     pv = params.tensors if pv is None else pv
-    return ScoreTensors(score_edges(rows.edge, params, pv), rows.s_sib, rows.s_gp,
-                        score_labels(rows.label, params, pv))
+    return ScoreTensors(score_edges(rows.edge, params, pv), rows.s_sib, rows.s_gp)
 
 
 def load_embeddings(path, params):

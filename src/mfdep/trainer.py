@@ -25,11 +25,12 @@ from .scorer import (
     init_params,
     label_distribution,
     row_layers,
+    score_labels,
     score_sentence,
     tensor_shapes,
     variant_row,
 )
-from .tree import decode
+from .tree import DependencyTree, decode
 
 LOG_FLOOR = -30.0  # per-term floor keeping losses finite on degenerate posteriors
 _P_FLOOR = float(np.exp(LOG_FLOOR))
@@ -114,10 +115,11 @@ def edge_loss_single(q_final, gold_heads):
     return ad.mul(ad.add(loss_pos, loss_neg), -1.0)
 
 
-def label_loss(p_label, gold_heads, gold_labels):
-    """Cross-entropy of the gold label on gold-head edges only."""
-    deps = np.arange(1, len(gold_heads) + 1)
-    picked = ad.take_at(p_label, (0, gold_heads, deps, gold_labels))
+def label_loss(p_label, gold_labels):
+    """Cross-entropy of the gold labels, given the (1, n, L) label
+    distribution of the gold-head edges (``score_labels`` on gold heads)."""
+    words = np.arange(len(gold_labels))
+    picked = ad.take_at(p_label, (0, words, gold_labels))
     return ad.mul(ad.sum_all(_floored_log(picked)), -1.0)
 
 
@@ -140,9 +142,9 @@ def sentence_loss(sentence, params, variant, T, lam, dropout_rng=None, pv=None):
     gold_heads = sentence.gold_heads
     edge_loss = {"local": edge_loss_local, "single": edge_loss_single}
     l_edge = edge_loss[variant_row(variant).posterior](post.final, gold_heads)
-    p_label = label_distribution(scores.s_label)
+    p_label = label_distribution(score_labels(rows.label, [gold_heads], params, pv))
     gold_labels = [params.labels.index(lbl) for lbl in sentence.gold_labels]
-    l_label = label_loss(p_label, gold_heads, gold_labels)
+    l_label = label_loss(p_label, gold_labels)
     return total_loss(l_edge, l_label, lam), ad.Tape(), pv
 
 
@@ -311,18 +313,23 @@ def _batches(sentences, d_bin):
 def _parse_batch(params, batch, variant, T, single_root):
     """Trees of sentences of one length: the batch is encoded at once
     (``encode``) and its row-wise layers run once over all its rows
-    (``row_layers``); each sentence's edge and label biaffines run on its
-    rows, a batch of one (``score_sentence``); MFVI runs once over the
-    stack of their edge scores and the batch's sibling and grandparent
-    factor blocks, and each is decoded on its row. Returning frees the
-    batch's encodings, scores and MFVI iterates."""
+    (``row_layers``); each sentence's edge biaffine runs on its rows, a
+    batch of one (``score_sentence``); MFVI runs once over the stack of
+    their edge scores and the batch's sibling and grandparent factor
+    blocks, and each sentence's heads are decoded on its row (``decode``,
+    MST fallback included). One label op then scores the batch's decoded
+    edges (``score_labels``), and each word takes its best label, ties to
+    the smallest id. Returning frees the batch's encodings, scores and
+    MFVI iterates."""
     rows = row_layers(encode(batch, params), params)
-    scores = [score_sentence(sent, params, rows.sentence(b)) for b, sent in enumerate(batch)]
-    edges = np.concatenate([sc.s_edge for sc in scores])
-    stack = ScoreTensors(edges, rows.s_sib, rows.s_gp, None)
+    edges = np.concatenate([score_sentence(sent, params, rows.sentence(b)).s_edge
+                            for b, sent in enumerate(batch)])
+    stack, label = ScoreTensors(edges, rows.s_sib, rows.s_gp), rows.label
     del rows  # frees the projections before MFVI; the stack holds the factor blocks
     probs = decoder.mfvi(stack, variant, T).head_probs()
-    return [decode(p, sc.s_label[0], single_root) for p, sc in zip(probs, scores)]
+    decoded = [decode(p, single_root) for p in probs]
+    labels = score_labels(label, np.stack([h for h, _ in decoded]), params).argmax(axis=-1)
+    return [DependencyTree(h, lab, mst) for (h, mst), lab in zip(decoded, labels)]
 
 
 def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
@@ -330,8 +337,8 @@ def parse_sentences(params, sentences, variant=None, T=None, single_root=True):
     DependencyTree per sentence, in input order. The whole input is cut
     into batches of sentences of one length (``_batches``), and each
     batch is encoded in one GRU pass, run through each row-wise scoring
-    layer once and through the edge and label biaffines per sentence,
-    then through one MFVI call, and decoded per sentence
+    layer once and through the edge biaffine per sentence, then through
+    one MFVI call, decoded per sentence and labelled by one label op
     (``_parse_batch``). ``variant`` defaults to the checkpoint's, and
     ``T`` to the checkpoint's when the variant is the checkpoint's (to
     ``mfvi``'s default otherwise)."""

@@ -3,17 +3,17 @@
 Argmax head selection first; the Chu-Liu/Edmonds maximum spanning
 arborescence on log-posteriors is only run when the argmax graph is not
 a tree (or violates the single-root constraint when enabled). Argmax
-and label ties go to the smallest index. Among MST trees of exactly
-equal weight the choice is fixed by the input but not always the
+ties go to the smallest head index. Among MST trees of exactly equal
+weight the choice is fixed by the input but not always the
 lexicographically smallest; results are deterministic either way.
+Labels are no part of decoding: a parse scores them on the heads decoded
+here (``trainer._parse_batch``), ties to the smallest label id.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 
 @dataclass
@@ -172,20 +172,11 @@ def chu_liu_edmonds(weights, single_root=True):
     return _cle(w, single_root)[1:].copy()
 
 
-def assign_labels(s_label, heads):
-    """labels[j-1] = argmax_l s[heads[j-1], j, l] over label scores or their
-    softmax (the same argmax, but for scores whose probabilities round
-    equal); ties to smallest id."""
-    s = np.asarray(ad.val(s_label), dtype=np.float64)
-    n = len(heads)
-    deps = np.arange(1, n + 1)
-    return s[np.asarray(heads, dtype=np.intp), deps, :].argmax(axis=1).astype(np.intp)
-
-
-def decode(hp, s_label, single_root=True):
-    """argmax heads of the n x (n+1) head-probability matrix hp (a
-    posterior's ``head_probs()``), MST fallback on its logs (``mst``), then
-    ``assign_labels``. An empty sentence (n = 0) decodes to the empty tree."""
+def decode(hp, single_root=True):
+    """(heads, mst): the argmax heads of the n x (n+1) head-probability
+    matrix hp (a posterior's ``head_probs()``), or, when they are no tree
+    (``mst`` true), the MST on its logs. An empty sentence (n = 0)
+    decodes to no heads."""
     heads = argmax_heads(hp)
     mst = not is_tree(heads, single_root)
     if mst:
@@ -199,4 +190,4 @@ def decode(hp, s_label, single_root=True):
         w = np.full((n + 1, n + 1), -np.inf)
         w[:, 1:] = logq
         heads = chu_liu_edmonds(w, single_root=single_root)
-    return DependencyTree(np.asarray(heads), assign_labels(s_label, heads), mst)
+    return heads, mst

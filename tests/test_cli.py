@@ -461,11 +461,23 @@ def test_parse_reaches_every_layer_through_its_module_binding(workspace, tmp_pat
     assert len(batches) == len({len(s) for s in sentences})
     assert all(len({len(s) for s in batch}) == 1 for batch in batches)
     assert each_once([s for batch in batches for s in batch])
-    # the biaffines run per sentence, the factor op once per batch
-    for name in ("score_edges", "score_labels", "decode"):
+    # the edge biaffine and decode run per sentence; the factor op and
+    # the label op, on the batch's decoded heads, once per batch
+    for name in ("score_sentence", "score_edges", "decode"):
         assert len(calls[name]) == len(sentences), name
-    for name in ("score_siblings", "score_grandparents"):
+    for name in ("score_siblings", "score_grandparents", "score_labels"):
         assert len(calls[name]) == len(batches), name
+    # the label op follows its batch's last decode, over the (B, n) heads
+    # of the batch that encode gave
+    order = [name for name in calls["order"] if name in ("encode", "decode", "score_labels")]
+    expect = [name for batch in batches for name in ["encode", *["decode"] * len(batch),
+                                                     "score_labels"]]
+    assert order == expect
+    assert [args[1].shape for args in calls["score_labels"]] == [
+        (len(batch), len(batch[0])) for batch in batches]
+    # perfbench's set-up mark: the first score_sentence follows exactly one encode
+    first = calls["order"].index("score_sentence")
+    assert calls["order"][:first].count("encode") == 1
     # and mfvi runs once per batch, on a (B, k, k) stack of edge scores,
     # a batch of one too
     shapes = [args[0].s_edge.shape for args in calls["mfvi"]]

@@ -19,6 +19,7 @@ from mfdep.scorer import (
     encode,
     gru,
     init_params,
+    label_biaffine,
     label_distribution,
     linear,
     load_embeddings,
@@ -26,6 +27,7 @@ from mfdep.scorer import (
     score_grandparents,
     row_layers,
     score_labels,
+    score_sentence,
     score_siblings,
     sib_mask,
     trilinear_factors,
@@ -475,44 +477,55 @@ def test_group_encode_matches_each_sentence_encoded_alone():
         encode([make_sentence(3), make_sentence(4)], params)
 
 
-def _labels_einsum(lh, ld, U):
-    return np.einsum("ilb,jb->ijl", np.einsum("ia,lab->ilb", lh, U), ld)
+def _labels_einsum(lh, ld, heads, U):
+    """The label scores of the read edges, (B, n, L), picked from the
+    naive (B, n+1, n+1, L) cube of every pair."""
+    cube = np.einsum("bix,lxy,bjy->bijl", lh, U, ld)
+    rows = np.arange(len(heads))[:, None]
+    return cube[rows, heads, np.arange(1, heads.shape[1] + 1)]
 
 
 def test_label_op_matches_einsum_at_default_dims():
+    # heads drawn with repeats and the root among them
     rng = np.random.default_rng(4)
-    n, d, L = 40, ModelConfig().d_label + 1, 40
-    lh = rng.normal(size=(n + 1, d))
-    ld = rng.normal(size=(n + 1, d))
+    B, n, d, L = 2, 40, ModelConfig().d_label + 1, 40
+    lh = rng.normal(size=(B, n + 1, d))
+    ld = rng.normal(size=(B, n + 1, d))
     U = rng.normal(size=(L, d, d))
-    got = biaffine(lh, ld, U)
-    np.testing.assert_allclose(got, _labels_einsum(lh, ld, U), rtol=0, atol=1e-9)
+    heads = rng.integers(0, n + 1, size=(B, n))
+    heads[:, :3] = 0
+    got = label_biaffine(lh, ld, heads, U)
+    want = _labels_einsum(lh, ld, heads, U)
+    assert got.shape == (B, n, L)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_label_op_gradient_non_square():
-    # m != n, a != b and L >= 3, so that no transposed view passes by symmetry
-    m, n, a, b, L = 4, 5, 3, 2, 3
+    # n + 1 != m, a != b and L >= 3, so that no transposed view passes by
+    # symmetry; a head read by two words and the root head: the VJP adds
+    # every read row's adjoint into lh, and ld's root row gets none
+    B, n, a, b, L = 2, 4, 3, 2, 3
     rng = np.random.default_rng(11)
     arrays = {
-        "lh": rng.normal(size=(m, a)),
-        "ld": rng.normal(size=(n, b)),
+        "lh": rng.normal(size=(B, n + 1, a)),
+        "ld": rng.normal(size=(B, n + 1, b)),
         "U": rng.normal(size=(L, a, b)),
     }
-    weights = rng.normal(size=(m, n, L))
+    heads = np.array([[0, 1, 1, 2], [3, 0, 0, 3]])
+    expect = _labels_einsum(arrays["lh"], arrays["ld"], heads, arrays["U"])
+    _check_op_grad(lambda lh, ld, U: label_biaffine(lh, ld, heads, U), arrays, expect, seed=19)
 
-    def run():
-        leaves = {k: ad.Var(v) for k, v in arrays.items()}
-        s = biaffine(leaves["lh"], leaves["ld"], leaves["U"])
-        return ad.sum_all(ad.mul(s, weights)), leaves
 
-    out, leaves = run()
-    np.testing.assert_allclose(
-        out.value, np.sum(_labels_einsum(*arrays.values()) * weights), atol=1e-12
-    )
-    ad.backward(out)
-    fd = finite_diff_gradient(lambda p: float(run()[0].value), arrays, eps=1e-6)
-    for k in arrays:
-        np.testing.assert_allclose(leaves[k].grad, fd[k], rtol=1e-6, atol=1e-6, err_msg=k)
+def test_label_op_on_a_sentence_with_no_words():
+    # n = 0: no edge is read, and every adjoint is 0
+    rng = np.random.default_rng(20)
+    leaves = [ad.Var(rng.normal(size=shape)) for shape in ((3, 1, 4), (3, 1, 5), (2, 4, 5))]
+    s = label_biaffine(leaves[0], leaves[1], np.zeros((3, 0), dtype=int), leaves[2])
+    assert s.value.shape == (3, 0, 2)
+    assert s.value.argmax(axis=-1).shape == (3, 0)
+    ad.backward(ad.sum_all(s))
+    for var in leaves:
+        assert var.grad.shape == var.value.shape and not var.grad.any()
 
 
 def _check_op_grad(op, arrays, expect, seed):
@@ -540,48 +553,64 @@ def test_linear_op_gradient_non_square():
 
 
 def test_biaffine_with_a_matrix_gradient_non_square():
-    # a 2-D U gives the (m, n) score of the one-label stack U[None]
+    # the edge biaffine: a (a, b) U gives the (m, n) score
     m, n, a, b = 4, 5, 3, 2
     rng = np.random.default_rng(14)
     lh, ld, U = rng.normal(size=(m, a)), rng.normal(size=(n, b)), rng.normal(size=(a, b))
-    np.testing.assert_array_equal(biaffine(lh, ld, U), biaffine(lh, ld, U[None])[:, :, 0])
     _check_op_grad(biaffine, {"lh": lh, "ld": ld, "U": U}, lh @ U @ ld.T, seed=15)
 
 
-@pytest.mark.parametrize("U_shape", [(21, 21), (5, 9, 9)], ids=["edge", "label"])
-def test_a_batch_of_biaffines_is_each_sentences_own_call(U_shape):
+def _read_heads(rng, B, n):
+    """(B, n) heads of the edges a label op reads, repeats and root included."""
+    return rng.integers(0, n + 1, size=(B, n))
+
+
+@pytest.mark.parametrize("op", ["edge", "label"])
+def test_a_batch_of_biaffines_is_each_sentences_own_call(op):
     # one shape, leading axis always: each sentence of a (B, n+1, a)
-    # batch gets the bits of its own 2-D call, for the edge (2-D U) and
-    # the label (3-D U) biaffine, and the VJP of a batch of two matches
-    # central differences (m, n, a and b all differ there)
+    # batch gets the bits of its own call, for the edge biaffine (2-D U)
+    # and the label op on the heads it reads (3-D U), and the VJP of a
+    # batch of two matches central differences (m, n, a and b all differ
+    # there)
     rng = np.random.default_rng(17)
+    score = {"edge": lambda lh, ld, U, heads: biaffine(lh, ld, U),
+             "label": lambda lh, ld, U, heads: label_biaffine(lh, ld, heads, U)}[op]
+    U_shape = (21, 21) if op == "edge" else (5, 9, 9)
     U = rng.normal(size=U_shape)
     a = U_shape[-1]
     for B in (1, 4):
         for n in (3, 17, 61):
             lh, ld = rng.normal(size=(B, n + 1, a)), rng.normal(size=(B, n + 1, a))
-            s = biaffine(lh, ld, U)
-            assert s.shape == (B, n + 1, n + 1, *U_shape[:-2])
+            heads = _read_heads(rng, B, n)
+            s = score(lh, ld, U, heads)
+            assert s.shape == ((B, n + 1, n + 1) if op == "edge" else (B, n, 5))
             for b in range(B):
-                assert s[b].tobytes() == biaffine(lh[b], ld[b], U).tobytes(), (B, n, b)
+                own = score(lh[b:b + 1], ld[b:b + 1], U, heads[b:b + 1])[0]
+                assert s[b].tobytes() == own.tobytes(), (B, n, b)
     U = rng.normal(size=(*U_shape[:-2], 3, 2))
-    lh, ld = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 5, 2))
-    expect = np.einsum("bix,lxy,bjy->bijl", lh, U.reshape(-1, 3, 2), ld)
-    expect = expect.reshape(2, 4, 5, *U.shape[:-2])
-    _check_op_grad(biaffine, {"lh": lh, "ld": ld, "U": U}, expect, seed=18)
+    lh, ld = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 4, 2))
+    heads = _read_heads(rng, 2, 3)
+    if op == "edge":
+        expect = np.einsum("bix,xy,bjy->bij", lh, U, ld)
+    else:
+        expect = _labels_einsum(lh, ld, heads, U)
+    _check_op_grad(lambda lh, ld, U: score(lh, ld, U, heads),
+                   {"lh": lh, "ld": ld, "U": U}, expect, seed=18)
 
 
 def test_projection_and_biaffine_gradients_are_adopted(backward_copies):
-    # linear and biaffine return fresh adjoints, the weight gradients in
-    # their parameters' shapes: backward copies the seed and nothing else
+    # linear, biaffine and the label op return fresh adjoints, the weight
+    # gradients in their parameters' shapes: backward copies the seed and
+    # nothing else
     rng = np.random.default_rng(16)
-    for U_shape in ((5, 5), (2, 5, 5)):
-        x = ad.Var(rng.normal(size=(4, 3)))
+    for op in ("edge", "label"):
+        x = ad.Var(rng.normal(size=(1, 4, 3)))
         W, b = ad.Var(rng.normal(size=(5, 3))), ad.Var(rng.normal(size=5))
-        U = ad.Var(rng.normal(size=U_shape))
+        U = ad.Var(rng.normal(size=(5, 5) if op == "edge" else (2, 5, 5)))
         h = linear(x, W, b)
+        s = biaffine(h, h, U) if op == "edge" else label_biaffine(h, h, [[0, 1, 1]], U)
         backward_copies.clear()
-        ad.backward(ad.sum_all(biaffine(h, h, U)))
+        ad.backward(ad.sum_all(s))
         assert len(backward_copies) == 1
         for var in (x, W, b, U):
             assert var.grad.shape == var.value.shape
@@ -590,8 +619,13 @@ def test_projection_and_biaffine_gradients_are_adopted(backward_copies):
 def test_scoring_plain_params_builds_no_graph_and_training_does():
     params = make_params(seed=6)
     sent = make_sentence(4)
-    for name, s in vars(score_alone(sent, params)).items():
+    scores = score_alone(sent, params)
+    assert scores.s_label is None  # labels are scored on the heads a sentence reads
+    for name in ("s_edge", "s_sib", "s_gp"):
+        s = getattr(scores, name)
         assert type(s.block if isinstance(s, scorer.Factors) else s) is np.ndarray, name
+    rows = row_layers(encode([sent], params), params)
+    assert type(score_labels(rows.label, [sent.gold_heads], params)) is np.ndarray
     loss, _, pv = sentence_loss(sent, params, "local2o", 2, 0.4)
     assert isinstance(loss, ad.Var)
     ad.backward(loss)
@@ -608,10 +642,11 @@ def test_parsing_plain_params_builds_no_graph(variant, monkeypatch):
 
     monkeypatch.setattr(ad.Var, "__init__", no_graph)
     params = make_params(seed=6)
-    scores = score_alone(make_sentence(4), params)
-    post = mfvi(scores, variant, 2)
-    tree = decode(post.head_probs()[0], label_distribution(scores.s_label)[0])
-    assert len(tree.heads) == 4 and len(tree.labels) == 4
+    rows = row_layers(encode([make_sentence(4)], params), params)
+    post = mfvi(score_sentence(make_sentence(4), params, rows), variant, 2)
+    heads, _ = decode(post.head_probs()[0])
+    labels = label_distribution(score_labels(rows.label, [heads], params)).argmax(axis=-1)
+    assert len(heads) == 4 and labels.shape == (1, 4)
     # lengths that repeat run as stacked batches through MFVI
     sentences = [make_sentence(n, shift) for shift in range(3) for n in (2, 5, 3)]
     trees = parse_sentences(params, sentences, variant, 2)
@@ -684,8 +719,9 @@ def test_label_distribution_uniform_and_degenerate():
 def test_label_distribution_normalizes():
     params = make_params(n_labels=3, seed=2)
     H = encode([make_sentence(3)], params)
-    p = ad.val(label_distribution(score_labels(row_layers(H, params).label, params)))
-    assert p.shape == (1, 4, 4, 3)
+    heads = [[0, 1, 1]]
+    p = ad.val(label_distribution(score_labels(row_layers(H, params).label, heads, params)))
+    assert p.shape == (1, 3, 3)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
 
@@ -727,10 +763,11 @@ def test_masked_cells_are_exactly_zero():
 def test_scores_deterministic():
     a = score_alone(make_sentence(3), make_params(seed=7))
     b = score_alone(make_sentence(3), make_params(seed=7))
-    for x, y in zip(a.values(), b.values()):
+    for x, y in zip(a.values()[:3], b.values()[:3]):
         if isinstance(x, scorer.Factors):
             x, y = x.block, y.block
         assert np.array_equal(x, y)
+    assert a.s_label is None and b.s_label is None
 
 
 @pytest.mark.parametrize("tensor", ["U_edge", "gru_fw_z_W", "emb_word", "W_gp"])
@@ -740,12 +777,13 @@ def test_parameter_gradients_match_finite_differences(tensor):
 
     def run():
         pv = params.as_vars()
-        scores = score_alone(sent, params, pv)
+        rows = row_layers(encode([sent], params, pv), params, pv)
+        scores = score_sentence(sent, params, rows, pv)
         # scalar mixing every tensor path: edges + siblings + grandparents + labels
         total = ad.sum_all(scores.s_edge)
         total = ad.add(total, ad.sum_all(scores.s_sib.block))
         total = ad.add(total, ad.sum_all(scores.s_gp.block))
-        total = ad.add(total, ad.sum_all(label_distribution(scores.s_label)))
+        total = ad.add(total, ad.sum_all(score_labels(rows.label, [sent.gold_heads], params, pv)))
         return total, pv
 
     out, pv = run()

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import mfdep.autodiff as ad
-from conftest import TOY_TREEBANK, random_scores, score_alone
+from conftest import TOY_TREEBANK, random_scores
 from mfdep.conllu import ConlluError, parse_conllu, read_conllu_file
 from mfdep.decoder import mfvi, mfvi_local, mfvi_single
 from mfdep.oracle import finite_diff_gradient
 from mfdep.scorer import (ModelConfig, build_vocabs, edge_mask, encode, init_params, row_layers,
-                          score_sentence)
+                          score_labels, score_sentence)
 import mfdep.trainer as trainer
 from mfdep.trainer import (
     _ADAM_BLOCK,
@@ -113,21 +113,19 @@ def test_edge_loss_single_matches_recomputation(rng):
 
 
 def test_label_loss_examples(rng):
-    n = 2
-    p = np.zeros((n + 1, n + 1, 2))
-    p[2, 1, 0] = 1.0
-    p[0, 2, 1] = 1.0
-    assert float(label_loss(ad.Var(p[None]), [2, 0], [0, 1]).value) == 0.0
-    p1 = np.full((2, 2, 2), 0.5)
+    # p[0, j-1, l]: the probability of label l on word j's gold-head edge
+    p = np.zeros((2, 2))
+    p[0, 0] = 1.0
+    p[1, 1] = 1.0
+    assert float(label_loss(ad.Var(p[None]), [0, 1]).value) == 0.0
+    p1 = np.full((1, 2), 0.5)
     np.testing.assert_allclose(
-        float(label_loss(ad.Var(p1[None]), [0], [1]).value), math.log(2), atol=1e-12
+        float(label_loss(ad.Var(p1[None]), [1]).value), math.log(2), atol=1e-12
     )
-    pr = rng.uniform(0.1, 0.9, size=(3, 3, 3))
-    gold_h, gold_l = [2, 0], [1, 2]
-    got = float(label_loss(ad.Var(pr[None]), gold_h, gold_l).value)
-    expect = -sum(
-        math.log(pr[h, j, l]) for j, (h, l) in enumerate(zip(gold_h, gold_l), 1)
-    )
+    pr = rng.uniform(0.1, 0.9, size=(2, 3))
+    gold_l = [1, 2]
+    got = float(label_loss(ad.Var(pr[None]), gold_l).value)
+    expect = -sum(math.log(pr[j, l]) for j, l in enumerate(gold_l))
     np.testing.assert_allclose(got, expect, atol=1e-10)
 
 
@@ -815,11 +813,13 @@ def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, ce
     trees = trainer.parse_sentences(params, sentences)
     assert len(trees) == len(sentences)
     for sent, tree in zip(sentences, trees):
-        scores = score_alone(sent, params)
-        alone = decode(mfvi(scores, variant, cfg.iterations).head_probs()[0], scores.s_label[0])
-        np.testing.assert_array_equal(tree.heads, alone.heads)
-        np.testing.assert_array_equal(tree.labels, alone.labels)
-        assert tree.mst == alone.mst
+        rows = row_layers(encode([sent], params), params)
+        scores = score_sentence(sent, params, rows)
+        heads, mst = decode(mfvi(scores, variant, cfg.iterations).head_probs()[0])
+        labels = score_labels(rows.label, [heads], params)[0].argmax(axis=-1)
+        np.testing.assert_array_equal(tree.heads, heads)
+        np.testing.assert_array_equal(tree.labels, labels)
+        assert tree.mst == mst
     assert len(trees[7].heads) == 0
     assert any(t.mst for t in trees) and not all(t.mst for t in trees)
 
@@ -827,10 +827,11 @@ def test_parse_sentences_matches_parsing_each_sentence_alone(variant, window, ce
 def test_batched_scores_match_scoring_each_sentence_alone_at_default_dims():
     # the factor budget allows 145 encoder rows a batch at default dims:
     # 145 empty sentences (n = 0) and 29 of n = 4 fill a batch each, and the
-    # rest make a second. Each sentence's edge and label scores and factor
-    # blocks, from its batch's row-wise layers and its own biaffines, match
-    # score_sentence on it alone within 1e-12 relative: a product over the
-    # B (n+1) rows of a batch may round otherwise than one over n+1 rows
+    # rest make a second. Each sentence's edge scores and factor blocks,
+    # from its batch's row-wise layers and its own biaffine, and its label
+    # scores on its gold heads, from one label op over the batch, match
+    # scoring it alone within 1e-12 relative: a product over the B (n+1)
+    # rows of a batch may round otherwise than one over n+1 rows
     empty = parse_conllu("# newdoc\n\n")[0]
     sentences = [empty] * 150 + [make_sentence(4, shift) for shift in range(33)]
     params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
@@ -839,15 +840,44 @@ def test_batched_scores_match_scoring_each_sentence_alone_at_default_dims():
     for ks in batches:
         batch = [sentences[k] for k in ks]
         rows = row_layers(encode(batch, params), params)
+        gold = [sent.gold_heads for sent in batch]
+        labels = score_labels(rows.label, np.array(gold, dtype=int), params)
         for b, sent in enumerate(batch):
             got = score_sentence(sent, params, rows.sentence(b))
-            alone = score_alone(sent, params)
-            for name in ("s_edge", "s_label", "s_sib", "s_gp"):
-                x, y = getattr(got, name), getattr(alone, name)
+            alone_rows = row_layers(encode([sent], params), params)
+            alone = score_sentence(sent, params, alone_rows)
+            pairs = [(getattr(got, name), getattr(alone, name)) for name in ("s_edge", "s_sib",
+                                                                              "s_gp")]
+            pairs.append((labels[b:b + 1], score_labels(alone_rows.label, [gold[b]], params)))
+            for name, (x, y) in zip(("s_edge", "s_sib", "s_gp", "label"), pairs):
                 if name in ("s_sib", "s_gp"):
                     x, y = x.block, y.block
                 assert x.shape == y.shape, name
-                assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
+                if y.size:
+                    assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y)), name
+
+
+def test_parse_labels_ties_go_to_the_smallest_label_id():
+    # U_label[2] = U_label[1] ties labels 1 and 2 bit for bit, and
+    # U_label[0] = -U_label[1] makes label 0 the better one exactly where
+    # label 1 scores below 0: no word takes label 2; with all three equal,
+    # every word takes label 0. U_label[1] reads no constant-1 column, so
+    # that the sign of its score varies
+    sentences = [make_sentence(n, shift) for n in (3, 5) for shift in range(3)]
+    params = init_params(ModelConfig(**TOY_DIMS), *build_vocabs(sentences), seed=4)
+    U = params.tensors["U_label"]
+    assert U.shape[0] == 3
+    U[1, -1, :] = U[1, :, -1] = 0.0
+    U[2] = U[1]
+    U[0] = -U[1]
+    trees = trainer.parse_sentences(params, sentences)
+    for sent, tree in zip(sentences, trees):
+        rows = row_layers(encode([sent], params), params)
+        s1 = score_labels(rows.label, [tree.heads], params)[0, :, 1]
+        assert tree.labels.tolist() == (s1 > 0).astype(int).tolist()
+    assert {lab for t in trees for lab in t.labels.tolist()} == {0, 1}
+    U[0] = U[2]
+    assert all(not t.labels.any() for t in trainer.parse_sentences(params, sentences))
 
 
 def test_parse_sentences_keeps_one_step_of_gru_gates_at_default_dims(monkeypatch, traced_peak):
@@ -902,10 +932,15 @@ def test_parse_sentences_holds_one_chunk_of_scores_at_default_dims(n, count, mon
 def test_a_long_sentence_parses_in_bounded_memory_at_default_dims(traced_peak):
     # one n = 200 sentence: MFVI reads the rank-d_bin factors, O(n (n + r))
     # floats, and no (n+1)^3 sibling or grandparent cube is built (two such
-    # cubes peaked at 172 MiB here); measured 6.6 MiB
+    # cubes peaked at 172 MiB here); measured 6.6 MiB. With 40 labels, as a
+    # treebank has, no (n+1)^2 L cube of every pair's label scores is built
+    # either: the label op reads the n decoded edges (the cube and its
+    # transposed copy peaked at 37.4 MiB here)
     sentences = [make_sentence(200)]
-    params = init_params(ModelConfig(), *build_vocabs(sentences), seed=0)
-    traced_peak()
-    trees = trainer.parse_sentences(params, sentences)
-    assert traced_peak() < 16 * 2**20
-    assert len(trees[0].heads) == 200
+    w2i, p2i, labels = build_vocabs(sentences)
+    for names in (labels, [f"l{k}" for k in range(40)]):
+        params = init_params(ModelConfig(), w2i, p2i, names, seed=0)
+        traced_peak()
+        trees = trainer.parse_sentences(params, sentences)
+        assert traced_peak() < 16 * 2**20, len(names)
+        assert len(trees[0].heads) == 200 and trees[0].labels.max() < len(names)

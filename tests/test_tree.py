@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 import mfdep.autodiff as ad
 from mfdep.oracle import best_arborescence_bruteforce
-from mfdep.scorer import label_distribution
+from mfdep.scorer import label_biaffine, label_distribution
 from mfdep.tree import (
     argmax_heads,
-    assign_labels,
     chu_liu_edmonds,
     decode,
     is_tree,
@@ -50,8 +49,8 @@ def test_is_tree_single_root_allows_one_root_child_and_the_empty_tree():
 
 
 def test_decode_empty_sentence_is_the_empty_tree():
-    tree = decode(np.zeros((0, 1)), np.zeros((1, 1, 3)), single_root=True)
-    assert tree.heads.size == 0 and tree.labels.size == 0
+    heads, mst = decode(np.zeros((0, 1)), single_root=True)
+    assert heads.size == 0 and not mst
 
 
 def test_is_tree_rejects_unreachable_cycle():
@@ -175,33 +174,47 @@ def test_dependent_constant_shift_leaves_argmax_tree_unchanged(rng):
     assert chu_liu_edmonds(shifted, single_root=False).tolist() == base.tolist()
 
 
+def _labels(cube, heads):
+    """A parse's labels on decoded heads: the argmax over the label axis
+    of ``label_biaffine``, ties to the smallest id, here on identity head
+    and dependent rows, so that the score of label l on the edge h -> j
+    is cube[h, j, l]."""
+    n1 = cube.shape[0]
+    rows = np.eye(n1)[None]
+    s = label_biaffine(rows, rows, np.asarray(heads)[None], cube.transpose(2, 0, 1))
+    return s[0].argmax(axis=-1)
+
+
 def test_assign_labels():
     n = 3
     p = np.zeros((n + 1, n + 1, 1))
-    assert assign_labels(p, np.array([0, 1, 1])).tolist() == [0, 0, 0]
+    assert _labels(p, [0, 1, 1]).tolist() == [0, 0, 0]
     p4 = np.zeros((n + 1, n + 1, 4))
+    assert _labels(p4, [0, 1, 1]).tolist() == [0, 0, 0]  # ties go to the smallest id
     p4[0, 1, 2] = 1.0
     p4[1, 2, 3] = 1.0
     p4[1, 3, 1] = 1.0
-    assert assign_labels(p4, np.array([0, 1, 1])).tolist() == [2, 3, 1]
+    assert _labels(p4, [0, 1, 1]).tolist() == [2, 3, 1]
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_assign_labels_reads_scores_as_their_softmax(seed):
-    # decode reads label scores: the argmax of a score is that of its softmax
+    # a parse labels by the scores, training reads their softmax: the
+    # argmax of a word's label scores is that of its distribution
     rng = np.random.default_rng(seed)
-    n, L = int(rng.integers(1, 8)), int(rng.integers(1, 6))
-    s = rng.normal(0.0, 3.0, size=(n + 1, n + 1, L))
-    heads = rng.integers(0, n + 1, size=n)
+    n, L, d = int(rng.integers(1, 8)), int(rng.integers(1, 6)), 3
+    lh, ld = rng.normal(size=(1, n + 1, d)), rng.normal(size=(1, n + 1, d))
+    heads = rng.integers(0, n + 1, size=(1, n))
+    s = label_biaffine(lh, ld, heads, rng.normal(0.0, 3.0, size=(L, d, d)))
     probs = ad.val(label_distribution(s))
-    assert assign_labels(s, heads).tolist() == assign_labels(probs, heads).tolist()
+    assert s.argmax(axis=-1).tolist() == probs.argmax(axis=-1).tolist()
 
 
 def test_assign_labels_matches_naive_scan(rng):
     n, L = 5, 6
     p = rng.uniform(size=(n + 1, n + 1, L))
     heads = np.array([0, 1, 1, 2, 3])
-    got = assign_labels(p, heads)
+    got = _labels(p, heads)
     for j in range(1, n + 1):
         assert got[j - 1] == int(np.argmax(p[heads[j - 1], j]))
 
@@ -217,28 +230,28 @@ def _peaked_posterior(heads):
 
 def test_decode_skips_mst_on_valid_tree():
     q = _peaked_posterior([0, 1, 1])
-    tree = decode(q, np.zeros((4, 4, 1)), single_root=True)
-    assert tree.heads.tolist() == [0, 1, 1]
-    assert not tree.mst
+    heads, mst = decode(q, single_root=True)
+    assert heads.tolist() == [0, 1, 1]
+    assert not mst
 
 
 def test_decode_invokes_mst_on_cycle():
     q = _peaked_posterior([2, 1])  # mutual cycle, nothing on root
     q[:, 0] = 0.05
     q /= q.sum(axis=1, keepdims=True)
-    tree = decode(q, np.zeros((3, 3, 1)), single_root=True)
-    assert tree.mst
-    assert is_tree(tree.heads)
+    heads, mst = decode(q, single_root=True)
+    assert mst
+    assert is_tree(heads)
 
 
 def test_decode_single_root_constraint_triggers_mst():
     q = _peaked_posterior([0, 0])  # two root children: a tree, but multi-root
-    tree = decode(q, np.zeros((3, 3, 1)), single_root=True)
-    assert tree.mst
-    assert int(np.sum(tree.heads == 0)) == 1
-    tree2 = decode(q, np.zeros((3, 3, 1)), single_root=False)
-    assert not tree2.mst
-    assert tree2.heads.tolist() == [0, 0]
+    heads, mst = decode(q, single_root=True)
+    assert mst
+    assert int(np.sum(heads == 0)) == 1
+    heads2, mst2 = decode(q, single_root=False)
+    assert not mst2
+    assert heads2.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -250,14 +263,14 @@ def test_decode_mst_path_matches_bruteforce_on_random_posteriors(n):
             q[j, j + 1] = 0.0
         q[:, 0] *= 0.2
         q /= q.sum(axis=1, keepdims=True)
-        tree = decode(q, rng.uniform(size=(n + 1, n + 1, 2)), single_root=True)
-        assert is_tree(tree.heads)
-        if tree.mst:
+        heads, mst = decode(q, single_root=True)
+        assert is_tree(heads)
+        if mst:
             with np.errstate(divide="ignore"):
                 w = np.full((n + 1, n + 1), -np.inf)
                 w[:, 1:] = np.log(q.T)
             ref, _ = best_arborescence_bruteforce(w, single_root=True)
-            assert tree.heads.tolist() == ref.tolist()
+            assert heads.tolist() == ref.tolist()
 
 
 def test_decode_zero_root_probabilities_still_gives_single_root_tree():
@@ -265,9 +278,9 @@ def test_decode_zero_root_probabilities_still_gives_single_root_tree():
     q = _peaked_posterior([2, 0, 2])
     q[:, 0] = 0.0
     q /= q.sum(axis=1, keepdims=True)
-    tree = decode(q, np.zeros((4, 4, 1)), single_root=True)
-    assert tree.mst
-    assert is_tree(tree.heads)
-    assert int(np.sum(tree.heads == 0)) == 1
+    heads, mst = decode(q, single_root=True)
+    assert mst
+    assert is_tree(heads)
+    assert int(np.sum(heads == 0)) == 1
     # the one root child is the word whose best finite tree is the heaviest
-    assert tree.heads.tolist() == [2, 0, 2]
+    assert heads.tolist() == [2, 0, 2]
