@@ -273,29 +273,24 @@ def _dropout(x, p, rng):
 
 def _rows(x, d):
     """Direction d of an (n1, 2, B, k) array in step order, as an owning
-    (B n1, k) array in position order: row b n1 + t is position t of
-    column b."""
+    (B, n1, k) array in position order."""
     steps = x[:, 0] if d == 0 else x[::-1, 1]
-    n1, B, k = steps.shape
-    out = np.empty((B * n1, k))
-    out.reshape(B, n1, k)[...] = steps.transpose(1, 0, 2)
-    return out
+    return steps.transpose(1, 0, 2).copy()
 
 
-def gru(A, U, B=1):
+def gru(A, U):
     """Both GRU directions over precomputed input projections of B
     sentences of one length, in lockstep, differentiable.
 
     A = (A_z, A_r, A_h) of the forward direction followed by those of the
-    backward one: the (B n1, dh) input projections x_t W_g^T + b_g of the
-    update gate, the reset gate and the candidate state, sentence after
-    sentence (row b n1 + t is position t of sentence b). U likewise holds
-    the six (dh, dh) recurrent matrices (U_z, U_r, U_h). From h = 0, each
-    step of a direction computes
+    backward one: the (B, n1, dh) input projections x_t W_g^T + b_g of the
+    update gate, the reset gate and the candidate state, whose shape gives
+    B, n1 and dh. U likewise holds the six (dh, dh) recurrent matrices
+    (U_z, U_r, U_h). From h = 0, each step of a direction computes
         z = sigmoid(A_z[t] + U_z h),  r = sigmoid(A_r[t] + U_r h),
         c = tanh(A_h[t] + U_h (r * h)),  h = (1 - z) * h + z * c,
     the forward direction for t = 0 .. n1-1 and the backward one for
-    t = n1-1 .. 0. Row b n1 + t of the (B n1, 2 dh) result is both h of
+    t = n1-1 .. 0. Row [b, t] of the (B, n1, 2 dh) result is both h of
     sentence b at t, forward first. Step s runs forward position s and
     backward position n1-1-s of every sentence together: the state is
     both directions' h as a (2, dh, B) stack of B columns, each recurrent
@@ -304,15 +299,13 @@ def gru(A, U, B=1):
     arithmetic is that of one direction of one sentence at a time; at
     B = 1 the result is bit-identical to it, and at B > 1 a product of B
     columns may round otherwise than B products of one (GEMM against
-    GEMV). One shape, leading axis always: the result is (B, n1, 2 dh).
-    The VJP is hand-written backpropagation through time in the same
-    lockstep; every adjoint it returns owns its data. With no Var
+    GEMV). The VJP is hand-written backpropagation through time in the
+    same lockstep; it returns (B, n1, dh) adjoints, each owning its data,
+    and flattens rows only inside its weight products. With no Var
     operand, every step writes its gates into one reused buffer."""
     a = [ad.val(x) for x in A]
     u = [ad.val(x) for x in U]
-    dh = a[0].shape[1]
-    n1 = a[0].shape[0] // B
-    a = [x.reshape(B, n1, dh) for x in a]
+    B, n1, dh = a[0].shape
 
     def columns(*parts):
         # step order, states as columns: [s, 0, :, b] is forward position s
@@ -365,12 +358,16 @@ def gru(A, U, B=1):
             dZR[s, ..., dh:] = drh * hp
             dZR[s] *= zr * (1.0 - zr)
             carry = dh_s * (1.0 - z) + drh * r + np.matmul(dZR[s], uzr)
+
+        def outer(x, y):  # sum over the batch's rows of x^T y, on flat row views
+            return x.reshape(-1, dh).T @ y.reshape(-1, dh)
+
         dA, dU = [], []
         for d in (0, 1):
             dz, dr, dc = _rows(dZR[..., :dh], d), _rows(dZR[..., dh:], d), _rows(dC, d)
             hp = _rows(Hp, d)
             dA += (dz, dr, dc)
-            dU += (dz.T @ hp, dr.T @ hp, dc.T @ (_rows(ZR[..., dh:], d) * hp))
+            dU += (outer(dz, hp), outer(dr, hp), outer(dc, _rows(ZR[..., dh:], d) * hp))
         return (*dA, *dU)
 
     return ad.custom_op(out, parents, bptt)
@@ -379,25 +376,21 @@ def gru(A, U, B=1):
 def encode(sentences, params, pv=None, dropout_rng=None):
     """Contextual representations of B sentences of one length n, one
     row per position (row 0 = root): the (B, n+1, 2 d_hidden) output of
-    ``gru``, one shape, leading axis always. The embeddings of all
-    B (n+1) rows are gathered, projected by each GRU gate and run through
-    ``gru`` as one group of B columns."""
+    ``gru``, one shape, leading axis always. The (B, n+1) word and tag
+    ids are gathered into (B, n+1, d_word + d_pos) embeddings, which each
+    GRU gate projects and ``gru`` runs as one group of B columns."""
     pv = params.tensors if pv is None else pv
     n = len(sentences[0])
     if any(len(s) != n for s in sentences):
         raise ValueError("encode takes sentences of one length")
     root, unk = SPECIALS["<root>"], SPECIALS["<unk>"]
-    wids, pids = [], []
-    for sent in sentences:
-        wids += [root] + [params.word2id.get(t.form, unk) for t in sent.tokens]
-        pids += [root] + [params.pos2id.get(t.upos, unk) for t in sent.tokens]
-    E = ad.concat(
-        [ad.take_at(pv["emb_word"], (wids,)), ad.take_at(pv["emb_pos"], (pids,))],
-        axis=1,
-    )
+    wids = [[root] + [params.word2id.get(t.form, unk) for t in s.tokens] for s in sentences]
+    pids = [[root] + [params.pos2id.get(t.upos, unk) for t in s.tokens] for s in sentences]
+    E = ad.concat([ad.take_at(pv["emb_word"], (wids,)), ad.take_at(pv["emb_pos"], (pids,))],
+                  axis=-1)
     E = _dropout(E, params.config.p_drop_embed, dropout_rng)
     A = [_proj(E, pv, f"gru_{d}_{g}") for d in ("fw", "bw") for g in _GATES]
-    return gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES], len(sentences))
+    return gru(A, [pv[f"gru_{d}_{g}_U"] for d in ("fw", "bw") for g in _GATES])
 
 
 def _aug(x):

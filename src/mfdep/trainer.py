@@ -104,8 +104,7 @@ def edge_loss_single(q_final, gold_heads):
     n = len(gold_heads)
     mask = edge_mask(n).astype(bool)
     gold = np.zeros_like(mask)
-    for j, h in enumerate(gold_heads, start=1):
-        gold[int(h), j] = True
+    gold[np.asarray(gold_heads, dtype=np.intp), np.arange(1, n + 1)] = True
     gi, gj = np.nonzero(gold & mask)
     ni, nj = np.nonzero(mask & ~gold)
     pos = ad.take_at(q_final, (0, gi, gj))

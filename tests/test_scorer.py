@@ -363,17 +363,18 @@ def test_gru_op_matches_reference_loop(n1, dh, views):
     # product with a transposed operand differently)
     rng = np.random.default_rng(n1 + dh)
     if views:
-        P = rng.normal(size=(n1, 6 * dh))
-        A = [P[:, k * dh:(k + 1) * dh] for k in range(6)]
+        P = rng.normal(size=(1, n1, 6 * dh))
+        A = [P[..., k * dh:(k + 1) * dh] for k in range(6)]
         U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)).T for _ in range(6)]
     else:
-        A = [rng.normal(size=(n1, dh)) for _ in range(6)]
+        A = [rng.normal(size=(1, n1, dh)) for _ in range(6)]
         U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(6)]
     got = gru(A, U)
     assert type(got) is np.ndarray and got.shape == (1, n1, 2 * dh)
     Uc = [np.ascontiguousarray(u) for u in U]
+    a = [x[0] for x in A]
     expect = np.concatenate(
-        [_gru_reference(A[:3], Uc[:3], False), _gru_reference(A[3:], Uc[3:], True)], axis=1
+        [_gru_reference(a[:3], Uc[:3], False), _gru_reference(a[3:], Uc[3:], True)], axis=1
     )
     np.testing.assert_array_equal(got[0], expect)
 
@@ -384,7 +385,7 @@ def _check_gru_gradient(B, n1, bw_only):
     # parameter must get an exactly zero gradient
     d_in, dh = 4, 3
     rng = np.random.default_rng(100 * B + 10 * n1 + bw_only)
-    arrays = {"X": rng.normal(size=(B * n1, d_in))}
+    arrays = {"X": rng.normal(size=(B, n1, d_in))}
     for k in (f"{d}{g}" for d in "fb" for g in "zrh"):
         arrays[f"W_{k}"] = rng.normal(size=(dh, d_in))
         arrays[f"b_{k}"] = rng.normal(size=dh)
@@ -397,7 +398,7 @@ def _check_gru_gradient(B, n1, bw_only):
         v = {k: ad.Var(a) for k, a in arrays.items()}
         keys = [f"{d}{g}" for d in "fb" for g in "zrh"]
         A = [linear(v["X"], v[f"W_{k}"], v[f"b_{k}"]) for k in keys]
-        H = gru(A, [v[f"U_{k}"] for k in keys], B)
+        H = gru(A, [v[f"U_{k}"] for k in keys])
         return ad.sum_all(ad.mul(H, weights)), v
 
     out, leaves = run()
@@ -427,27 +428,27 @@ def test_gru_group_matches_each_sentence_run_alone(backward_copies):
     # backward copies the seed alone
     B, n1, dh = 4, 6, 24
     rng = np.random.default_rng(21)
-    A = [rng.normal(size=(B * n1, dh)) for _ in range(6)]
+    A = [rng.normal(size=(B, n1, dh)) for _ in range(6)]
     U = [rng.normal(0.0, 1.0 / np.sqrt(dh), size=(dh, dh)) for _ in range(6)]
     g = rng.normal(size=(B, n1, 2 * dh))
 
-    def run(A, g, B):
+    def run(A, g):
         leaves = [ad.Var(x) for x in (*A, *U)]
         backward_copies.clear()
-        ad.backward(gru(leaves[:6], leaves[6:], B), g)
+        ad.backward(gru(leaves[:6], leaves[6:]), g)
         assert len(backward_copies) == 1
         return [v.grad for v in leaves]
 
-    group = run(A, g, B)
-    out = gru(A, U, B)
+    group = run(A, g)
+    out = gru(A, U)
     dU = np.zeros((6, dh, dh))
     for b in range(B):
-        rows = slice(b * n1, (b + 1) * n1)
-        A_b = [x[rows] for x in A]
-        np.testing.assert_allclose(out[b:b + 1], gru(A_b, U), rtol=0, atol=1e-15)
-        alone = run(A_b, g[b:b + 1], 1)
+        one = slice(b, b + 1)
+        A_b = [x[one] for x in A]
+        np.testing.assert_allclose(out[one], gru(A_b, U), rtol=0, atol=1e-15)
+        alone = run(A_b, g[one])
         for k in range(6):
-            np.testing.assert_allclose(group[k][rows], alone[k], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(group[k][one], alone[k], rtol=0, atol=1e-14)
         dU += alone[6:]
     np.testing.assert_allclose(group[6:], dU, rtol=0, atol=1e-13)
 
