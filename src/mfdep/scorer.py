@@ -292,60 +292,52 @@ def gru(A, U):
     the forward direction for t = 0 .. n1-1 and the backward one for
     t = n1-1 .. 0. Row [b, t] of the (B, n1, 2 dh) result is both h of
     sentence b at t, forward first. Step s runs forward position s and
-    backward position n1-1-s of every sentence together: the state is
-    both directions' h as a (2, dh, B) stack of B columns, each recurrent
-    product one np.matmul over the directions' stacked matrices, and the
-    gate arithmetic one pass over stacked arrays. Per element the
-    arithmetic is that of one direction of one sentence at a time; at
-    B = 1 the result is bit-identical to it, and at B > 1 a product of B
-    columns may round otherwise than B products of one (GEMM against
-    GEMV). The VJP is hand-written backpropagation through time in the
-    same lockstep; it returns (B, n1, dh) adjoints, each owning its data,
-    and flattens rows only inside its weight products. With no Var
+    backward position n1-1-s of every sentence together, on (n1, 2, B, k)
+    step-ordered arrays that the forward pass and its hand-written BPTT
+    VJP share: each recurrent product is one np.matmul of the (2, B, dh)
+    state rows with both directions' stacked matrices. At B = 1 the result
+    is bit-identical to one direction of one sentence at a time; at B > 1
+    a product of B rows may round otherwise (GEMM against GEMV). The VJP
+    returns (B, n1, dh) adjoints, each owning its data. With no Var
     operand, every step writes its gates into one reused buffer."""
     a = [ad.val(x) for x in A]
     u = [ad.val(x) for x in U]
     B, n1, dh = a[0].shape
 
-    def columns(*parts):
-        # step order, states as columns: [s, 0, :, b] is forward position s
-        # of sentence b and [s, 1, :, b] its backward position n1-1-s
+    def steps(*parts):
+        # step order: [s, 0, b] is forward position s of sentence b and
+        # [s, 1, b] its backward position n1-1-s
         x = np.concatenate(parts, axis=2)
-        return np.ascontiguousarray(x.reshape(B, n1, 2, -1).transpose(1, 2, 3, 0))
+        return np.ascontiguousarray(x.reshape(B, n1, 2, -1).transpose(1, 2, 0, 3))
 
     # z and r side by side, so that one elementwise logistic serves both gates
-    azr = columns(a[0], a[1], a[3][:, ::-1], a[4][:, ::-1])
-    ah = columns(a[2], a[5][:, ::-1])
+    azr = steps(a[0], a[1], a[3][:, ::-1], a[4][:, ::-1])
+    ah = steps(a[2], a[5][:, ::-1])
     # C-ordered stacks (np.concatenate would keep a Fortran-ordered input's
     # layout, and BLAS rounds a transposed operand differently)
     uzr = np.array((u[0], u[1], u[3], u[4])).reshape(2, 2 * dh, dh)
     uh = np.array((u[2], u[5]))
+    uzr_t, uh_t = uzr.transpose(0, 2, 1), uh.transpose(0, 2, 1)
     parents = (*A, *U)
     keep = ad.any_var(parents)  # only the VJP reads the gates of every step
     gates = n1 if keep else 1
-    ZR, C = np.empty((gates, 2, 2 * dh, B)), np.empty((gates, 2, dh, B))
-    H = np.empty((n1, 2, dh, B))
-    h = np.zeros((2, dh, B))
-    for s in range(n1):
+    ZR, C = np.empty((gates, 2, B, 2 * dh)), np.empty((gates, 2, B, dh))
+    H = np.zeros((n1 + 1, 2, B, dh))  # H[s + 1] is the state after step s
+    Hp = H[:-1]  # the state each step starts from
+    for s, h in enumerate(Hp):
         slot = s if keep else 0
-        zr = ad.logistic(azr[s] + np.matmul(uzr, h), out=ZR[slot])
-        z, r = zr[:, :dh], zr[:, dh:]
-        c = np.tanh(ah[s] + np.matmul(uh, r * h), out=C[slot])
-        h = np.add((1.0 - z) * h, z * c, out=H[s])
+        zr = ad.logistic(azr[s] + np.matmul(h, uzr_t), out=ZR[slot])
+        z, r = zr[..., :dh], zr[..., dh:]
+        c = np.tanh(ah[s] + np.matmul(r * h, uh_t), out=C[slot])
+        np.add((1.0 - z) * h, z * c, out=H[s + 1])
     out = np.empty((B, n1, 2 * dh))
-    out[..., :dh] = H[:, 0].transpose(2, 0, 1)
-    out[..., dh:] = H[::-1, 1].transpose(2, 0, 1)
+    out[..., :dh] = H[1:, 0].transpose(1, 0, 2)
+    out[..., dh:] = H[:0:-1, 1].transpose(1, 0, 2)
     if not keep:
         return out
-    # the backward pass works on rows: [s, d, b] is column b's state
-    ZR, C, H = (np.ascontiguousarray(x.transpose(0, 1, 3, 2)) for x in (ZR, C, H))
-    Hp = np.zeros((n1, 2, B, dh))  # the state each step started from
-    Hp[1:] = H[:-1]
 
     def bptt(g):
-        G = np.empty((n1, 2, B, dh))
-        G[:, 0] = g[:, :, :dh].transpose(1, 0, 2)
-        G[:, 1] = g[:, ::-1, dh:].transpose(1, 0, 2)
+        G = steps(g[..., :dh], g[:, ::-1, dh:])
         dZR, dC = np.empty((n1, 2, B, 2 * dh)), np.empty((n1, 2, B, dh))
         carry = np.zeros((2, B, dh))  # dL/dh flowing back from later steps
         for s in range(n1 - 1, -1, -1):
@@ -378,7 +370,8 @@ def encode(sentences, params, pv=None, dropout_rng=None):
     row per position (row 0 = root): the (B, n+1, 2 d_hidden) output of
     ``gru``, one shape, leading axis always. The (B, n+1) word and tag
     ids are gathered into (B, n+1, d_word + d_pos) embeddings, which each
-    GRU gate projects and ``gru`` runs as one group of B columns."""
+    GRU gate projects and ``gru`` runs in one lockstep pass over the B
+    sentences."""
     pv = params.tensors if pv is None else pv
     n = len(sentences[0])
     if any(len(s) != n for s in sentences):

@@ -188,9 +188,14 @@ def adam_step(params, grads, state, config, lr=None):
     bc1 is 1, so g stands in for m / bc1 and no m is kept: bit-identical
     too, except that a parameter of -0.0 given a gradient of -0.0 may
     become +0.0 where the formula keeps -0.0. Parameter tensors must be
-    C-contiguous."""
-    flat = {name: g.reshape(-1) for name, g in grads.items()}
-    for g in flat.values():
+    C-contiguous, and grads holds a gradient for each of them; both are
+    checked, with the gradients' finiteness, before anything is written,
+    so a refused step changes no parameter, moment or step count."""
+    flat = {}
+    for name, p in params.tensors.items():
+        if not p.flags.c_contiguous:
+            raise ValueError(f"parameter tensor {name!r} is not C-contiguous")
+        flat[name] = g = grads[name].reshape(-1)
         for lo, hi in _blocks(g.size):
             if not np.isfinite(g[lo:hi], out=state.finite[: hi - lo]).all():
                 state.skipped += 1
@@ -206,12 +211,7 @@ def adam_step(params, grads, state, config, lr=None):
     if state.amsgrad and state.vmax is None:
         state.vmax = {k: np.zeros_like(v) for k, v in state.v.items()}
     for name, p in params.tensors.items():
-        g = flat.get(name)
-        if g is None:
-            continue
-        if not p.flags.c_contiguous:
-            raise ValueError(f"parameter tensor {name!r} is not C-contiguous")
-        p = p.reshape(-1)
+        g, p = flat[name], p.reshape(-1)
         m = state.m[name].reshape(-1) if b1 != 0.0 else None
         v = state.v[name].reshape(-1)
         vmax = state.vmax[name].reshape(-1) if state.amsgrad else None

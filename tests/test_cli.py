@@ -882,6 +882,19 @@ def _dense_version_1(model, bad):
     Path(bad).write_bytes(data)
 
 
+def _with_header(hbytes):
+    """A maker of a version-2 checkpoint whose header is hbytes."""
+    def make_bad(model, bad):
+        Path(bad).write_bytes(b"MFD1" + struct.pack("<II", 2, len(hbytes)) + hbytes)
+    return make_bad
+
+
+def _version_3(model, bad):
+    data = bytearray(Path(model).read_bytes())
+    struct.pack_into("<I", data, 4, 3)
+    Path(bad).write_bytes(data)
+
+
 @pytest.mark.parametrize(
     "make_bad,message",
     [
@@ -895,6 +908,9 @@ def _dense_version_1(model, bad):
         (lambda model, bad: Path(bad).write_bytes(Path(model).read_bytes() + b"\0"),
          "checkpoint size mismatch: header implies"),
         (_with_tensor_of_wrong_shape, "checkpoint tensor 'W_sib' has shape (1, 2, 4)"),
+        (_version_3, "unsupported checkpoint version 3"),
+        (_with_header(b"[1, 2]"), "checkpoint header is not a JSON object"),
+        (_with_header(b'{"config": "\xff"}'), "checkpoint header is no valid UTF-8 JSON"),
     ],
 )
 def test_unreadable_checkpoint_exits_1_naming_the_file(make_bad, message, workspace, tmp_path,

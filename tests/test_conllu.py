@@ -91,6 +91,16 @@ def test_predicted_length_mismatch_raises():
         write_conllu(sents, predicted=[([1, 2], ["a", "b"])])
 
 
+@pytest.mark.parametrize("predicted,message", [
+    ([], "predicted/sentences length mismatch"),
+    ([([1, 0], ["a"])], "sentence 0: predicted label count mismatch"),
+])
+def test_predictions_that_do_not_fit_the_sentences_are_refused(predicted, message):
+    sents = parse_conllu("1\ta\ta\tX\tX\t_\t2\tdep\t_\t_\n2\tb\tb\tX\tX\t_\t0\troot\t_\t_\n\n")
+    with pytest.raises(ValueError, match=message):
+        write_conllu(sents, predicted=predicted)
+
+
 def test_a_failed_write_leaves_the_existing_file_as_it_was(tmp_path):
     sents = parse_conllu("1\ta\ta\tX\tX\t_\t0\troot\t_\t_\n\n")
     out = tmp_path / "pred.conllu"
@@ -254,6 +264,11 @@ def test_filter_long_boundary_one():
     sents = [_make(1), _make(2), _make(1)]
     kept = filter_long(sents, 1)
     assert [len(s) for s in kept] == [1, 1]
+
+
+def test_filter_long_refuses_a_limit_below_one():
+    with pytest.raises(ValueError, match="max_len must be >= 1"):
+        filter_long([_make(1)], 0)
 
 
 def test_toy_treebank_gold_heads_are_trees():

@@ -53,6 +53,12 @@ def test_punctuation_modes():
     assert uas_n == pytest.approx(100 * 2 / 3, abs=0.01)
 
 
+def test_a_sentence_of_punctuation_only_scores_zero():
+    gold = [_sent(["1\t!\t!\tPUNCT\t.\t_\t0\troot\t_\t_"])]
+    uas, las, c = uas_las([([0], ["root"])], gold)
+    assert (uas, las, c.scored, c.skipped_punct) == (0.0, 0.0, 0, 1)
+
+
 def test_ptb_set_uses_gold_xpos_not_upos():
     rows = [
         "1\t,\t,\tNOUN\t,\t_\t2\tpunct\t_\t_",  # PTB comma XPOS, non-PUNCT UPOS

@@ -66,6 +66,13 @@ def test_parse_long_worker_counts_every_sentence(perfbench, tmp_path, traced):
         assert PARSE_SPANS <= set(result["calls"]), PARSE_SPANS - set(result["calls"])
 
 
+def test_parse_short_worker_counts_every_sentence(perfbench, tmp_path):
+    # the only workload whose encoder groups hold more than one sentence
+    result, (attempted, failed, problems) = _run_worker(perfbench, "parse-short", tmp_path, False)
+    assert (result["sentences"], result["tokens"]) == (800, 4048)
+    assert (attempted, failed) == (800, 0), problems
+
+
 def test_train_step_worker_counts_every_training_token(perfbench, tmp_path):
     result, (attempted, failed, problems) = _run_worker(perfbench, "train-step", tmp_path, False)
     assert result["train_tokens"] == 150

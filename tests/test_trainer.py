@@ -222,6 +222,19 @@ def test_adam_skips_nonfinite_gradients():
     assert state.skipped == 1
 
 
+def test_a_refused_adam_step_changes_nothing():
+    # a Fortran-ordered parameter after a C-ordered one: the step raises
+    # before it writes the first
+    params = SimpleNamespace(tensors={"a": np.array([1.0, 2.0]),
+                                      "b": np.asfortranarray(np.ones((2, 3)))})
+    state = AdamState(params.tensors)
+    grads = {"a": np.ones(2), "b": np.ones((2, 3))}
+    with pytest.raises(ValueError, match="parameter tensor 'b' is not C-contiguous"):
+        adam_step(params, grads, state, _bowl_config())
+    np.testing.assert_array_equal(params.tensors["a"], [1.0, 2.0])
+    assert state.t == 0 and not state.v["a"].any()
+
+
 def test_amsgrad_uses_running_max_second_moment():
     params = SimpleNamespace(tensors={"t": np.zeros(1)})
     state = AdamState(params.tensors)
@@ -528,6 +541,30 @@ def test_train_frees_the_batch_gradient_after_its_adam_step(monkeypatch):
                       batch_tokens=50)
     train([make_sentence(3)], [make_sentence(3)], cfg, params=make_params(seed=3))
     assert len(evaluated) == 2
+
+
+def test_train_switches_to_amsgrad_amsgrad_after_iterations_after_the_last_improvement(
+        monkeypatch):
+    # dev improves at iterations 1 and 2, then stays: the steps of
+    # iterations 3 and 4 follow 1 and 2 iterations without improvement,
+    # and the step of iteration 5 is the first AMSGrad one
+    scores, seen = iter([10.0, 20.0, 20.0, 20.0, 20.0, 20.0]), []
+    real_adam_step = trainer.adam_step
+
+    def watched_adam_step(params, grads, state, config, lr=None):
+        seen.append(state.amsgrad)
+        return real_adam_step(params, grads, state, config, lr=lr)
+
+    def scripted_evaluate(*a, **kw):
+        score = next(scores)
+        return score, score, None
+
+    monkeypatch.setattr(trainer, "adam_step", watched_adam_step)
+    monkeypatch.setattr(trainer, "evaluate", scripted_evaluate)
+    cfg = TrainConfig(variant="local2o", iterations=2, max_iterations=6, eval_every=1,
+                      amsgrad_after=2, batch_tokens=50)
+    train([make_sentence(3)], [make_sentence(3)], cfg, params=make_params(seed=3))
+    assert seen == [False, False, False, False, True, True]
 
 
 def test_training_step_memory_budget_at_default_dims(traced_peak):

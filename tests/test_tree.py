@@ -36,7 +36,8 @@ def test_argmax_heads_matches_naive_scan(rng):
 def test_is_tree_enumerated_n2():
     assert is_tree(np.array([0]))
     assert not is_tree(np.array([2, 1]))
-    cases = {(0, 0): True, (0, 1): True, (2, 0): True, (2, 1): False}
+    cases = {(0, 0): True, (0, 1): True, (2, 0): True, (2, 1): False,
+             (0, 3): False, (-1, 0): False}  # a head out of 0..n
     for heads, ok in cases.items():
         assert is_tree(np.array(heads)) == ok
 
